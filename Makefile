@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-josim bench-pulse bench-pulse-batched bench-cpu bench-cpu-batched bench-service serve experiments examples quick all lint-netlists lvs
+.PHONY: install test bench bench-josim bench-pulse bench-pulse-batched bench-cpu bench-service serve experiments examples quick all lint-netlists lvs
 
 install:
 	pip install -e .
@@ -31,14 +31,14 @@ bench-josim:
 
 # Tracks the compiled pulse-engine backend against the reference event
 # loop (DRO column, HC-DRO/LoopBuffer traffic, 32x32 op mix), the
-# build-once netlist cache, and the batched lane tier: writes
+# build-once netlist cache, and the batched lane wheel: writes
 # BENCH_pulse.json.
 bench-pulse:
 	PYTHONPATH=src pytest benchmarks/bench_pulse_engine.py \
 		benchmarks/bench_pulse_batched.py --benchmark-only \
 		--benchmark-json=BENCH_pulse.json
 
-# Tracks the batched (lane-parallel) pulse tier against sequential
+# Tracks the batched (lane-parallel) pulse wheel against sequential
 # compiled replay on the 64-lane fault-injection sweep: writes
 # BENCH_pulse.json, including the enforced >= 3x lanes/sec speedup
 # (REPRO_BENCH_LANES_MIN_SPEEDUP relaxes the floor for noisy runners).
@@ -46,22 +46,11 @@ bench-pulse-batched:
 	PYTHONPATH=src pytest benchmarks/bench_pulse_batched.py --benchmark-only \
 		--benchmark-json=BENCH_pulse.json
 
-# Tracks the compiled op-tape CPU tier against the reference pipeline
-# on the multi-design Figure 14 sweep (trace cache warm), and the
-# batched design-lane tier against sequential compiled replay: writes
-# BENCH_cpu.json, including the enforced >= 3x speedups.
+# Tracks the compiled op-tape CPU replay against the reference pipeline
+# on the multi-design Figure 14 sweep (trace cache warm): writes
+# BENCH_cpu.json, including the enforced >= 3x speedup.
 bench-cpu:
-	PYTHONPATH=src pytest benchmarks/bench_cpu.py \
-		benchmarks/bench_cpu_batched.py --benchmark-only \
-		--benchmark-json=BENCH_cpu.json
-
-# Tracks the batched (design-lane) CPU tier against sequential compiled
-# replay on a 32-lane mixed-config design sweep: writes BENCH_cpu.json,
-# including the enforced >= 3x lanes/sec speedup
-# (REPRO_BENCH_CPU_LANES_MIN_SPEEDUP relaxes the floor for noisy
-# runners).
-bench-cpu-batched:
-	PYTHONPATH=src pytest benchmarks/bench_cpu_batched.py --benchmark-only \
+	PYTHONPATH=src pytest benchmarks/bench_cpu.py --benchmark-only \
 		--benchmark-json=BENCH_cpu.json
 
 # Tracks the coalescing simulation service against naive per-request

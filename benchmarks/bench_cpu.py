@@ -1,18 +1,19 @@
-"""Benchmark the compiled op-tape CPU tier against the reference pipeline.
+"""Benchmark the compiled op-tape CPU replay against the reference pipeline.
 
 The headline measurement is the multi-design Figure 14 sweep - every
 workload across every register file design in one process - run two
 ways (``make bench-cpu`` writes BENCH_cpu.json):
 
-* **reference**: the pre-tape pipeline - one functional pass per
-  workload, then :class:`~repro.cpu.pipeline.GateLevelPipeline` fed
-  op-by-op for each design,
+* **reference**: one functional pass per workload, then
+  :class:`~repro.cpu.pipeline.GateLevelPipeline` fed op-by-op for each
+  design (:func:`repro.cpu.compiled.replay_tape_reference`),
 * **compiled warm**: op tapes served from a warm on-disk
   :class:`~repro.cpu.TraceCache` (no functional pass) and replayed
-  through :func:`repro.cpu.replay_tape`'s table-driven loop.
+  through :func:`repro.cpu.replay_tape`'s table-driven loop
+  (``simulate_program``).
 
 ``test_cpu_sweep_speedup_summary`` asserts the >= 3x acceptance bar and
-that both tiers return integer-identical reports.  The CI smoke job
+that both sides return integer-identical reports.  The CI smoke job
 relaxes the floor (shared runners are noisy) via
 ``REPRO_BENCH_CPU_MIN_SPEEDUP`` and runs one timing rep
 (``REPRO_BENCH_REPS=1``).
@@ -25,8 +26,16 @@ import time
 
 import pytest
 
-from repro.cpu import TraceCache, simulate_program
+from repro.cpu import (
+    CoreConfig,
+    RFTimingModel,
+    TraceCache,
+    simulate_program,
+    tape_for_program,
+)
+from repro.cpu.compiled import replay_tape_reference
 from repro.cpu.rf_model import RF_DESIGN_NAMES
+from repro.cpu.stats import CpiReport
 from repro.experiments.figure14 import FIGURE14_WORKLOADS
 from repro.isa import assemble
 from repro.workloads import get_workload
@@ -40,16 +49,32 @@ TIMING_REPS = int(os.environ.get("REPRO_BENCH_REPS", "3"))
 
 @pytest.fixture(scope="module")
 def programs():
-    """Assembled once: assembly time is not part of either tier."""
+    """Assembled once: assembly time is not part of either side."""
     return {name: assemble(get_workload(name).build(SCALE))
             for name in FIGURE14_WORKLOADS}
 
 
-def _sweep(programs, tier, trace_cache=None):
+def _sweep(programs, trace_cache):
     return {name: simulate_program(program, RF_DESIGN_NAMES, name,
                                    max_instructions=MAX_INSTRUCTIONS,
-                                   trace_cache=trace_cache, tier=tier)
+                                   trace_cache=trace_cache)
             for name, program in programs.items()}
+
+
+def _sweep_reference(programs):
+    config = CoreConfig()
+    reports = {}
+    for name, program in programs.items():
+        tape = tape_for_program(program, max_instructions=MAX_INSTRUCTIONS,
+                                num_registers=config.num_registers,
+                                workload_name=name)
+        reports[name] = {
+            design: CpiReport.from_result(
+                name, replay_tape_reference(
+                    tape, RFTimingModel.for_design(design, config), config),
+                exit_code=tape.exit_code)
+            for design in RF_DESIGN_NAMES}
+    return reports
 
 
 def _sweep_key(reports):
@@ -71,7 +96,7 @@ def _best_of(fn, reps: int = TIMING_REPS) -> float:
 
 def test_figure14_sweep_reference(benchmark, programs):
     reports = benchmark.pedantic(
-        lambda: _sweep(programs, tier="reference"),
+        lambda: _sweep_reference(programs),
         rounds=TIMING_REPS, iterations=1)
     benchmark.extra_info["instructions"] = sum(
         r["ndro_rf"].instructions for r in reports.values())
@@ -79,9 +104,9 @@ def test_figure14_sweep_reference(benchmark, programs):
 
 def test_figure14_sweep_compiled_warm(benchmark, programs, tmp_path):
     cache = TraceCache(tmp_path)
-    _sweep(programs, tier="compiled", trace_cache=cache)  # warm the tapes
+    _sweep(programs, cache)  # warm the tapes
     reports = benchmark.pedantic(
-        lambda: _sweep(programs, tier="compiled", trace_cache=cache),
+        lambda: _sweep(programs, cache),
         rounds=TIMING_REPS, iterations=1)
     assert cache.misses == len(FIGURE14_WORKLOADS)  # cold pass only
     benchmark.extra_info["instructions"] = sum(
@@ -91,13 +116,12 @@ def test_figure14_sweep_compiled_warm(benchmark, programs, tmp_path):
 def test_cpu_sweep_speedup_summary(benchmark, programs, tmp_path):
     """Record (and enforce) the warm-cache compiled sweep speedup."""
     cache = TraceCache(tmp_path)
-    compiled_reports = _sweep(programs, tier="compiled", trace_cache=cache)
-    reference_reports = _sweep(programs, tier="reference")
+    compiled_reports = _sweep(programs, cache)
+    reference_reports = _sweep_reference(programs)
     assert _sweep_key(compiled_reports) == _sweep_key(reference_reports)
 
-    t_compiled = _best_of(
-        lambda: _sweep(programs, tier="compiled", trace_cache=cache))
-    t_reference = _best_of(lambda: _sweep(programs, tier="reference"))
+    t_compiled = _best_of(lambda: _sweep(programs, cache))
+    t_reference = _best_of(lambda: _sweep_reference(programs))
     speedup = t_reference / t_compiled
 
     benchmark.extra_info["workloads"] = len(FIGURE14_WORKLOADS)

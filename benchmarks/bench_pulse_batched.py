@@ -1,12 +1,13 @@
-"""Benchmark the batched pulse tier against sequential compiled replay.
+"""Benchmark the batched pulse wheel against sequential compiled replay.
 
 The workload is the acceptance case from the fault study: the
 exhaustive 64-lane HiPerRF fault-injection sweep (2 fault kinds x 8
 registers x 4 HC columns on an 8x8 geometry), every lane a captured
-write/fault/read program over one cached build.  Both tiers replay the
-*identical* stimulus lanes from the identical compiled netlist; the
-batched tier must produce outcome-equal lanes at >= 3x the lanes/sec
-of one-lane-at-a-time snapshot/restore replay (``make
+write/fault/read program over one cached build - the wheel's side of
+``run_lanes``'s lane-count rule.  Both paths are called directly and
+replay the *identical* stimulus lanes from the identical compiled
+netlist; the wheel must produce outcome-equal lanes at >= 3x the
+lanes/sec of one-lane-at-a-time snapshot/restore replay (``make
 bench-pulse-batched`` records the ratio in BENCH_pulse.json; the CI
 smoke job relaxes the floor - shared runners are noisy).
 """
@@ -17,7 +18,8 @@ import os
 import time
 
 from repro.experiments.fault_study import SWEEP_GEOMETRY, sweep_trials
-from repro.pulse import capture_stimulus, run_lanes
+from repro.pulse import capture_stimulus
+from repro.pulse.batched import run_lanes_batched, run_lanes_sequential
 from repro.rf.faults import _HIPERRF_PERIOD_PS, _schedule_hiperrf_trial
 from repro.rf.netlist import PulseHiPerRF
 
@@ -49,10 +51,10 @@ def _best_of(fn, reps: int = TIMING_REPS) -> float:
 
 def test_fault_sweep_lanes_batched(benchmark):
     compiled, stimuli = _capture_sweep()
-    run_lanes(compiled, stimuli, tier="batched")  # warm descriptor caches
+    run_lanes_batched(compiled, stimuli)  # warm descriptor caches
 
     def batched():
-        return run_lanes(compiled, stimuli, tier="batched")
+        return run_lanes_batched(compiled, stimuli)
 
     outcomes = benchmark(batched)
     benchmark.extra_info["lanes"] = len(outcomes)
@@ -64,7 +66,7 @@ def test_fault_sweep_lanes_compiled(benchmark):
     compiled, stimuli = _capture_sweep()
 
     def sequential():
-        return run_lanes(compiled, stimuli, tier="compiled")
+        return run_lanes_sequential(compiled, stimuli)
 
     outcomes = benchmark.pedantic(sequential, rounds=TIMING_REPS,
                                   iterations=1)
@@ -72,21 +74,19 @@ def test_fault_sweep_lanes_compiled(benchmark):
 
 
 def test_lanes_speedup_summary(benchmark):
-    """Record (and enforce) the batched tier's lanes/sec speedup.
+    """Record (and enforce) the batched wheel's lanes/sec speedup.
 
     Identical lanes, identical compiled netlist, warm caches on both
-    sides; the only variable is the replay tier.  Outcome equality is
+    sides; the only variable is the replay path.  Outcome equality is
     asserted before timing counts for anything.
     """
     compiled, stimuli = _capture_sweep()
-    batched_out = run_lanes(compiled, stimuli, tier="batched")  # warm
-    sequential_out = run_lanes(compiled, stimuli, tier="compiled")
+    batched_out = run_lanes_batched(compiled, stimuli)  # warm
+    sequential_out = run_lanes_sequential(compiled, stimuli)
     assert batched_out == sequential_out
 
-    t_batched = _best_of(lambda: run_lanes(compiled, stimuli,
-                                           tier="batched"))
-    t_sequential = _best_of(lambda: run_lanes(compiled, stimuli,
-                                              tier="compiled"))
+    t_batched = _best_of(lambda: run_lanes_batched(compiled, stimuli))
+    t_sequential = _best_of(lambda: run_lanes_sequential(compiled, stimuli))
     lanes = len(stimuli)
     speedup = t_sequential / t_batched
     benchmark.extra_info["lanes"] = lanes

@@ -12,13 +12,12 @@ stages deep and each register file port operation spans two gate cycles
   cycles, static issue schedule, forwarding capability),
 * :class:`GateLevelPipeline` - the reference timing engine consuming the
   functional executor's retirement stream (and the equivalence oracle
-  for the compiled tier),
+  for the compiled replay),
 * :class:`OpTape` / :mod:`repro.cpu.compiled` - the retirement stream
   lowered once into packed arrays and replayed per design with
-  precomputed timing tables (``REPRO_CPU_COMPILED`` selects the tier),
+  precomputed timing tables,
 * :class:`Lane` / :mod:`repro.cpu.batched` - one tape replayed across a
-  whole design set at once, lane-major (``REPRO_CPU_LANES`` selects the
-  lane tier / per-call lane cap),
+  design set, one compiled replay per lane in lane order,
 * :class:`TraceCache` - on-disk tape store keyed by program digest, so
   reruns of the CPI sweeps skip the functional pass,
 * :class:`CpuSimulator` - program in, :class:`CpiReport` out.
@@ -28,9 +27,8 @@ from repro.cpu.config import CoreConfig
 from repro.cpu.rf_model import RF_DESIGN_NAMES, RFTimingModel
 from repro.cpu.pipeline import GateLevelPipeline, StallBreakdown
 from repro.cpu.optape import OpTape, TraceCache, tape_for_program
-from repro.cpu.compiled import replay, replay_tape
+from repro.cpu.compiled import replay_tape
 from repro.cpu.batched import (
-    LANES_ENV_VAR,
     Lane,
     lanes_for_designs,
     replay_lanes,
@@ -45,14 +43,12 @@ __all__ = [
     "CpuSimulator",
     "GateLevelPipeline",
     "Lane",
-    "LANES_ENV_VAR",
     "OpTape",
     "RFTimingModel",
     "RF_DESIGN_NAMES",
     "StallBreakdown",
     "TraceCache",
     "lanes_for_designs",
-    "replay",
     "replay_lanes",
     "replay_tape",
     "resolve_lanes_tier",

@@ -33,9 +33,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=1.0,
                         help="workload problem-size scale")
     parser.add_argument("--max-instructions", type=int, default=2_000_000)
-    parser.add_argument("--tier", choices=("compiled", "reference"),
-                        help="replay tier (default: REPRO_CPU_COMPILED, "
-                             "compiled when unset)")
     parser.add_argument("--waterfall", action="store_true",
                         help="print the first instructions' pipeline "
                              "waterfall (needs --design)")
@@ -56,8 +53,7 @@ def main(argv=None) -> int:
 
     designs = [args.design] if args.design else list(RF_DESIGN_NAMES)
     reports = simulate_program(program, designs, name,
-                               max_instructions=args.max_instructions,
-                               tier=args.tier)
+                               max_instructions=args.max_instructions)
 
     print(f"{name}: {reports[designs[0]].instructions} instructions, "
           f"exit code {reports[designs[0]].exit_code}")

@@ -1,118 +1,41 @@
-"""Batched CPU tier: one op-tape replay across design lanes.
+"""Design lanes: one op tape replayed under several timing models.
 
-The compiled tier (:mod:`repro.cpu.compiled`) removed the per-op object
-overhead from a *single* ``(tape, design)`` replay, but the headline
-sweeps - Figure 14's design columns, the banking ladder, the ablation
-policies, the service's design-union CPU groups - replay the same tape
-under many timing models, paying the scalar Python loop once per
-design.  This module is the third tier, mirroring the josim and pulse
-stacks: a *lane* is an ``(RFTimingModel, CoreConfig)`` combination
-(memory latency rides on the config), the per-signature timing tables
-stack into ``(S, L)`` matrices gathered into per-op rows, replay state
-is lane-major (``ready_at`` as an ``(R, L)`` int64 matrix,
-``next_issue_ok``/``front_ready``/stall counters as ``(L,)`` vectors),
-and a single n-step loop resolves dependencies, loopback busy
-propagation, redirect fronts and the four-way stall attribution for
-every lane at once with masked max/where updates.
+The headline sweeps - Figure 14's design columns, the banking ladder,
+the ablation policies, the service's design-union CPU groups - replay
+the same tape under many ``(RFTimingModel, CoreConfig)`` combinations.
+A *lane* is one such combination (memory latency rides on the config,
+an optional stateful memory model on the lane).  :func:`replay_lanes`
+replays every lane through the compiled
+:func:`~repro.cpu.compiled.replay_tape`, in ascending lane order, so a
+memory model shared by several lanes observes the same access-call
+order a sequential sweep would produce.
 
-Exactness contract
-------------------
-``replay_tape`` is the oracle: for every lane the batched replay
-returns a :class:`~repro.cpu.pipeline.PipelineResult` integer-equal in
-every field (cycles, port/raw/loopback/branch stalls, branch and load
-counters) to a sequential compiled replay of that lane.  The kernel
-works in a doubled-gate domain - every register-readiness entry is
-encoded ``2*t + (0 if loopback else 1)`` - so one int64 matrix carries
-both the readiness time and the loopback flag, ties between sources
-keep the scalar loop's first-source-wins attribution, and the
-loopback-busy update reduces to an unmasked ``maximum`` (for a
-loopback design the busy horizon always beats the stored readiness;
-non-loopback lanes carry a large negative busy offset that never
-wins).  Stall attribution is decoupled from the sequential recurrence:
-the loop records per-op issue times and dependency encodings into
-chunk buffers, and a vectorized flush reconstructs port horizons,
-redirect fronts (via a static redirect-segment gather) and the
-raw/loopback/branch split for the whole chunk at once.
-
-Two further reductions keep the per-op ufunc count minimal, both with
-exactness arguments spelled out at the use site:
-
-* the port horizon folds *into* the dependency encodings
-  (``enc = max(ready, next_issue_ok)``), which removes a copy and a
-  scratch pass per op.  A branch-redirect stall can only materialize
-  at the first op after a redirect - everywhere else the front is
-  already dominated by the port horizon - so the flush-side
-  attribution still splits raw/loopback/branch exactly as the scalar
-  loop does, provided the fold runs *before* the front-ready fold on
-  that one op class (the loop orders it so);
-* a loopback busy update whose register's next touch is a write (not
-  a read) can never be observed - the write overwrites the entry -
-  so a static reverse pass over the tape marks those updates dead and
-  the loop skips them (22-40% of source updates on the Figure 14
-  workloads).
-
-The lane-independent per-tape statics (source/dest lists, redirect
-classes and segment ids, dead-update masks, flag totals) are memoized
-on the tape's content fingerprint, mirroring the ``design_tables``
-LRU, so repeated lane batches over a cached tape skip the O(n)
-Python passes.
-
-Lanes whose :class:`Lane.memory_model` is set fall back per lane to
-the scalar compiled tier: a stateful memory model (``FlatMemory``,
-``DirectMappedCache``) observes its accesses in program order and
-mutates counters, so those lanes replay sequentially - in ascending
-lane order, preserving the access-call order a sequential sweep would
-produce even when lanes share one model instance.
-
-Tier selection: ``REPRO_CPU_LANES`` accepts ``off``/``0``/``compiled``
-/``sequential`` (per-lane scalar replay), ``on``/``batched``/``auto``
-/empty (one batch, the default), or a positive integer N (batched, at
-most N lanes per kernel call - larger sets are chunked).  An explicit
-``tier=`` argument overrides the environment.
+There is deliberately no lane-vectorized kernel: callers pass 4 lanes
+for Figure 14 and never more than 5, and at those counts the compiled
+loop run once per lane beats a NumPy kernel vectorized across lanes
+(the kernel only broke even at about 8 lanes; see the CPU replay
+section of ``docs/architecture.md``).
 """
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cpu.compiled import design_tables, replay_tape
 from repro.cpu.config import CoreConfig
-from repro.cpu.optape import FLAG_BRANCH, FLAG_LOAD, FLAG_TAKEN, OpTape
-from repro.cpu.pipeline import PipelineResult, StallBreakdown
+from repro.cpu.optape import OpTape
+from repro.cpu.pipeline import PipelineResult
 from repro.cpu.rf_model import RFTimingModel
-from repro.errors import ConfigError, ExecutionError
-
-#: Environment variable selecting the lane tier (default: batched).
-LANES_ENV_VAR = "REPRO_CPU_LANES"
-
-#: Ops per flush chunk: large enough to amortize the vectorized stall
-#: attribution, small enough that the chunk buffers written by the
-#: recurrence are still cache-resident when the flush streams them.
-_CHUNK = 2048
-
-#: Busy offset parked on non-loopback lanes: a readiness candidate so
-#: negative an unmasked ``maximum`` never selects it (chosen per dtype
-#: so the ``tis + offset`` add cannot wrap).
-_NEVER32 = -(1 << 30)
-_NEVER64 = -(1 << 40)
-
-#: Ceiling on the doubled-gate time bound below which the kernel runs
-#: in int32; the flush is memory-bound, so halving the element width
-#: roughly halves its cost.
-_INT32_BOUND = 1 << 30
+from repro.errors import ExecutionError
 
 
 @dataclass
 class Lane:
     """One replay lane: a design plus its core configuration.
 
-    ``memory_model`` (optional, stateful) forces this lane onto the
-    scalar fallback path - see the module docstring.
+    ``memory_model`` (optional, stateful) is consulted per load/store in
+    program order - see :func:`replay_lanes` for the lane order.
     """
 
     rf: RFTimingModel
@@ -128,71 +51,35 @@ def lanes_for_designs(designs: Sequence[str],
             for name in designs]
 
 
-def resolve_lanes_tier(tier: Optional[str] = None
-                       ) -> Tuple[str, Optional[int]]:
-    """Resolve ``(tier, lane_cap)`` from the argument or env.
+def resolve_lanes_tier() -> Tuple[str, Optional[int]]:
+    """The path :func:`replay_lanes` takes, as ``(tier, lane_cap)``.
 
-    Mirrors :func:`repro.pulse.batched.resolve_lanes_tier`:
-    ``REPRO_CPU_LANES`` accepts ``off``/``0``/``compiled``/``sequential``
-    (scalar per-lane replay), ``on``/``batched``/``auto``/empty
-    (batched), or a positive integer N (batched, at most N lanes per
-    kernel call).
+    Always ``("compiled", None)``: every lane replays on the compiled
+    loop and no cap splits the lane set.  Kept so run reports can
+    record the CPU path next to the pulse one
+    (:func:`repro.pulse.batched.resolve_lanes_tier`).
     """
-    if tier == "compiled":
-        return "compiled", None
-    if tier == "batched":
-        return "batched", None
-    if tier is not None:
-        raise ConfigError(f"unknown CPU lane tier {tier!r} "
-                          "(expected 'batched' or 'compiled')")
-    raw = os.environ.get(LANES_ENV_VAR, "").strip().lower()
-    if raw in ("off", "0", "compiled", "sequential"):
-        return "compiled", None
-    cap: Optional[int] = None
-    if raw not in ("", "on", "batched", "auto"):
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{LANES_ENV_VAR}: unrecognised value {raw!r}") from None
-        if cap <= 0:
-            return "compiled", None
-    return "batched", cap
+    return "compiled", None
 
 
-def replay_lanes(tape: OpTape, lanes: Sequence[Lane],
-                 tier: Optional[str] = None) -> List[PipelineResult]:
+def replay_lanes(tape: OpTape, lanes: Sequence[Lane]) -> List[PipelineResult]:
     """Replay one tape across ``lanes``; one result per lane, in order.
 
-    ``tier`` forces ``"batched"`` or ``"compiled"``; ``None`` follows
-    ``REPRO_CPU_LANES`` (batched by default).  Lanes with a
-    ``memory_model`` always take the scalar path (in ascending lane
-    order), whatever the tier.
+    Every lane is validated before the first replay, so a lane whose
+    register file is too small for the tape raises an
+    :class:`~repro.errors.ExecutionError` naming its index even when
+    healthy lanes precede it.
     """
     for index, lane in enumerate(lanes):
         _validate_lane(tape, index, lane)
-    chosen, cap = resolve_lanes_tier(tier)
-    if chosen == "compiled":
-        return [replay_tape(tape, lane.rf, lane.config,
-                            memory_model=lane.memory_model)
-                for lane in lanes]
-    results: List[Optional[PipelineResult]] = [None] * len(lanes)
-    vector_ids = [i for i, lane in enumerate(lanes)
-                  if lane.memory_model is None]
-    # Stateful-memory lanes replay sequentially, in lane order, so a
-    # shared model instance sees the same access-call order as a
-    # sequential sweep.
-    for i, lane in enumerate(lanes):
-        if lane.memory_model is not None:
-            results[i] = replay_tape(tape, lane.rf, lane.config,
-                                     memory_model=lane.memory_model)
-    step = cap if cap else max(1, len(vector_ids))
-    for start in range(0, len(vector_ids), step):
-        chunk = vector_ids[start:start + step]
-        outcomes = _replay_lanes_kernel(tape, [lanes[i] for i in chunk])
-        for i, outcome in zip(chunk, outcomes):
-            results[i] = outcome
-    return [result for result in results if result is not None]
+    # Timing tables are a stage of their own: building them all before
+    # the first replay keeps their cost out of the replay loop (and out
+    # of any span that times it); replay_tape then hits the memo.
+    for lane in lanes:
+        design_tables(tape, lane.rf)
+    return [replay_tape(tape, lane.rf, lane.config,
+                        memory_model=lane.memory_model)
+            for lane in lanes]
 
 
 def _validate_lane(tape: OpTape, index: int, lane: Lane) -> None:
@@ -204,368 +91,3 @@ def _validate_lane(tape: OpTape, index: int, lane: Lane) -> None:
             f"lane {index} ({lane.rf.name}): tape addresses register "
             f"{top}, outside the {lane.config.num_registers}-register "
             "file")
-
-
-#: Entries kept by the per-tape statics memo (a handful of workloads
-#: times at most three redirect modes in any realistic sweep).
-_STATICS_LRU_MAX = 64
-
-_statics_lru: "OrderedDict[Tuple[str, str], _TapeStatics]" = OrderedDict()
-
-
-class _TapeStatics:
-    """Lane-independent per-tape arrays shared by every kernel call.
-
-    ``mode`` captures the only lane-dependent bit of the redirect
-    classification: whether *all*, *some* or *none* of the lanes run
-    without fall-through speculation (branch-not-taken ops redirect
-    every lane, only the no-speculation lanes, or no lane at all).
-    """
-
-    __slots__ = ("src0_list", "src1_list", "dest_list", "dead0_list",
-                 "dead1_list", "two_src", "src0_ok", "is_load",
-                 "has_loads", "sig_counts", "loads_total", "taken_total",
-                 "redirect_total", "rclass", "rclass_list", "redirect_sid")
-
-    def __init__(self, tape: OpTape, mode: str) -> None:
-        n = tape.instructions
-        sig = tape.sig
-        self.src0_list: List[int] = tape.sig_srcs[sig, 0].tolist()
-        self.src1_list: List[int] = tape.sig_srcs[sig, 1].tolist()
-        self.dest_list: List[int] = tape.sig_dest[sig].tolist()
-        self.two_src = np.asarray([s >= 0 for s in self.src1_list],
-                                  dtype=bool)
-        self.src0_ok = np.asarray([s >= 0 for s in self.src0_list],
-                                  dtype=bool)
-        flags = tape.flags
-        is_load = (flags & FLAG_LOAD) != 0
-        taken = (flags & FLAG_TAKEN) != 0
-        branch = (flags & FLAG_BRANCH) != 0
-        self.is_load = is_load
-        self.has_loads = bool(is_load.any())
-        self.sig_counts = np.bincount(
-            sig, minlength=tape.signature_count).astype(np.int64)
-        self.loads_total = int(np.count_nonzero(is_load))
-        self.taken_total = int(np.count_nonzero(taken))
-        self.redirect_total = int(np.count_nonzero(taken | branch))
-        # redirect classes: 0 none, 1 every lane, 2 only no-spec lanes
-        rclass = np.zeros(n, dtype=np.int8)
-        not_taken = branch & ~taken
-        if mode == "all":
-            rclass[not_taken] = 1
-        elif mode == "mixed":
-            rclass[not_taken] = 2
-        rclass[taken] = 1
-        self.rclass = rclass
-        self.rclass_list: List[int] = rclass.tolist()
-        self.redirect_sid = np.cumsum(rclass != 0)  # inclusive count
-        # Dead loopback busy updates: if a source register's next touch
-        # is a write (or it is never touched again), the busy horizon
-        # written into it can never be read back - skip the update.
-        # Reverse pass; a same-op read on the *other* source slot keeps
-        # the update alive, and dests are applied before sources so an
-        # op that reads and rewrites a register counts as a read.
-        nxt = bytearray(b"w" * tape.num_registers)
-        dead0 = [False] * n
-        dead1 = [False] * n
-        write, read = ord("w"), ord("r")
-        for k in range(n - 1, -1, -1):
-            s0 = self.src0_list[k]
-            if s0 >= 0:
-                dead0[k] = nxt[s0] == write
-                s1 = self.src1_list[k]
-                if s1 >= 0:
-                    dead1[k] = nxt[s1] == write
-            d = self.dest_list[k]
-            if d >= 0:
-                nxt[d] = write
-            if s0 >= 0:
-                nxt[s0] = read
-                if s1 >= 0:
-                    nxt[s1] = read
-        self.dead0_list = dead0
-        self.dead1_list = dead1
-
-
-def _tape_statics(tape: OpTape, mode: str) -> _TapeStatics:
-    key = (tape.content_fingerprint(), mode)
-    hit = _statics_lru.get(key)
-    if hit is not None:
-        _statics_lru.move_to_end(key)
-        return hit
-    statics = _TapeStatics(tape, mode)
-    _statics_lru[key] = statics
-    while len(_statics_lru) > _STATICS_LRU_MAX:
-        _statics_lru.popitem(last=False)
-    return statics
-
-
-def _replay_lanes_kernel(tape: OpTape,
-                         lanes: Sequence[Lane]) -> List[PipelineResult]:
-    """The lane-vectorized replay loop (no memory models).
-
-    All times are doubled (the ``2*t + flag`` encoding described in the
-    module docstring); totals are halved on the way out.
-    """
-    num_lanes = len(lanes)
-    n = tape.instructions
-    sig_count = tape.signature_count
-    num_regs = max(lane.config.num_registers for lane in lanes)
-
-    # -- per-lane constant tables (doubled-gate domain) -----------------
-    gap2 = np.empty((sig_count, num_lanes), dtype=np.int64)
-    pwbx2 = np.empty((sig_count, num_lanes), dtype=np.int64)
-    memlat2 = np.empty(num_lanes, dtype=np.int64)
-    loop_busy2 = np.zeros(num_lanes, dtype=np.int64)
-    loop_mask = np.zeros(num_lanes, dtype=bool)
-    wx2p1 = np.empty(num_lanes, dtype=np.int64)
-    radj = np.empty(num_lanes, dtype=np.int64)
-    nospec = np.zeros(num_lanes, dtype=bool)
-    any_loop = False
-    for j, lane in enumerate(lanes):
-        rf, cfg = lane.rf, lane.config
-        gap_t, operand_t = design_tables(tape, rf)
-        wx = rf.write_visible_extra_gates()
-        gap2[:, j] = 2 * gap_t
-        # per-signature writeback path + the dest-visibility extra and
-        # the odd "not loopback" flag bit, folded into one gather row
-        pwbx2[:, j] = 2 * (operand_t + cfg.execute_depth
-                           + cfg.writeback_depth) + 2 * wx + 1
-        memlat2[j] = 2 * cfg.memory_latency
-        if rf.has_loopback:
-            loop_busy2[j] = 2 * rf.loopback_busy_gates()
-            loop_mask[j] = True
-            any_loop = True
-        wx2p1[j] = 2 * wx + 1
-        # redirect front from the writeback encoding: fr = exec_done +
-        # redirect_penalty = (wb_enc - wx2p1) - wb_depth*2 + penalty*2
-        radj[j] = 2 * (cfg.branch_redirect_penalty
-                       - cfg.writeback_depth) - wx2p1[j]
-        nospec[j] = not cfg.fall_through_speculation
-
-    # The flush streams multi-megabyte chunk buffers, so it is memory
-    # bound: run the whole kernel in int32 whenever a conservative
-    # doubled-gate time bound fits (it always does for the default
-    # instruction caps), int64 otherwise.
-    if sig_count:
-        per_op = int(gap2.max() + pwbx2.max() + memlat2.max()
-                     + loop_busy2.max() + np.abs(radj).max() + 4)
-    else:
-        per_op = 4
-    dtype = np.int32 if (n + 2) * per_op < _INT32_BOUND else np.int64
-    never = _NEVER32 if dtype == np.int32 else _NEVER64
-    gap2 = gap2.astype(dtype)
-    pwbx2 = pwbx2.astype(dtype)
-    memlat2 = memlat2.astype(dtype)
-    lb2 = np.where(loop_mask, loop_busy2, never).astype(dtype)
-    radj = radj.astype(dtype)
-    wx2p1 = wx2p1.astype(dtype)
-
-    sig = tape.sig
-    if bool(nospec.all()):
-        mode = "all"
-    elif bool(nospec.any()):
-        mode = "mixed"
-    else:
-        mode = "none"
-    st = _tape_statics(tape, mode)
-    src0_list = st.src0_list
-    src1_list = st.src1_list
-    dest_list = st.dest_list
-    rclass_list = st.rclass_list
-    dead0_list = st.dead0_list
-    dead1_list = st.dead1_list
-    rclass = st.rclass
-    redirect_sid = st.redirect_sid
-    is_load = st.is_load
-    has_loads = st.has_loads
-
-    # -- lane-major state -----------------------------------------------
-    ready = np.ones((num_regs, num_lanes), dtype=dtype)  # t=0, no loopback
-    ready_rows = list(ready)
-    nio = np.zeros(num_lanes, dtype=dtype)          # next_issue_ok
-    fr = np.zeros(num_lanes, dtype=dtype)           # front_ready
-    last_wb = np.zeros(num_lanes, dtype=np.int64)
-    total_st = np.zeros(num_lanes, dtype=np.int64)
-    dep_st = np.zeros(num_lanes, dtype=np.int64)
-    loop_st = np.zeros(num_lanes, dtype=np.int64)
-    busy = np.empty(num_lanes, dtype=dtype)
-    scratch = np.empty(num_lanes, dtype=dtype)
-    neg2 = np.full(num_lanes, -2, dtype=dtype)
-    prev_ti = np.zeros(num_lanes, dtype=dtype)
-    prev_gap = np.zeros(num_lanes, dtype=dtype)
-
-    # -- chunk buffers (reused) -----------------------------------------
-    chunk = min(_CHUNK, max(n, 1))
-    enc0_buf = np.empty((chunk, num_lanes), dtype=dtype)
-    encm_buf = np.empty((chunk, num_lanes), dtype=dtype)
-    tis_buf = np.empty((chunk, num_lanes), dtype=dtype)
-    flush_i = [np.empty((chunk, num_lanes), dtype=dtype)
-               for _ in range(4)]
-    flush_b = [np.empty((chunk, num_lanes), dtype=bool) for _ in range(4)]
-
-    np_add = np.add
-    np_max = np.maximum
-    np_and = np.bitwise_and
-    np_cp = np.copyto
-    fr_pending = False
-
-    for c0 in range(0, n, chunk):
-        c1 = min(c0 + chunk, n)
-        cn = c1 - c0
-        sig_c = sig[c0:c1]
-        gap_c = gap2[sig_c]
-        pwbx_c = pwbx2[sig_c]
-        if has_loads:
-            pwbx_c += is_load[c0:c1, None] * memlat2
-        pwbr_c = pwbx_c + radj
-        # redirect-front versions live in per-chunk rows; row 0 is the
-        # front at chunk entry, row k the front after the chunk's k-th
-        # redirecting op
-        sid_c = redirect_sid[c0:c1] - (redirect_sid[c0 - 1] if c0 else 0)
-        n_redirect = int(sid_c[-1]) if cn else 0
-        fr_buf = np.empty((n_redirect + 1, num_lanes), dtype=dtype)
-        np_cp(fr_buf[0], fr)
-        fr_rows = list(fr_buf)
-        fr = fr_rows[0]
-        fr_idx = 0
-
-        # ---- the sequential recurrence, vectorized across lanes -------
-        # The port horizon (``nio``) folds straight into the dependency
-        # encodings; the front-ready fold runs *after* the enc maxima
-        # so the flush still sees pure max(dep, port) encodings (the
-        # only place a branch stall can appear - see module docstring).
-        k = 0
-        for s0, s1, d, rc, dd0, dd1, enc0, tis, gap_r, pwbx_r in zip(
-                src0_list[c0:c1], src1_list[c0:c1], dest_list[c0:c1],
-                rclass_list[c0:c1], dead0_list[c0:c1], dead1_list[c0:c1],
-                enc0_buf, tis_buf, gap_c, pwbx_c):
-            if s0 >= 0:
-                ra0 = ready_rows[s0]
-                np_max(ra0, nio, out=enc0)
-                if s1 >= 0:
-                    ra1 = ready_rows[s1]
-                    encm = encm_buf[k]
-                    np_max(enc0, ra1, out=encm)
-                    if fr_pending:
-                        np_max(nio, fr, out=nio)
-                        fr_pending = False
-                        np_max(encm, nio, out=scratch)
-                        np_and(scratch, neg2, out=tis)
-                    else:
-                        np_and(encm, neg2, out=tis)
-                    if any_loop and not (dd0 and dd1):
-                        np_add(tis, lb2, out=busy)
-                        if not dd0:
-                            np_max(ra0, busy, out=ra0)
-                        if not dd1:
-                            np_max(ra1, busy, out=ra1)
-                else:
-                    if fr_pending:
-                        np_max(nio, fr, out=nio)
-                        fr_pending = False
-                        np_max(enc0, nio, out=scratch)
-                        np_and(scratch, neg2, out=tis)
-                    else:
-                        np_and(enc0, neg2, out=tis)
-                    if any_loop and not dd0:
-                        np_add(tis, lb2, out=busy)
-                        np_max(ra0, busy, out=ra0)
-            else:
-                if fr_pending:
-                    np_max(nio, fr, out=nio)
-                    fr_pending = False
-                np_cp(tis, nio)
-            if d >= 0:
-                np_add(tis, pwbx_r, out=ready_rows[d])
-            if rc:
-                fr_idx += 1
-                row = fr_rows[fr_idx]
-                if rc == 1:
-                    np_add(tis, pwbr_c[k], out=row)
-                else:
-                    np_cp(row, fr)
-                    np_add(tis, pwbr_c[k], out=scratch)
-                    np_cp(row, scratch, where=nospec)
-                fr = row
-                fr_pending = True
-            np_add(tis, gap_r, out=nio)
-            k += 1
-
-        # ---- flush: stall attribution for the whole chunk -------------
-        tis_v = tis_buf[:cn]
-        wb_v = flush_i[0][:cn]
-        np.add(tis_v, pwbx_c, out=wb_v)
-        np.subtract(wb_v, wx2p1, out=wb_v)
-        np_max(last_wb, wb_v.max(axis=0), out=last_wb)
-        # t_port is a pure recurrence: issue time of the previous op
-        # plus its port gap
-        tport_v = flush_i[1][:cn]
-        np.add(prev_ti, prev_gap, out=tport_v[0])
-        if cn > 1:
-            np.add(tis_v[:-1], gap_c[:-1], out=tport_v[1:])
-        lost_v = flush_i[2][:cn]
-        np.subtract(tis_v, tport_v, out=lost_v)
-        stalled_v = flush_b[0][:cn]
-        np.greater(lost_v, 0, out=stalled_v)
-        # dependency encoding: two-source ops stored both the first
-        # source and the pairwise max; a strictly-later second source
-        # wins, ties keep the first source (the scalar tie rule)
-        enc0_v = enc0_buf[:cn]
-        encm_v = encm_buf[:cn]
-        dep0_v = flush_i[3][:cn]
-        np.bitwise_and(enc0_v, -2, out=dep0_v)
-        depm_v = wb_v  # reuse
-        np.bitwise_and(encm_v, -2, out=depm_v)
-        strict1_v = flush_b[1][:cn]
-        np.greater(depm_v, dep0_v, out=strict1_v)
-        np.logical_and(strict1_v, st.two_src[c0:c1, None], out=strict1_v)
-        enc_sel = tport_v  # reuse
-        np.copyto(enc_sel, enc0_v)
-        np.copyto(enc_sel, encm_v, where=strict1_v)
-        # dep time: the pairwise max for two-source ops, source0 else
-        np.copyto(dep0_v, depm_v, where=st.two_src[c0:c1, None])
-        dep_loop_v = flush_b[2][:cn]
-        np.bitwise_and(enc_sel, 1, out=enc_sel)
-        np.equal(enc_sel, 0, out=dep_loop_v)
-        fr_seen = np.take(fr_buf, sid_c - (rclass[c0:c1] != 0), axis=0)
-        dep_side_v = flush_b[3][:cn]
-        np.greater_equal(dep0_v, fr_seen, out=dep_side_v)
-        np.logical_and(dep_side_v, stalled_v, out=dep_side_v)
-        # source-free ops leave stale enc rows behind; any stall there
-        # is a pure front-ready (branch) stall
-        np.logical_and(dep_side_v, st.src0_ok[c0:c1, None],
-                       out=dep_side_v)
-        np.logical_and(dep_side_v, dep_loop_v, out=dep_loop_v)
-        # three masked sums via the identity branch = total - dep and
-        # raw = dep - loopback, so only one mask pass per class
-        np.multiply(lost_v, stalled_v, out=depm_v)
-        total_st += depm_v.sum(axis=0, dtype=np.int64)
-        np.multiply(lost_v, dep_side_v, out=depm_v)
-        dep_st += depm_v.sum(axis=0, dtype=np.int64)
-        np.multiply(lost_v, dep_loop_v, out=depm_v)
-        loop_st += depm_v.sum(axis=0, dtype=np.int64)
-        np_cp(prev_ti, tis_v[-1])
-        np_cp(prev_gap, gap_c[-1])
-
-    # -- lane totals -----------------------------------------------------
-    port_st = (st.sig_counts @ gap2) // 2 if sig_count else \
-        np.zeros(num_lanes, dtype=np.int64)
-    loads_total = st.loads_total
-    taken_total = st.taken_total
-    redirect_total = st.redirect_total
-    results: List[PipelineResult] = []
-    for j, lane in enumerate(lanes):
-        results.append(PipelineResult(
-            design=lane.rf.name,
-            instructions=n,
-            total_cycles=int(last_wb[j]) // 2,
-            stalls=StallBreakdown(
-                port=int(port_st[j]),
-                raw=int(dep_st[j] - loop_st[j]) // 2,
-                loopback=int(loop_st[j]) // 2,
-                branch=int(total_st[j] - dep_st[j]) // 2),
-            branches_taken=redirect_total if nospec[j] else taken_total,
-            loads=loads_total,
-        ))
-    return results

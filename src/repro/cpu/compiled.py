@@ -23,14 +23,13 @@ counters, and the interaction order with a stateful ``memory_model`` -
 for every design; ``tests/cpu/test_compiled.py`` enforces this across
 the Figure 14 suite and randomized programs.
 
-Tier selection: the ``REPRO_CPU_COMPILED`` environment variable (on by
-default; ``0``/``off``/``false`` falls back to the reference pipeline),
-overridable per call with ``tier="compiled"`` / ``tier="reference"``.
+Every production caller replays through :func:`replay_tape`;
+:func:`replay_tape_reference` feeds the same tape through the reference
+pipeline and exists for the equivalence suite and ``bench_cpu``.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Any, List, Optional, Tuple
 
@@ -46,20 +45,16 @@ from repro.cpu.optape import (
 )
 from repro.cpu.pipeline import GateLevelPipeline, PipelineResult, StallBreakdown
 from repro.cpu.rf_model import RFTimingModel
-from repro.errors import ConfigError, ExecutionError
-
-#: Environment variable selecting the replay tier (default: compiled).
-COMPILED_ENV_VAR = "REPRO_CPU_COMPILED"
-
-_OFF_VALUES = ("0", "off", "false", "no")
+from repro.errors import ExecutionError
 
 
-def compiled_enabled(default: bool = True) -> bool:
-    """Whether the compiled tier is active (``REPRO_CPU_COMPILED``)."""
-    raw = os.environ.get(COMPILED_ENV_VAR)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in _OFF_VALUES
+def compiled_enabled() -> bool:
+    """Whether replays run on the compiled loop: always True.
+
+    The reference pipeline is the test oracle only; this reporter is
+    kept so run reports can record the active CPU path.
+    """
+    return True
 
 
 #: Entries kept by the ``design_tables`` memo.  A Figure 14-scale sweep
@@ -257,26 +252,3 @@ def replay_tape_reference(tape: OpTape, rf: RFTimingModel,
         pipeline.feed(op)
     return pipeline.result()
 
-
-def replay(tape: OpTape, rf: RFTimingModel,
-           config: Optional[CoreConfig] = None,
-           memory_model: Optional[Any] = None,
-           tier: Optional[str] = None) -> PipelineResult:
-    """Replay a tape on the active tier.
-
-    ``tier`` forces ``"compiled"`` or ``"reference"``; ``None`` follows
-    ``REPRO_CPU_COMPILED`` (compiled by default).
-    """
-    if tier is None:
-        use_compiled = compiled_enabled()
-    elif tier == "compiled":
-        use_compiled = True
-    elif tier == "reference":
-        use_compiled = False
-    else:
-        raise ConfigError(
-            f"unknown replay tier {tier!r}; expected 'compiled', "
-            "'reference' or None")
-    if use_compiled:
-        return replay_tape(tape, rf, config, memory_model=memory_model)
-    return replay_tape_reference(tape, rf, config, memory_model=memory_model)

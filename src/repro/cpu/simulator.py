@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence
 
 from repro.cpu.batched import lanes_for_designs, replay_lanes
-from repro.cpu.compiled import compiled_enabled, replay
+from repro.cpu.compiled import replay_tape
 from repro.cpu.config import CoreConfig
 from repro.cpu.optape import OpTape, TraceCacheLike, tape_for_program
 from repro.cpu.pipeline import GateLevelPipeline
@@ -25,10 +25,9 @@ class CpuSimulator:
     is equivalent for an in-order core because the instruction stream
     does not depend on timing.)
 
-    ``run_program``/``run_trace`` always use the reference pipeline (the
-    equivalence oracle); ``run_tape`` and :func:`simulate_program` go
-    through the active replay tier (compiled unless ``REPRO_CPU_COMPILED``
-    turns it off).
+    ``run_program``/``run_trace`` use the reference pipeline (the
+    equivalence oracle); ``run_tape`` and :func:`simulate_program`
+    replay op tapes on the compiled loop.
     """
 
     def __init__(self, design: str = "ndro_rf",
@@ -81,10 +80,9 @@ class CpuSimulator:
             fed += 1
         return CpiReport.from_result(workload_name, pipeline.result())
 
-    def run_tape(self, tape: OpTape, workload_name: str = "tape",
-                 tier: Optional[str] = None) -> CpiReport:
-        """Replay a lowered op tape on the active tier."""
-        result = replay(tape, self.rf, self.config, tier=tier)
+    def run_tape(self, tape: OpTape, workload_name: str = "tape") -> CpiReport:
+        """Replay a lowered op tape on the compiled loop."""
+        result = replay_tape(tape, self.rf, self.config)
         return CpiReport.from_result(workload_name, result,
                                      exit_code=tape.exit_code)
 
@@ -93,37 +91,24 @@ def simulate_program(program: Program, designs: Sequence[str] = RF_DESIGN_NAMES,
                      workload_name: str = "program",
                      config: Optional[CoreConfig] = None,
                      max_instructions: int = 2_000_000,
-                     trace_cache: TraceCacheLike = None,
-                     tier: Optional[str] = None) -> Dict[str, CpiReport]:
+                     trace_cache: TraceCacheLike = None
+                     ) -> Dict[str, CpiReport]:
     """Run one program across several designs, reusing one op tape.
 
     The functional pass is lowered once into an
-    :class:`~repro.cpu.optape.OpTape`; the whole design set then replays
-    as **one lane batch** through :func:`repro.cpu.batched.replay_lanes`
-    (``REPRO_CPU_LANES`` selects the lane tier / cap) - only the
-    per-design timing tables change between lanes.  ``trace_cache``
+    :class:`~repro.cpu.optape.OpTape`; the design set then replays as
+    one lane set through :func:`repro.cpu.batched.replay_lanes` - only
+    the per-design timing tables change between lanes.  ``trace_cache``
     (a :class:`~repro.cpu.optape.TraceCache`, a directory path, or
     ``None`` for ``REPRO_CACHE_DIR``) persists the tape, so a rerun - or
     the same sweep over additional designs - skips the functional pass
-    entirely.  ``tier`` forces a tier: ``"batched"`` (one lane batch),
-    ``"compiled"``/``"reference"`` (scalar per-design replay); ``None``
-    follows ``REPRO_CPU_LANES`` and ``REPRO_CPU_COMPILED``.
+    entirely.
     """
     config = config or CoreConfig()
     tape = tape_for_program(program, max_instructions=max_instructions,
                             num_registers=config.num_registers,
                             cache=trace_cache, workload_name=workload_name)
-    reports: Dict[str, CpiReport] = {}
-    if tier == "batched" or (tier is None and compiled_enabled()):
-        lanes = lanes_for_designs(designs, config)
-        for design, result in zip(designs,
-                                  replay_lanes(tape, lanes, tier=tier)):
-            reports[design] = CpiReport.from_result(
-                workload_name, result, exit_code=tape.exit_code)
-        return reports
-    for design in designs:
-        rf = RFTimingModel.for_design(design, config)
-        result = replay(tape, rf, config, tier=tier)
-        reports[design] = CpiReport.from_result(workload_name, result,
-                                                exit_code=tape.exit_code)
-    return reports
+    lanes = lanes_for_designs(designs, config)
+    return {design: CpiReport.from_result(workload_name, result,
+                                          exit_code=tape.exit_code)
+            for design, result in zip(designs, replay_lanes(tape, lanes))}

@@ -71,7 +71,7 @@ def bank_policy_ablation(scale: float = 0.6,
     """Average CPI overhead for ideal / parity / worst bank policies.
 
     Each workload replays through all five policies as one design-lane
-    batch (:func:`repro.cpu.batched.replay_lanes`) in one worker;
+    set (:func:`repro.cpu.batched.replay_lanes`) in one worker;
     workloads fan out over :mod:`repro.experiments.parallel`.
     """
     points = [(workload.name, scale, max_instructions)

@@ -48,7 +48,7 @@ def run(scale: float = 0.6,
             sweep.append((banks, design, design.name))
 
     # The baseline and the whole bank ladder replay each tape as one
-    # design-lane batch instead of one scalar replay per (tape, design).
+    # design-lane set over a single lowered tape.
     names = ["ndro_rf"] + [name for _, _, name in sweep]
     lanes = lanes_for_designs(names, config)
     cpis: Dict[str, List[float]] = {name: [] for name in names}

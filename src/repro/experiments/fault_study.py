@@ -8,7 +8,7 @@ lost pulse do?  The pulse netlists give a precise answer.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.rf.faults import (
     FaultKind,
@@ -48,17 +48,14 @@ def sweep_trials(geometry: RFGeometry = SWEEP_GEOMETRY) -> List[FaultTrial]:
     return trials
 
 
-def run_sweep(tier: Optional[str] = None,
-              geometry: RFGeometry = SWEEP_GEOMETRY) -> List[FaultOutcome]:
-    """Exhaustive HiPerRF fault sweep, dispatched as one lane batch.
+def run_sweep(geometry: RFGeometry = SWEEP_GEOMETRY) -> List[FaultOutcome]:
+    """Exhaustive HiPerRF fault sweep, dispatched as one lane set.
 
     The netlist is built once through the compiled-netlist cache; every
-    (fault, register, column) trial becomes one stimulus lane, replayed
-    by the batched pulse tier (``tier=None`` honours
-    ``REPRO_PULSE_LANES``; ``tier="compiled"`` forces the sequential
-    oracle).
+    (fault, register, column) trial becomes one stimulus lane.  The
+    default 64-lane sweep replays on the batched pulse wheel.
     """
-    return run_hiperrf_trials(sweep_trials(geometry), geometry, tier=tier)
+    return run_hiperrf_trials(sweep_trials(geometry), geometry)
 
 
 def sweep_summary(outcomes: List[FaultOutcome]) -> dict:

@@ -8,7 +8,7 @@ the design.  We reproduce the claim with the grid placer in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments import paper_data
 from repro.experiments.parallel import CacheLike, cached_call
@@ -27,16 +27,17 @@ def run(cell_pitch_um: float = 75.0,
                        compute, cache=cache)
 
 
-def loopback_read_sweep(read_counts: List[int] | None = None,
-                        tier: Optional[str] = None) -> List[Dict[str, float]]:
+def loopback_read_sweep(read_counts: List[int] | None = None
+                        ) -> List[Dict[str, float]]:
     """Pulse-level companion: the placed loopback path survives N reads.
 
     Figure 15's claim is geometric (the loopback wire is short); the
     functional counterpart is that the recycled pulses keep restoring
     the register read after read.  Each lane performs one write followed
     by ``k`` consecutive restoring reads of the same register on the
-    pulse-level netlist, batched over the cached build; a lane passes if
-    every read returned the value and the register still holds it.
+    pulse-level netlist, replayed as lanes over the cached build; a lane
+    passes if every read returned the value and the register still
+    holds it.
     """
     from repro.pulse import capture_stimulus, install_lane
     from repro.rf.netlist import PulseHiPerRF
@@ -61,7 +62,7 @@ def loopback_read_sweep(read_counts: List[int] | None = None,
                 t += 2 * rf.op_period_ps
         stimuli.append(capture.stimulus())
         settles.append(lane_settles)
-    outcomes = engine.run_lanes(stimuli, tier=tier, on_error="raise")
+    outcomes = engine.run_lanes(stimuli, on_error="raise")
     compiled = engine.compile()
     rows = []
     for k, lane_settles, outcome in zip(counts, settles, outcomes):

@@ -42,9 +42,8 @@ def run(scale: float = 0.6,
     for mem_name, factory in MEMORY_CONFIGS.items():
         cpis: Dict[str, list] = {design: [] for design in designs}
         for tape in tapes:
-            # Each lane owns a fresh stateful memory model, so the whole
-            # dispatch goes through replay_lanes and takes its documented
-            # per-lane scalar fallback (access-call order preserved).
+            # Each lane owns a fresh stateful memory model, consulted in
+            # program order as replay_lanes replays the lanes in turn.
             lanes = [Lane(RFTimingModel.for_design(design, config), config,
                           memory_model=factory())
                      for design in designs]

@@ -9,12 +9,12 @@ intact - the timing margin a physical implementation has to hold.
 
 The netlist is built once through the compiled-netlist cache and every
 skew trial replays as one stimulus lane (:meth:`Engine.run_lanes`), so
-a whole sweep costs one elaboration plus one batched replay.
+a whole sweep costs one elaboration plus one lane-set replay.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.pulse import capture_stimulus, install_lane
 from repro.rf.geometry import RFGeometry
@@ -41,8 +41,7 @@ def restore_ok(skew_ps: float, value: int = TEST_VALUE) -> bool:
     return rf.stored_word(_REGISTER) == value
 
 
-def run(skews_ps: List[float] | None = None,
-        tier: Optional[str] = None) -> List[Dict[str, float]]:
+def run(skews_ps: List[float] | None = None) -> List[Dict[str, float]]:
     skews = skews_ps if skews_ps is not None else \
         [-16.0, -12.0, -8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0, 12.0, 16.0]
     rf = PulseHiPerRF.build_cached(_GEOMETRY, _PERIOD_PS)
@@ -52,7 +51,7 @@ def run(skews_ps: List[float] | None = None,
         with capture_stimulus(engine) as capture:
             _schedule_trial(rf, skew, TEST_VALUE)
         stimuli.append(capture.stimulus())
-    outcomes = engine.run_lanes(stimuli, tier=tier, on_error="raise")
+    outcomes = engine.run_lanes(stimuli, on_error="raise")
     compiled = engine.compile()
     rows = []
     for skew, outcome in zip(skews, outcomes):

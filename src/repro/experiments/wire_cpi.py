@@ -6,8 +6,8 @@ Figure 14 sweep twice - with Table III delays and with the wire-aware
 Table IV delays - and reports the per-design CPI shift.
 
 Each workload is lowered once into an op tape (cached on disk under
-``REPRO_CACHE_DIR`` when set) and replayed through the active
-:func:`repro.cpu.replay` tier for every design/wire combination.
+``REPRO_CACHE_DIR`` when set) and replayed through the compiled
+:func:`repro.cpu.replay_tape` for every design/wire combination.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import statistics
 from typing import Dict
 
-from repro.cpu import CoreConfig, replay, tape_for_program
+from repro.cpu import CoreConfig, replay_tape, tape_for_program
 from repro.cpu.rf_model import RF_DESIGN_NAMES, RFTimingModel
 from repro.isa import assemble
 from repro.workloads import all_workloads
@@ -40,7 +40,7 @@ def run(scale: float = 0.6,
             rf = RFTimingModel.for_design(
                 design, config, include_wire_delays=include_wires)
             for tape in tapes.values():
-                cpis[include_wires].append(replay(tape, rf, config).cpi)
+                cpis[include_wires].append(replay_tape(tape, rf, config).cpi)
         dry = statistics.mean(cpis[False])
         wet = statistics.mean(cpis[True])
         result[design] = {

@@ -1,36 +1,53 @@
-"""Batched pulse tier: one vectorized event wheel across stimulus lanes.
+"""Batched pulse replay: one vectorized event wheel across stimulus lanes.
 
 The compiled backend (:mod:`repro.pulse.compiled`) removed the
 object-graph overhead from a *single* simulation, but sweep workloads -
 fault injection (one run per fault site), loopback skew windows,
 figure15 read sweeps, the service's coalesced ``pulse_rf`` groups - run
-the same netlist L times with different stimuli, paying the Python
-event loop L times over.  This module is the third tier: it reuses the
-compiled engine's flat structure (kind codes, parameter arrays, CSR
-wire tables) as shared *read-only* NumPy arrays, widens the mutable
-state slots to lane-major ``(L, n)`` arrays, and drives one shared
-time-bucket event wheel whose buckets hold ``(lane, packed_target)``
-pairs.  All same-timestamp deliveries form a *wave*; each wave is
-split by kind code and resolved by a vectorized per-kind update kernel
-with per-lane masks, so the interpreter cost of a timestamp is paid
-once for all lanes instead of once per lane.
+the same netlist L times with different stimuli.  :func:`run_lanes`
+replays such a lane set one of two ways, and the lane count alone picks
+which:
+
+* fewer than :data:`BATCHED_MIN_LANES` lanes replay sequentially on the
+  compiled engine (snapshot/restore per lane) - the exact oracle, and
+  the faster path for small lane sets;
+* larger lane sets run as one batched wheel.  It reuses the compiled
+  engine's flat structure (kind codes, parameter arrays, CSR wire
+  tables) as shared *read-only* NumPy arrays, widens the mutable state
+  slots to lane-major ``(L, n)`` arrays, and drives one shared
+  time-bucket event wheel whose buckets hold ``(lane, packed_target)``
+  pairs.  All same-timestamp deliveries form a *wave*; each wave is
+  split by kind code and resolved by a vectorized per-kind update
+  kernel with per-lane masks, so the interpreter cost of a timestamp is
+  paid once for all lanes instead of once per lane.
+
+Netlists holding a cell with no vector kernel - fallback components
+(unrecognised classes or monkey-patched ``on_pulse``), TFFs or clocked
+gates - always replay sequentially.
 
 Exactness contract
 ------------------
-The compiled tier is the oracle: for every lane, the batched replay
-produces the identical delivered-event order, trace, state arrays,
-probe times, ``now_ps``, delivered count, pending multiset, and error
-type/text that a sequential compiled replay of that lane's
-:class:`LaneStimulus` produces.  The correctness argument mirrors the
-compiled bucket discipline: within one timestamp the compiled engine
-drains a FIFO bucket, appending same-time emissions to its end - i.e.
-it processes the bucket as successive emission *generations*.  The
-wave loop processes one generation at a time; inside a generation no
-two delivered events share a component (duplicate ``(lane, component)``
-pairs fall back to an in-order scalar path), so per-kind vector kernels
-commute, and emissions are re-ordered by their source event's wave
-position before they are appended - reproducing the reference
-``(time_ps, seq)`` order per lane exactly.
+The sequential replay is the oracle: for every lane, the wheel produces
+the identical delivered-event order, trace, state arrays, probe times,
+``now_ps``, delivered count, pending multiset, and error type/text that
+a sequential compiled replay of that lane's :class:`LaneStimulus`
+produces.  The correctness argument mirrors the compiled bucket
+discipline: within one timestamp the compiled engine drains a FIFO
+bucket, appending same-time emissions to its end - i.e. it processes
+the bucket as successive emission *generations*.  The wheel processes
+one generation at a time.  Deliveries to one ``(lane, cell)`` inside a
+generation apply in wave order (duplicate targets are split into
+rounds), per-kind vector kernels commute, and emissions are re-ordered
+by their source event's wave position before they are appended -
+reproducing the reference ``(time_ps, seq)`` order per lane exactly.
+
+Timing violations are predicted from the state before a wave, so in
+strict mode no wave may deliver twice to one NDROC or HC-DRO.  A wave
+that would delivers only its part before the first repeated
+``(lane, cell)`` among those deliveries; the rest goes back to the
+front of the instant's queue, ahead of that part's same-time emissions,
+and is delivered next - the order the FIFO drain above produces, so the
+cut is exact.
 
 Lane semantics follow ``BatchedTransientSolver``'s freeze/early-retire
 model: each lane carries its own segment horizons and ``max_events``
@@ -39,16 +56,11 @@ stimulus) freezes - its remaining events drain to the pending set while
 the other lanes keep running - and errors are reported per lane with
 the global lane index (``on_error="raise"`` surfaces the first one as
 an exception naming the lane).
-
-Netlists containing fallback components (unrecognised classes or
-monkey-patched ``on_pulse``) cannot be widened; ``run_lanes`` detects
-this and transparently drops to the sequential compiled replay.
 """
 
 from __future__ import annotations
 
 import copy
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -63,8 +75,6 @@ from repro.errors import (
     TimingViolationError,
 )
 from repro.pulse.compiled import (
-    K_AND,
-    K_BUF,
     K_CNT,
     K_DAND,
     K_DELAY,
@@ -74,11 +84,9 @@ from repro.pulse.compiled import (
     K_MRG,
     K_NDRO,
     K_NDROC,
-    K_NOT,
     K_PROBE,
     K_SINK,
     K_SPL,
-    K_TFF,
     CompiledEngine,
     PulseSnapshot,
 )
@@ -90,13 +98,15 @@ _NEG_INF = float("-inf")
 #: Default per-segment event budget (matches ``Engine.run``'s default).
 _DEFAULT_MAX_EVENTS = 10_000_000
 
-#: Waves smaller than this are delivered by the scalar in-order path -
-#: below it the NumPy call overhead costs more than it saves.  The env
-#: override exists so the test suite can force either path.
-_DEFAULT_MIN_VECTOR_WAVE = 8
+#: Lane sets smaller than this replay sequentially on the compiled
+#: engine; larger ones run as one batched wheel.  The crossover was
+#: measured on the register-file sweeps (see the batched pulse section
+#: of ``docs/architecture.md``): below it the wheel's per-wave NumPy
+#: overhead costs more than replaying each lane in turn.
+BATCHED_MIN_LANES = 32
 
-#: Kinds with a vectorized kernel; the rest (TFF, clocked gates) are
-#: rare in RF netlists and take the in-order scalar path per group.
+#: Kinds with a vectorized kernel.  A netlist holding any other kind
+#: (TFF, clocked gates, fallback components) replays sequentially.
 _VECTOR_KINDS = frozenset({
     K_SPL, K_DAND, K_MRG, K_NDROC, K_HCDRO, K_DELAY, K_CNT, K_NDRO,
     K_DRO, K_PROBE, K_SINK,
@@ -326,7 +336,7 @@ class _LaneStatic:
         self.wire_delay = np.asarray(compiled._wire_delay, dtype=np.float64)
         self.names = compiled._names
         self.in_ports = compiled._in_ports
-        self.supported = K_FALLBACK not in compiled._kind
+        self.supported = set(compiled._kind) <= _VECTOR_KINDS
         self.max_cnt_bits = 1
         for ci in np.flatnonzero(self.kind == K_CNT).tolist():
             self.max_cnt_bits = max(self.max_cnt_bits, int(self.nout[ci]))
@@ -351,82 +361,56 @@ def _lane_static(compiled: CompiledEngine) -> _LaneStatic:
 
 
 def batched_supported(compiled: CompiledEngine) -> bool:
-    """True when every component lowered to an exact kind (no fallback)."""
+    """True when every component has a vector kernel.
+
+    Fallback components (unrecognised classes or patched ``on_pulse``),
+    TFFs and clocked gates have none; a netlist holding any of them
+    replays sequentially whatever its lane count.
+    """
     return _lane_static(compiled).supported
 
 
-# -- tier selection -----------------------------------------------------
+# -- path selection -----------------------------------------------------
 
 
 def resolve_lanes_tier(compiled: CompiledEngine,
-                       tier: Optional[str] = None
-                       ) -> Tuple[str, Optional[int]]:
-    """Resolve ``(tier, lane_cap)`` from the argument or env.
+                       lanes: Optional[int] = None) -> Tuple[str, int]:
+    """The path :func:`run_lanes` takes, as ``(path, BATCHED_MIN_LANES)``.
 
-    ``REPRO_PULSE_LANES`` accepts ``off``/``0``/``compiled`` (sequential
-    compiled replay), ``on``/``batched``/empty (batched), or a positive
-    integer N (batched, at most N lanes per wheel - larger batches are
-    chunked).  An explicit ``tier="batched"`` on an unsupported netlist
-    raises; the automatic paths fall back to sequential replay.
+    ``path`` is ``"batched"`` (one wheel) when the netlist has a vector
+    kernel for every cell and the lane set has at least
+    :data:`BATCHED_MIN_LANES` lanes, else ``"sequential"``.  With
+    ``lanes`` omitted it reports the path of a lane set at the
+    threshold, i.e. whether this netlist batches at all.
     """
-    if tier == "compiled":
-        return "compiled", None
-    if tier == "batched":
-        if not batched_supported(compiled):
-            raise SimulationError(
-                "batched pulse tier: netlist contains fallback components "
-                "(unrecognised class or patched on_pulse); use the "
-                "compiled tier")
-        return "batched", None
-    if tier is not None:
-        raise ConfigError(f"unknown pulse lane tier {tier!r} "
-                          "(expected 'batched' or 'compiled')")
-    raw = os.environ.get("REPRO_PULSE_LANES", "").strip().lower()
-    cap: Optional[int] = None
-    if raw in ("off", "0", "compiled", "sequential"):
-        return "compiled", None
-    if raw not in ("", "on", "batched", "auto"):
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_PULSE_LANES: unrecognised value {raw!r}") from None
-        if cap <= 0:
-            return "compiled", None
-    if not batched_supported(compiled):
-        return "compiled", None
-    return "batched", cap
+    if not batched_supported(compiled) or (
+            lanes is not None and lanes < BATCHED_MIN_LANES):
+        return "sequential", BATCHED_MIN_LANES
+    return "batched", BATCHED_MIN_LANES
 
 
-# -- public entry point -------------------------------------------------
+# -- public entry points ------------------------------------------------
 
 
 def run_lanes(compiled: CompiledEngine, stimuli: Sequence[LaneStimulus],
-              tier: Optional[str] = None, trace: bool = False,
+              trace: bool = False,
               on_error: str = "record") -> List[LaneOutcome]:
     """Replay ``stimuli`` lanes from the engine's current state.
 
-    Returns one :class:`LaneOutcome` per stimulus, in order.  The
-    engine's own state is left untouched.  ``on_error="record"`` (the
-    default) reports per-lane failures in ``LaneOutcome.error``;
-    ``"raise"`` re-raises the first one, prefixed with the global lane
-    index.
+    Returns one :class:`LaneOutcome` per stimulus, in order; the lane
+    count picks the path (:func:`resolve_lanes_tier`), and both paths
+    return identical outcomes.  The engine's own state is left
+    untouched.  ``on_error="record"`` (the default) reports per-lane
+    failures in ``LaneOutcome.error``; ``"raise"`` re-raises the first
+    one, prefixed with the global lane index.
     """
     if on_error not in ("record", "raise"):
         raise ConfigError(f"unknown on_error mode {on_error!r}")
-    for lane, stimulus in enumerate(stimuli):
-        _validate_segments(lane, stimulus.segments)
-    chosen, cap = resolve_lanes_tier(compiled, tier)
-    base = compiled.snapshot()
-    if chosen == "compiled":
-        outcomes = _run_lanes_sequential(compiled, stimuli, base, trace)
+    path, _ = resolve_lanes_tier(compiled, len(stimuli))
+    if path == "batched":
+        outcomes = run_lanes_batched(compiled, stimuli, trace)
     else:
-        outcomes = []
-        step = cap if cap else max(1, len(stimuli))
-        for start in range(0, len(stimuli), step):
-            chunk = stimuli[start:start + step]
-            run = _BatchedRun(compiled, chunk, start, base, trace)
-            outcomes.extend(run.execute())
+        outcomes = run_lanes_sequential(compiled, stimuli, trace)
     if on_error == "raise":
         for outcome in outcomes:
             if outcome.error is not None:
@@ -434,6 +418,11 @@ def run_lanes(compiled: CompiledEngine, stimuli: Sequence[LaneStimulus],
                 exc = _ERROR_TYPES.get(etype, SimulationError)
                 raise exc(f"lane {outcome.lane}: {message}")
     return outcomes
+
+
+def _validate_stimuli(stimuli: Sequence[LaneStimulus]) -> None:
+    for lane, stimulus in enumerate(stimuli):
+        _validate_segments(lane, stimulus.segments)
 
 
 def _validate_segments(lane: int,
@@ -453,13 +442,36 @@ def _validate_segments(lane: int,
         previous = until_ps
 
 
-# -- sequential (oracle) tier ------------------------------------------
+def run_lanes_batched(compiled: CompiledEngine,
+                      stimuli: Sequence[LaneStimulus],
+                      trace: bool = False) -> List[LaneOutcome]:
+    """Replay every lane as one batched wheel, whatever the lane count.
+
+    Raises :class:`~repro.errors.SimulationError` when the netlist holds
+    a cell with no vector kernel (see :func:`batched_supported`).
+    """
+    _validate_stimuli(stimuli)
+    if not batched_supported(compiled):
+        raise SimulationError(
+            "batched pulse replay: netlist holds a cell with no vector "
+            "kernel (fallback component, TFF or clocked gate)")
+    if not stimuli:
+        return []
+    return _BatchedRun(compiled, stimuli, compiled.snapshot(),
+                       trace).execute()
 
 
-def _run_lanes_sequential(compiled: CompiledEngine,
-                          stimuli: Sequence[LaneStimulus],
-                          base: PulseSnapshot,
-                          trace: bool) -> List[LaneOutcome]:
+def run_lanes_sequential(compiled: CompiledEngine,
+                         stimuli: Sequence[LaneStimulus],
+                         trace: bool = False) -> List[LaneOutcome]:
+    """Replay the lanes one at a time on the compiled engine.
+
+    Each lane restores the engine's current state, replays its
+    stimulus and records its outcome; the engine is restored on exit.
+    This is the exactness oracle for the batched wheel.
+    """
+    _validate_stimuli(stimuli)
+    base = compiled.snapshot()
     engine = compiled.engine
     saved_trace = engine.trace
     outcomes: List[LaneOutcome] = []
@@ -511,7 +523,7 @@ def _outcome_from_compiled(compiled: CompiledEngine, lane: int,
         probes=snap.probes, fallback=snap.fallback)
 
 
-# -- the batched run ----------------------------------------------------
+# -- the batched wheel --------------------------------------------------
 
 
 class _WaveDesc:
@@ -523,31 +535,29 @@ class _WaveDesc:
     the timing-hazard prediction columns.
     """
 
-    __slots__ = ("cis", "kinds", "pis", "scalar_fallback", "hz_pred",
-                 "calls")
+    __slots__ = ("cis", "kinds", "pis", "split", "hz_pred", "calls")
 
     cis: np.ndarray
     kinds: np.ndarray
     pis: np.ndarray
-    scalar_fallback: bool
+    #: Strict mode only: wave position of the first repeated delivery
+    #: to one ``(lane, NDROC/HC-DRO)``; 0 when there is none.
+    split: int
     hz_pred: Optional[Tuple[Any, np.ndarray, np.ndarray, np.ndarray,
                             np.ndarray]]
     calls: List[_Call]
 
 
 class _BatchedRun:
-    """One wheel shared by a chunk of lanes over one compiled netlist."""
+    """One wheel shared by every lane of a lane set over one netlist."""
 
     def __init__(self, compiled: CompiledEngine,
-                 stimuli: Sequence[LaneStimulus], lane_base: int,
+                 stimuli: Sequence[LaneStimulus],
                  base: PulseSnapshot, trace: bool) -> None:
         self.compiled = compiled
         self.static = _lane_static(compiled)
         self.strict = compiled.engine.strict_timing
-        self.lane_base = lane_base
         self.lanes = len(stimuli)
-        self.min_vector = int(os.environ.get(
-            "REPRO_PULSE_WAVE_MIN", _DEFAULT_MIN_VECTOR_WAVE))
         n = self.static.n
         lanes = self.lanes
         self.i0 = np.tile(np.asarray(base.i0, dtype=np.int64), (lanes, 1))
@@ -587,9 +597,9 @@ class _BatchedRun:
         self.seg_delivered = np.zeros(lanes, dtype=np.int64)
         # The wheel: a heap of distinct times plus per-time chunk lists,
         # exactly the compiled queue widened by one lane column.  Each
-        # chunk is either a plain list (scalar-path pushes) or an int64
-        # array (vector-path spills); order across chunks is emission
-        # order, so per-lane FIFO order is preserved.
+        # chunk is either a plain list (base-queue seeding) or an int64
+        # array (injections, spilled emissions); order across chunks is
+        # emission order, so per-lane FIFO order is preserved.
         self.heap: List[float] = []
         self.buckets: Dict[float, Tuple[list, list]] = {}
         #: kept_lanes arrays whose delivered counts have not been folded
@@ -617,8 +627,6 @@ class _BatchedRun:
         kind_arr = self.static.kind
         self._hazard_ci = (kind_arr == K_NDROC) | (kind_arr == K_HCDRO)
         self._has_hazard = bool(self._hazard_ci.any())
-        self._has_unary = bool(
-            ((kind_arr >= K_NOT) & (kind_arr <= K_BUF)).any())
         #: Lower bound of every live lane's segment horizon.
         self.min_until = float(self.cur_until.min())
         #: Lower bound of every live lane's remaining segment budget;
@@ -817,6 +825,7 @@ class _BatchedRun:
     def _wave(self, t: float, lanes_list: Sequence[int],
               packed_list: Sequence[int]
               ) -> Tuple[Sequence[int], Sequence[int]]:
+        """Deliver one wave at ``t``; return the next wave at ``t``."""
         lanes = np.asarray(lanes_list, dtype=np.int64)
         packed = np.asarray(packed_list, dtype=np.int64)
         # Admission: frozen lanes park their events as pending, exactly
@@ -860,12 +869,31 @@ class _BatchedRun:
             self.min_until = float(self.cur_until.min())
             self.budget_slack = int(
                 (self.cur_budget - self.seg_delivered).min())
+        desc = self._describe(lanes, packed)
+        split = desc.split
+        if split:
+            # Strict mode, and the wave delivers twice to one NDROC or
+            # HC-DRO: deliver only the part before the repeat.  The rest
+            # stays at the front of the instant's FIFO, ahead of the
+            # part's same-time emissions, and is admitted again (the
+            # part may have frozen lanes) as the head of the next wave.
+            rest_lanes, rest_packed = lanes[split:], packed[split:]
+            lanes, packed = lanes[:split], packed[:split]
+            desc = self._describe(lanes, packed)
         size = lanes.size
         slack = self.budget_slack
         self.budget_slack = slack - size
-        if size < self.min_vector:
-            self._flush_delivered()
-            return self._wave_scalar(t, lanes, packed)
+        next_lanes, next_packed = self._wave_vector(t, lanes, packed, desc,
+                                                    size > slack)
+        if split:
+            return (np.concatenate((rest_lanes, np.asarray(
+                        next_lanes, dtype=np.int64))),
+                    np.concatenate((rest_packed, np.asarray(
+                        next_packed, dtype=np.int64))))
+        return next_lanes, next_packed
+
+    def _describe(self, lanes: np.ndarray,
+                  packed: np.ndarray) -> "_WaveDesc":
         # Sweeps replay the same stimulus schedule across lanes, so wave
         # patterns recur; all structural work (kind split, duplicate
         # rounds, slots, keys, liveness) is cached per unique pattern.
@@ -875,286 +903,7 @@ class _BatchedRun:
             desc = self._build_desc(lanes, packed)
             if len(self._wave_cache) < _WAVE_CACHE_CAP:
                 self._wave_cache[key] = desc
-        if self.strict and desc.scalar_fallback:
-            # Duplicate deliveries to one timing-checked cell in one
-            # generation: violation order depends on intra-wave state,
-            # so replay the whole wave in order.
-            self._flush_delivered()
-            return self._wave_scalar(t, lanes, packed)
-        return self._wave_vector(t, lanes, packed, desc, size > slack)
-
-    # -- scalar wave (exact in-order path) ------------------------------
-
-    def _wave_scalar(self, t: float, lanes: np.ndarray,
-                     packed: np.ndarray) -> Tuple[List[int], List[int]]:
-        names = self.static.names
-        in_ports = self.static.in_ports
-        next_lanes: List[int] = []
-        next_packed: List[int] = []
-        for j in range(lanes.size):
-            lane = int(lanes[j])
-            pk = int(packed[j])
-            if self.frozen[lane]:
-                self.leftover[lane].append((t, pk))
-                continue
-            if self.seg_delivered[lane] >= self.cur_budget[lane]:
-                self._freeze(lane, "SimulationError",
-                             f"exceeded {int(self.cur_budget[lane])} "
-                             "events; oscillating netlist?")
-                self.leftover[lane].append((t, pk))
-                continue
-            ci = pk >> 8
-            trace = self.traces[lane]
-            if trace is not None:
-                trace.append((t, names[ci], in_ports[ci][pk & 7]))
-            error = self._deliver_scalar(lane, t, pk, next_lanes,
-                                         next_packed)
-            if error is not None:
-                self._freeze(lane, error[0], error[1])
-                self.now[lane] = t
-                continue
-            self.seg_delivered[lane] += 1
-            self.delivered[lane] += 1
-            self.now[lane] = t
-        return next_lanes, next_packed
-
-    def _emit_one(self, lane: int, t: float, ta: float, tg: int,
-                  next_lanes: List[int], next_packed: List[int]) -> None:
-        if ta == t:
-            next_lanes.append(lane)
-            next_packed.append(tg)
-        else:
-            self._push(lane, ta, tg)
-
-    def _deliver_scalar(self, lane: int, t: float, pk: int,
-                        next_lanes: List[int], next_packed: List[int]
-                        ) -> Optional[Tuple[str, str]]:
-        """Deliver one event; a transcription of the compiled dispatch."""
-        st = self.static
-        ci = pk >> 8
-        k = int(st.kind[ci])
-        pi = pk & 7
-        i0 = self.i0
-        i1 = self.i1
-        wire_tgt = st.wire_tgt
-        wire_delay = st.wire_delay
-        base = int(st.out_base[ci])
-        if k == K_SPL:
-            out_t = t + float(st.delay[ci])
-            for sub in (0, 1):
-                tg = int(wire_tgt[base + sub])
-                if tg >= 0:
-                    self._emit_one(lane, t,
-                                   out_t + float(wire_delay[base + sub]),
-                                   tg, next_lanes, next_packed)
-        elif k == K_DAND:
-            other = float(self.f1[lane, ci] if pi == 0
-                          else self.f0[lane, ci])
-            if t - other <= float(st.p0[ci]):
-                self.f0[lane, ci] = _NEG_INF
-                self.f1[lane, ci] = _NEG_INF
-                tg = int(wire_tgt[base])
-                if tg >= 0:
-                    ta = (t + float(st.delay[ci])) + float(wire_delay[base])
-                    self._emit_one(lane, t, ta, tg, next_lanes, next_packed)
-            elif pi == 0:
-                self.f0[lane, ci] = t
-            else:
-                self.f1[lane, ci] = t
-        elif k == K_MRG:
-            delta = t - float(self.f0[lane, ci])
-            if delta <= float(st.p1[ci]):
-                self.i2[lane, ci] += 1
-                i1[lane, ci] += 1
-                if pi == 0:
-                    i0[lane, ci] = 0
-            elif delta < float(st.p0[ci]):
-                i1[lane, ci] += 1
-            else:
-                self.f0[lane, ci] = t
-                i0[lane, ci] = pi
-                tg = int(wire_tgt[base])
-                if tg >= 0:
-                    ta = (t + float(st.delay[ci])) + float(wire_delay[base])
-                    self._emit_one(lane, t, ta, tg, next_lanes, next_packed)
-        elif k == K_NDROC:
-            if pi == 0:
-                if i0[lane, ci]:
-                    i1[lane, ci] += 1
-                else:
-                    i0[lane, ci] = 1
-            elif pi == 1:
-                if i0[lane, ci]:
-                    i0[lane, ci] = 0
-                else:
-                    i1[lane, ci] += 1
-            else:
-                if t - float(self.f0[lane, ci]) + 1e-9 < float(st.p0[ci]):
-                    if self.strict:
-                        return ("TimingViolationError",
-                                f"{st.names[ci]}: CLK pulses "
-                                f"{t - float(self.f0[lane, ci]):.2f} ps "
-                                f"apart (< {float(st.p0[ci])} ps)")
-                    i1[lane, ci] += 1
-                else:
-                    self.f0[lane, ci] = t
-                    slot = base + (0 if i0[lane, ci] else 1)
-                    tg = int(wire_tgt[slot])
-                    if tg >= 0:
-                        ta = ((t + float(st.delay[ci]))
-                              + float(wire_delay[slot]))
-                        self._emit_one(lane, t, ta, tg,
-                                       next_lanes, next_packed)
-        elif k == K_HCDRO:
-            if pi == 0:
-                ok = t - float(self.f0[lane, ci]) + 1e-9 >= float(st.p0[ci])
-                if not ok:
-                    if self.strict:
-                        return ("TimingViolationError",
-                                f"{st.names[ci]}: d pulses "
-                                f"{t - float(self.f0[lane, ci]):.2f} ps "
-                                f"apart (< {float(st.p0[ci])} ps)")
-                    i1[lane, ci] += 1
-                self.f0[lane, ci] = t
-                if ok:
-                    if i0[lane, ci] >= st.p1[ci]:
-                        i1[lane, ci] += 1
-                    else:
-                        i0[lane, ci] += 1
-            else:
-                ok = t - float(self.f1[lane, ci]) + 1e-9 >= float(st.p0[ci])
-                if not ok:
-                    if self.strict:
-                        return ("TimingViolationError",
-                                f"{st.names[ci]}: clk pulses "
-                                f"{t - float(self.f1[lane, ci]):.2f} ps "
-                                f"apart (< {float(st.p0[ci])} ps)")
-                    i1[lane, ci] += 1
-                self.f1[lane, ci] = t
-                if ok and i0[lane, ci] > 0:
-                    i0[lane, ci] -= 1
-                    tg = int(wire_tgt[base])
-                    if tg >= 0:
-                        ta = ((t + float(st.delay[ci]))
-                              + float(wire_delay[base]))
-                        self._emit_one(lane, t, ta, tg,
-                                       next_lanes, next_packed)
-        elif k == K_DELAY:
-            tg = int(wire_tgt[base])
-            if tg >= 0:
-                ta = (t + float(st.delay[ci])) + float(wire_delay[base])
-                self._emit_one(lane, t, ta, tg, next_lanes, next_packed)
-        elif k == K_CNT:
-            if pi == 0:
-                i0[lane, ci] += 1
-                if i0[lane, ci] >= st.p1[ci]:
-                    i0[lane, ci] = 0
-                    i1[lane, ci] += 1
-            elif pi == 1:
-                count = int(i0[lane, ci])
-                out_t = t + float(st.delay[ci])
-                for bit in range(int(st.nout[ci])):
-                    if count & (1 << bit):
-                        slot = base + bit
-                        tg = int(wire_tgt[slot])
-                        if tg >= 0:
-                            self._emit_one(
-                                lane, t, out_t + float(wire_delay[slot]),
-                                tg, next_lanes, next_packed)
-            else:
-                i0[lane, ci] = 0
-        elif k == K_NDRO:
-            if pi == 0:
-                if i0[lane, ci]:
-                    i1[lane, ci] += 1
-                else:
-                    i0[lane, ci] = 1
-            elif pi == 1:
-                if i0[lane, ci]:
-                    i0[lane, ci] = 0
-                else:
-                    i1[lane, ci] += 1
-            elif i0[lane, ci]:
-                tg = int(wire_tgt[base])
-                if tg >= 0:
-                    ta = (t + float(st.delay[ci])) + float(wire_delay[base])
-                    self._emit_one(lane, t, ta, tg, next_lanes, next_packed)
-        elif k == K_DRO:
-            if pi == 0:
-                if i0[lane, ci]:
-                    i1[lane, ci] += 1
-                else:
-                    i0[lane, ci] = 1
-            elif i0[lane, ci]:
-                i0[lane, ci] = 0
-                tg = int(wire_tgt[base])
-                if tg >= 0:
-                    ta = (t + float(st.delay[ci])) + float(wire_delay[base])
-                    self._emit_one(lane, t, ta, tg, next_lanes, next_packed)
-        elif k == K_PROBE:
-            times = self.probes[lane].get(ci)
-            if times is not None:
-                times.append(t)
-            tg = int(wire_tgt[base])
-            if tg >= 0:
-                ta = t + float(wire_delay[base])
-                self._emit_one(lane, t, ta, tg, next_lanes, next_packed)
-        elif k == K_TFF:
-            if pi == 0:
-                if i0[lane, ci]:
-                    i0[lane, ci] = 0
-                    tg = int(wire_tgt[base])
-                    if tg >= 0:
-                        ta = ((t + float(st.delay[ci]))
-                              + float(wire_delay[base]))
-                        self._emit_one(lane, t, ta, tg,
-                                       next_lanes, next_packed)
-                else:
-                    i0[lane, ci] = 1
-            elif pi == 1:
-                if i0[lane, ci]:
-                    tg = int(wire_tgt[base + 1])
-                    if tg >= 0:
-                        ta = ((t + float(st.delay[ci]))
-                              + float(wire_delay[base + 1]))
-                        self._emit_one(lane, t, ta, tg,
-                                       next_lanes, next_packed)
-            else:
-                i0[lane, ci] = 0
-        elif k == K_SINK:
-            i0[lane, ci] += 1
-        else:  # clocked gates
-            if pi == 0:
-                i0[lane, ci] = 1
-            elif pi == 1:
-                if k >= K_NOT:
-                    return ("NetlistError",
-                            f"{st.names[ci]}: unary gate has no 'b' pin")
-                i1[lane, ci] = 1
-            else:
-                self.i2[lane, ci] += 1
-                a = bool(i0[lane, ci])
-                b = bool(i1[lane, ci])
-                if k == K_AND:
-                    value = a and b
-                elif k == K_AND + 1:  # OR
-                    value = a or b
-                elif k == K_AND + 2:  # XOR
-                    value = a != b
-                elif k == K_NOT:
-                    value = not a
-                else:  # BUFFER
-                    value = a
-                if value:
-                    tg = int(wire_tgt[base])
-                    if tg >= 0:
-                        ta = ((t + float(st.delay[ci]))
-                              + float(wire_delay[base]))
-                        self._emit_one(lane, t, ta, tg,
-                                       next_lanes, next_packed)
-                i0[lane, ci] = 0
-                i1[lane, ci] = 0
-        return None
+        return desc
 
     # -- vector wave ----------------------------------------------------
 
@@ -1166,8 +915,9 @@ class _BatchedRun:
         lane_count = self.lanes
         # Per-lane stop orders: budget exhaustion plus (in strict mode)
         # predicted timing violations.  Violation predicates only read
-        # state the wave cannot mutate for the same cell (duplicates
-        # were routed to the scalar path), so they are exact.
+        # state the wave cannot mutate for the same cell (``_wave``
+        # splits a strict wave before any repeated timing-checked
+        # cell), so they are exact.
         cuts: Dict[int, Tuple[int, str, str, bool]] = {}
         if budget_check:
             self._flush_delivered()
@@ -1180,8 +930,7 @@ class _BatchedRun:
                     cuts[lane] = (stop, "SimulationError",
                                   f"exceeded {int(self.cur_budget[lane])} "
                                   "events; oscillating netlist?", False)
-        if desc.hz_pred is not None or self._has_unary:
-            self._predict_errors(t, lanes, desc, cuts)
+        self._predict_errors(t, lanes, desc, cuts)
         calls = desc.calls
         kept_lanes = lanes
         kept_cis = desc.cis
@@ -1256,7 +1005,7 @@ class _BatchedRun:
         desc.cis = cis
         desc.kinds = kinds
         desc.pis = pis
-        desc.scalar_fallback = False
+        desc.split = 0
         desc.hz_pred = None
         desc.calls = []
         if self.strict and self._has_hazard:
@@ -1280,9 +1029,15 @@ class _BatchedRun:
                     sub_k = kinds[hz_idx]
                 sub_flat = sub_l * n + sub_c
                 if sub_flat.size > 1:
-                    sp = np.sort(sub_flat)
-                    if bool((sp[1:] == sp[:-1]).any()):
-                        desc.scalar_fallback = True
+                    # A stable sort keeps equal targets in wave order, so
+                    # every entry equal to its predecessor is a repeat.
+                    srt = np.argsort(sub_flat, kind="stable")
+                    later = srt[1:]
+                    repeats = later[sub_flat[later] == sub_flat[srt[:-1]]]
+                    if repeats.size:
+                        first = int(repeats.min())
+                        desc.split = (first if hz_idx is None
+                                      else int(hz_idx[first]))
                         return desc
                 hcdro = sub_k == K_HCDRO
                 # NDROC set/reset never violate; NDROC clk (pi==2) and
@@ -1312,14 +1067,8 @@ class _BatchedRun:
         by cell and peeling one occurrence per round keeps every round
         duplicate-free so the vector kernel stays exact.  Stateless
         kinds skip the check entirely.  Strict-mode NDROC/HCDRO
-        duplicates never reach here (whole-wave scalar).
+        duplicates never reach here (``_wave`` splits the wave first).
         """
-        if code not in _VECTOR_KINDS:
-            # Rare kinds replay in order via the scalar collector, which
-            # is duplicate-safe by construction.
-            calls.append((code, lanes, cis, pis, order, None,
-                          (cis << 8) | (code << 3) | pis))
-            return
         if code in _DUP_SAFE:
             calls.append(self._make_call(code, lanes, cis, pis, order,
                                          None))
@@ -1452,52 +1201,38 @@ class _BatchedRun:
                         desc: "_WaveDesc",
                         cuts: Dict[int, Tuple[int, str, str, bool]]
                         ) -> None:
-        """Fold predictable delivery errors into the per-lane stop map."""
+        """Fold predicted strict-timing violations into the stop map."""
         st = self.static
-        error_js: List[int] = []
-        hp = desc.hz_pred
-        if hp is not None:
-            hz_idx, sub_flat, hc1, candidate, p0sub = hp
-            last = np.where(hc1, self.f1f[sub_flat], self.f0f[sub_flat])
-            viol = candidate & (t - last + 1e-9 < p0sub)
-            if bool(viol.any()):
-                js = (np.flatnonzero(viol) if hz_idx is None
-                      else hz_idx[viol])
-                error_js.extend(js.tolist())
-        if self._has_unary:
-            unary_b = (desc.kinds >= K_NOT) & (desc.pis == 1)
-            if unary_b.any():
-                error_js.extend(np.flatnonzero(unary_b).tolist())
+        if desc.hz_pred is None:
+            return
+        hz_idx, sub_flat, hc1, candidate, p0sub = desc.hz_pred
+        last = np.where(hc1, self.f1f[sub_flat], self.f0f[sub_flat])
+        viol = candidate & (t - last + 1e-9 < p0sub)
+        if not bool(viol.any()):
+            return
+        # Ascending wave positions: the first violation per lane wins.
+        js = np.flatnonzero(viol) if hz_idx is None else hz_idx[viol]
         cis = desc.cis
         pis = desc.pis
         kinds = desc.kinds
-        for j in sorted(error_js):
+        for j in js.tolist():
             lane = int(lanes[j])
             previous = cuts.get(lane)
             if previous is not None and previous[0] <= j:
                 continue
             ci = int(cis[j])
-            pi = int(pis[j])
-            k = int(kinds[j])
-            if k == K_NDROC:
+            if int(kinds[j]) == K_NDROC:
                 dt = t - float(self.f0[lane, ci])
-                message = (f"{st.names[ci]}: CLK pulses {dt:.2f} ps apart "
-                           f"(< {float(st.p0[ci])} ps)")
-                cuts[lane] = (j, "TimingViolationError", message, True)
-            elif k == K_HCDRO:
-                if pi == 0:
-                    dt = t - float(self.f0[lane, ci])
-                    pin = "d"
-                else:
-                    dt = t - float(self.f1[lane, ci])
-                    pin = "clk"
-                message = (f"{st.names[ci]}: {pin} pulses {dt:.2f} ps "
-                           f"apart (< {float(st.p0[ci])} ps)")
-                cuts[lane] = (j, "TimingViolationError", message, True)
+                pin = "CLK"
+            elif int(pis[j]) == 0:
+                dt = t - float(self.f0[lane, ci])
+                pin = "d"
             else:
-                cuts[lane] = (j, "NetlistError",
-                              f"{st.names[ci]}: unary gate has no 'b' pin",
-                              True)
+                dt = t - float(self.f1[lane, ci])
+                pin = "clk"
+            message = (f"{st.names[ci]}: {pin} pulses {dt:.2f} ps "
+                       f"apart (< {float(st.p0[ci])} ps)")
+            cuts[lane] = (j, "TimingViolationError", message, True)
 
     def _apply_cuts(self, t: float, lanes: np.ndarray, packed: np.ndarray,
                     cuts: Dict[int, Tuple[int, str, str, bool]]) -> None:
@@ -1528,48 +1263,6 @@ class _BatchedRun:
             # The budget-stopping event and everything after the cut
             # stay pending, exactly as the compiled queue retains them.
             self.leftover[lane].append((t, int(packed[j])))
-
-    def _group_scalar(self, t: float, g_lanes: np.ndarray,
-                      g_packed: np.ndarray, g_order: np.ndarray,
-                      acc: List[Tuple[np.ndarray, np.ndarray,
-                                      np.ndarray, np.ndarray]]) -> None:
-        """In-order delivery for rare kinds / duplicate-target groups."""
-        keys: List[int] = []
-        lanes_out: List[int] = []
-        tgs: List[int] = []
-        tas: List[float] = []
-        for j in range(g_lanes.size):
-            lane = int(g_lanes[j])
-            sink: List[Tuple[float, int]] = []
-            collector = _EmissionCollector(sink)
-            error = self._deliver_scalar_collect(lane, t, int(g_packed[j]),
-                                                 collector)
-            assert error is None, "scalar group raised outside prediction"
-            base_key = int(g_order[j]) * 64
-            for sub, (ta, tg) in enumerate(sink):
-                keys.append(base_key + sub)
-                lanes_out.append(lane)
-                tgs.append(tg)
-                tas.append(ta)
-        if keys:
-            acc.append((np.asarray(keys, dtype=np.int64),
-                        np.asarray(lanes_out, dtype=np.int64),
-                        np.asarray(tgs, dtype=np.int64),
-                        np.asarray(tas, dtype=np.float64)))
-
-    def _deliver_scalar_collect(self, lane: int, t: float, pk: int,
-                                collector: "_EmissionCollector"
-                                ) -> Optional[Tuple[str, str]]:
-        """Scalar delivery routed through an emission collector."""
-        # Reuse _deliver_scalar by temporarily substituting its emit
-        # target: collector mimics the (next_lanes, next_packed) pair.
-        emit = self._emit_one
-        try:
-            self._emit_one = (  # type: ignore[method-assign]
-                lambda ln, et, ta, tg, _nl, _np: collector.add(ta, tg))
-            return self._deliver_scalar(lane, t, pk, [], [])
-        finally:
-            self._emit_one = emit  # type: ignore[method-assign]
 
     # -- vector kernels -------------------------------------------------
 
@@ -1606,10 +1299,8 @@ class _BatchedRun:
             self._run_counter(call, t, acc)
         elif code == K_NDRO:
             self._run_ndro(call, t, acc)
-        elif code == K_DRO:
+        else:  # K_DRO
             self._run_dro(call, t, acc)
-        else:
-            self._group_scalar(t, call[1], prep, call[4], acc)
 
     def _emit_prep(self, t: float, emit: Any, fire: Optional[np.ndarray],
                    acc: List[Tuple[np.ndarray, np.ndarray,
@@ -1925,7 +1616,7 @@ class _BatchedRun:
                 for time_ps, pk in pending_raw)
             probes = {ci: times for ci, times in self.probes[lane].items()}
             outcomes.append(LaneOutcome(
-                lane=self.lane_base + lane, error=error,
+                lane=lane, error=error,
                 delivered=int(self.delivered[lane]), now_ps=now_ps,
                 pending=len(pending_events), pending_events=pending_events,
                 trace=self.traces[lane],
@@ -1934,12 +1625,3 @@ class _BatchedRun:
                 f1=self.f1[lane], probes=probes, fallback={}))
         return outcomes
 
-
-class _EmissionCollector:
-    """Adapter handing scalar-path emissions to the vector spill."""
-
-    def __init__(self, sink: List[Tuple[float, int]]) -> None:
-        self._sink = sink
-
-    def add(self, ta: float, tg: int) -> None:
-        self._sink.append((float(ta), int(tg)))

@@ -235,25 +235,23 @@ class Engine:
         return delivered
 
     def run_lanes(self, stimuli: "List[LaneStimulus]",
-                  tier: Optional[str] = None,
                   trace: bool = False,
                   on_error: str = "record") -> "List[LaneOutcome]":
         """Replay this netlist across many stimulus lanes.
 
         Each :class:`~repro.pulse.batched.LaneStimulus` (usually recorded
         with :func:`~repro.pulse.batched.capture_stimulus`) is an
-        independent run from the engine's *current* state.  ``tier`` is
-        ``"batched"`` (one vectorized event wheel over all lanes),
-        ``"compiled"`` (sequential snapshot/restore replay - the exact
-        oracle), or ``None`` to follow ``REPRO_PULSE_LANES``.  The
-        engine's own state is untouched; use
+        independent run from the engine's *current* state; the lane
+        count picks sequential compiled replay or one batched event
+        wheel (:func:`~repro.pulse.batched.run_lanes`).  The engine's
+        own state is untouched; use
         :func:`~repro.pulse.batched.install_lane` to load one lane's
         final state back for white-box inspection.
         """
         from repro.pulse import batched
 
-        return batched.run_lanes(self.compile(), stimuli, tier=tier,
-                                 trace=trace, on_error=on_error)
+        return batched.run_lanes(self.compile(), stimuli, trace=trace,
+                                 on_error=on_error)
 
     @property
     def pending_events(self) -> int:

@@ -16,7 +16,8 @@ the destructive-readout design that the paper's density win buys.
 Every fault is expressed as *stimulus only* - extra SET/RESET/data
 pulses scheduled on netlist pins, never a patched ``on_pulse`` - so a
 trial records cleanly with :func:`repro.pulse.capture_stimulus` and
-replays identically on the reference, compiled and batched tiers.
+replays identically on the reference engine, sequential compiled
+replay and the batched wheel.
 :func:`run_hiperrf_trials` dispatches a whole list of trials as one
 lane batch over a single cached build.
 """
@@ -149,15 +150,14 @@ def _hiperrf_outcome(rf: PulseHiPerRF, trial: FaultTrial,
 
 
 def run_hiperrf_trials(trials: Sequence[FaultTrial],
-                       geometry: Optional[RFGeometry] = None,
-                       tier: Optional[str] = None) -> List[FaultOutcome]:
-    """Dispatch many HiPerRF fault trials as one lane batch.
+                       geometry: Optional[RFGeometry] = None
+                       ) -> List[FaultOutcome]:
+    """Dispatch many HiPerRF fault trials as one lane set.
 
     The netlist is built (or fetched) once through the compiled-netlist
     cache; each trial is captured as a :class:`~repro.pulse.LaneStimulus`
     and the whole sweep replays in a single :meth:`Engine.run_lanes`
-    call - batched by default, sequential compiled with
-    ``tier="compiled"`` or ``REPRO_PULSE_LANES=off``.
+    call, whose lane count picks sequential or batched replay.
     """
     geom = geometry if geometry is not None else _DEFAULT_GEOMETRY
     rf = PulseHiPerRF.build_cached(geom, _HIPERRF_PERIOD_PS)
@@ -168,7 +168,7 @@ def run_hiperrf_trials(trials: Sequence[FaultTrial],
         with capture_stimulus(engine) as capture:
             settles.append(_schedule_hiperrf_trial(rf, trial))
         stimuli.append(capture.stimulus())
-    lane_outcomes = engine.run_lanes(stimuli, tier=tier, on_error="raise")
+    lane_outcomes = engine.run_lanes(stimuli, on_error="raise")
     compiled = engine.compile()
     outcomes = []
     for trial, settle, lane in zip(trials, settles, lane_outcomes):

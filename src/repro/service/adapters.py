@@ -112,7 +112,7 @@ def _cpu_compute(payloads: Sequence[Tuple[str, float, Tuple[str, ...], int]]
                  ) -> List[Dict[str, Any]]:
     """Run one program once, replay the union of designs, slice per item.
 
-    The design union replays as **one lane batch**
+    The design union replays as **one lane set** over one op tape
     (:func:`repro.cpu.batched.replay_lanes`, via ``simulate_program``);
     :data:`CPU_LANE_METRICS` records the lane occupancy of every
     dispatch for ``stats()["cpu_lanes"]``, mirroring ``pulse_lanes``.
@@ -466,13 +466,13 @@ def _pulse_probe_word(rf: Any, settle: float) -> int:
 
 
 def _pulse_compute(payloads: Sequence[Any]) -> List[Dict[str, Any]]:
-    """One lane batch over the group's shared cached netlist.
+    """One lane set over the group's shared cached netlist.
 
     Every payload in a group shares the build key, so the whole batch
     is one exclusive checkout: each item's program is captured as a
     stimulus lane and the group replays in a single
-    :meth:`~repro.pulse.engine.Engine.run_lanes` call (batched tier by
-    default, honouring ``REPRO_PULSE_LANES``).  Per-item values decode
+    :meth:`~repro.pulse.engine.Engine.run_lanes` call (whose lane count
+    picks sequential or batched replay).  Per-item values decode
     from the installed lane state and are identical to
     ``_pulse_compute_one``'s whether the item dispatches alone or with
     strangers - the equivalence the service benchmark enforces.

@@ -93,6 +93,12 @@ class CoalescingEngine:
         self.dispatches = 0
         self.dispatched_items = 0
         self.largest_group = 0
+        #: Lifetime totals for ``stats()``.  The per-job counters they
+        #: mirror leave with each job the store's history trims.
+        self.jobs_done = 0
+        self.jobs_failed = 0
+        self.item_totals = {"items": 0, "cache_hits": 0, "coalesced": 0,
+                            "computed": 0}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -131,6 +137,7 @@ class CoalescingEngine:
         decomposed = decompose(experiment, params)
         job = self.store.create(experiment, dict(params or {}))
         job.items = len(decomposed.items)
+        self.item_totals["items"] += job.items
         task = self._loop.create_task(self._run_job(job, decomposed))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
@@ -145,17 +152,20 @@ class CoalescingEngine:
         return await self.wait(self.submit(experiment, params))
 
     def stats(self) -> Dict[str, Any]:
-        jobs = self.store.list()
-        done = [job for job in jobs if job.state.value == "done"]
+        """Service counters; O(1) in the job history's length.
+
+        ``jobs`` counts the jobs the store still holds; every other
+        count covers the engine's lifetime.
+        """
+        totals = self.item_totals
         payload: Dict[str, Any] = {
-            "jobs": len(jobs),
-            "jobs_done": len(done),
-            "jobs_failed": sum(1 for job in jobs
-                               if job.state.value == "failed"),
-            "items": sum(job.items for job in jobs),
-            "item_cache_hits": sum(job.cache_hits for job in jobs),
-            "item_coalesced": sum(job.coalesced for job in jobs),
-            "item_computed": sum(job.computed for job in jobs),
+            "jobs": len(self.store),
+            "jobs_done": self.jobs_done,
+            "jobs_failed": self.jobs_failed,
+            "items": totals["items"],
+            "item_cache_hits": totals["cache_hits"],
+            "item_coalesced": totals["coalesced"],
+            "item_computed": totals["computed"],
             "dispatches": self.dispatches,
             "dispatched_items": self.dispatched_items,
             "largest_group": self.largest_group,
@@ -177,12 +187,23 @@ class CoalescingEngine:
 
     async def _run_job(self, job: Job, decomposed: Any) -> None:
         job.start()
+        # Count before the transition: whoever sees a terminal job also
+        # sees it in the totals.
         try:
             values = await asyncio.gather(
                 *(self._resolve_item(job, item) for item in decomposed.items))
-            job.finish(jsonable(decomposed.recompose(list(values))))
+            result = jsonable(decomposed.recompose(list(values)))
         except Exception as exc:
+            self.jobs_failed += 1
             job.fail("".join(traceback.format_exception_only(exc)).strip())
+        else:
+            self.jobs_done += 1
+            job.finish(result)
+
+    def _tally(self, job: Job, outcome: str) -> None:
+        """Count one resolved item on its job and in the lifetime totals."""
+        setattr(job, outcome, getattr(job, outcome) + 1)
+        self.item_totals[outcome] += 1
 
     def _resolve_item(self, job: Job,
                       item: WorkItem) -> "asyncio.Future[Any]":
@@ -190,7 +211,7 @@ class CoalescingEngine:
         shared = self._inflight.get(digest)
         assert self._loop is not None
         if shared is not None:
-            job.coalesced += 1
+            self._tally(job, "coalesced")
             return self._await_shared(shared, count_into=None)
         future: "asyncio.Future[ItemResult]" = self._loop.create_future()
         self._inflight[digest] = future
@@ -202,10 +223,7 @@ class CoalescingEngine:
                             count_into: Optional[Job]) -> Any:
         value, from_cache = await asyncio.shield(future)
         if count_into is not None:
-            if from_cache:
-                count_into.cache_hits += 1
-            else:
-                count_into.computed += 1
+            self._tally(count_into, "cache_hits" if from_cache else "computed")
         return value
 
     # -- micro-batch window ------------------------------------------------

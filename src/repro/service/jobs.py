@@ -14,8 +14,9 @@ import enum
 import itertools
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 
 class JobState(str, enum.Enum):
@@ -47,6 +48,9 @@ class Job:
     computed: int = 0        # items this job led (entered the dispatch queue)
     #: Set when the job reaches a terminal state.
     done_event: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
+    #: Called once, on the first transition to a terminal state.
+    on_terminal: Optional[Callable[["Job"], None]] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def terminal(self) -> bool:
@@ -64,15 +68,19 @@ class Job:
 
     def finish(self, result: Any) -> None:
         self.result = result
-        self.state = JobState.DONE
-        self.finished = time.time()
-        self.done_event.set()
+        self._settle(JobState.DONE)
 
     def fail(self, error: str) -> None:
         self.error = error
-        self.state = JobState.FAILED
+        self._settle(JobState.FAILED)
+
+    def _settle(self, state: JobState) -> None:
+        first = not self.terminal
+        self.state = state
         self.finished = time.time()
         self.done_event.set()
+        if first and self.on_terminal is not None:
+            self.on_terminal(self)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able status view (the artifact is served separately)."""
@@ -96,41 +104,35 @@ class Job:
 class JobStore:
     """In-memory job registry with a bounded finished-job history.
 
-    Terminal jobs beyond ``max_finished`` are dropped oldest-first so a
-    long-running service does not grow without bound; live jobs are
-    never evicted.
+    Terminal jobs beyond ``max_finished`` are dropped in the order they
+    finished, so a long-running service does not grow without bound;
+    live jobs are never evicted.  Each job reports its own terminal
+    transition, so trimming costs O(1) amortized per job.
     """
 
     def __init__(self, max_finished: int = 10_000) -> None:
-        self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
+        self._jobs: Dict[str, Job] = {}  # creation order
+        self._finished: Deque[str] = deque()  # terminal ids, oldest first
         self.max_finished = max_finished
         self._counter = itertools.count()
 
     def create(self, experiment: str, params: Dict[str, Any]) -> Job:
         job_id = f"{next(self._counter):06d}-{uuid.uuid4().hex[:10]}"
-        job = Job(id=job_id, experiment=experiment, params=params)
+        job = Job(id=job_id, experiment=experiment, params=params,
+                  on_terminal=self._retire)
         self._jobs[job_id] = job
-        self._order.append(job_id)
-        self._trim()
         return job
 
     def get(self, job_id: str) -> Optional[Job]:
         return self._jobs.get(job_id)
 
     def list(self) -> List[Job]:
-        return [self._jobs[job_id] for job_id in self._order
-                if job_id in self._jobs]
+        return list(self._jobs.values())
 
     def __len__(self) -> int:
         return len(self._jobs)
 
-    def _trim(self) -> None:
-        finished = [job_id for job_id in self._order
-                    if self._jobs[job_id].terminal]
-        excess = len(finished) - self.max_finished
-        for job_id in finished[:max(0, excess)]:
-            del self._jobs[job_id]
-        if excess > 0:
-            self._order = [job_id for job_id in self._order
-                           if job_id in self._jobs]
+    def _retire(self, job: Job) -> None:
+        self._finished.append(job.id)
+        while len(self._finished) > self.max_finished:
+            del self._jobs[self._finished.popleft()]

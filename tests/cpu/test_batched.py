@@ -1,30 +1,24 @@
-"""Equivalence suite: lane-batched tape replay vs the compiled oracle.
+"""What design-lane replay promises, checked against the reference.
 
-The batched tier (:mod:`repro.cpu.batched`) must return, per lane, a
-:class:`~repro.cpu.pipeline.PipelineResult` integer-equal in every
-field to a sequential :func:`~repro.cpu.compiled.replay_tape` of that
-lane.  This suite holds it to that oracle over the Figure 14 workload
-list, the full design space, both speculation modes, mixed-``CoreConfig``
-lane pools at several widths, the stateful-memory-model scalar fallback
-(including a *shared* model instance, which proves the lane access
-order), the int64 kernel path, tier/env resolution and the per-tape
-memoizations.
+:func:`~repro.cpu.batched.replay_lanes` must return one
+:class:`~repro.cpu.pipeline.PipelineResult` per lane, in lane order,
+integer-equal in every field to the reference
+:class:`~repro.cpu.pipeline.GateLevelPipeline` run of that lane.  This
+suite holds it to that oracle over the Figure 14 workload list, the
+full design space, both speculation modes and mixed-``CoreConfig`` lane
+pools at several widths.  It also checks the stateful memory models
+(including a *shared* model instance, which proves the ascending lane
+order), lane-indexed validation errors, the ``design_tables`` memo and
+the tape content fingerprint it is keyed on.
 """
 
 import pytest
 
 from repro.cpu import CoreConfig, OpTape, RFTimingModel
-from repro.cpu import batched
-from repro.cpu.batched import (
-    LANES_ENV_VAR,
-    Lane,
-    lanes_for_designs,
-    replay_lanes,
-    resolve_lanes_tier,
-)
-from repro.cpu.compiled import design_tables, replay_tape
+from repro.cpu.batched import Lane, lanes_for_designs, replay_lanes
+from repro.cpu.compiled import design_tables, replay_tape_reference
 from repro.cpu.rf_model import RF_DESIGN_NAMES
-from repro.errors import ConfigError, ExecutionError
+from repro.errors import ExecutionError
 from repro.experiments.figure14 import FIGURE14_WORKLOADS
 from repro.isa import assemble
 from repro.mem import DirectMappedCache
@@ -46,13 +40,14 @@ def small_cache():
 
 
 def oracle(tape, lanes):
-    """Sequential compiled replay of every lane, in lane order."""
-    return [replay_tape(tape, lane.rf, lane.config,
-                        memory_model=lane.memory_model) for lane in lanes]
+    """Reference-pipeline replay of every lane, in lane order."""
+    return [replay_tape_reference(tape, lane.rf, lane.config,
+                                  memory_model=lane.memory_model)
+            for lane in lanes]
 
 
 def assert_lanes_match(tape, lanes, name=""):
-    got = replay_lanes(tape, lanes, tier="batched")
+    got = replay_lanes(tape, lanes)
     want = oracle(tape, lanes)
     assert len(got) == len(lanes)
     for index, (g, w) in enumerate(zip(got, want)):
@@ -65,7 +60,7 @@ def lane_pool(count):
 
     The configs cover both speculation modes and three memory
     latencies, so any prefix wider than a few lanes already mixes
-    ``CoreConfig`` values inside one kernel call.
+    ``CoreConfig`` values inside one lane set.
     """
     configs = (
         CoreConfig(),
@@ -122,21 +117,12 @@ class TestFigure14Equivalence:
             assert_lanes_match(tape, lanes, name)
 
     def test_mixed_speculation_in_one_batch(self, some_tapes):
-        """Spec and nospec lanes of the same design share a kernel call
-        (the masked redirect class)."""
+        """Spec and nospec lanes of the same design in one lane set."""
         spec = CoreConfig()
         nospec = CoreConfig(fall_through_speculation=False)
         lanes = [Lane(RFTimingModel.for_design(d, c), c)
                  for d in ("hiperrf", "dual_bank_hiperrf")
                  for c in (spec, nospec)]
-        for name, tape in some_tapes.items():
-            assert_lanes_match(tape, lanes, name)
-
-    def test_int64_kernel_path(self, some_tapes, monkeypatch):
-        """Force the time-bound dtype choice to int64; results must not
-        change (the int32 fast path is an optimization, not semantics)."""
-        lanes = lane_pool(6)
-        monkeypatch.setattr(batched, "_INT32_BOUND", 1)
         for name, tape in some_tapes.items():
             assert_lanes_match(tape, lanes, name)
 
@@ -149,9 +135,9 @@ class TestMemoryModelFallback:
             lanes = [Lane(RFTimingModel.for_design(d, config), config,
                           memory_model=small_cache())
                      for d in ("ndro_rf", "hiperrf")]
-            got = replay_lanes(tape, lanes, tier="batched")
-            want = [replay_tape(tape, lane.rf, lane.config,
-                                memory_model=small_cache())
+            got = replay_lanes(tape, lanes)
+            want = [replay_tape_reference(tape, lane.rf, lane.config,
+                                          memory_model=small_cache())
                     for lane in lanes]
             for g, w in zip(got, want):
                 assert result_key(g) == result_key(w), name
@@ -166,16 +152,17 @@ class TestMemoryModelFallback:
             shared = small_cache()
             lanes = [Lane(RFTimingModel.for_design(d, config), config,
                           memory_model=shared) for d in designs]
-            got = replay_lanes(tape, lanes, tier="batched")
+            got = replay_lanes(tape, lanes)
             twin = small_cache()
-            want = [replay_tape(tape, lane.rf, lane.config,
-                                memory_model=twin) for lane in lanes]
+            want = [replay_tape_reference(tape, lane.rf, lane.config,
+                                          memory_model=twin)
+                    for lane in lanes]
             for g, w in zip(got, want):
                 assert result_key(g) == result_key(w), name
 
     def test_mixed_vector_and_memory_lanes_keep_order(self, some_tapes):
-        """Scalar-fallback lanes interleaved with vector lanes must land
-        back in their original slots."""
+        """Memory-model lanes interleaved with flat-memory lanes land in
+        their original slots."""
         config = CoreConfig()
         for name, tape in some_tapes.items():
             lanes = [
@@ -187,11 +174,11 @@ class TestMemoryModelFallback:
                 Lane(RFTimingModel.for_design("hiperrf", config), config,
                      memory_model=small_cache()),
             ]
-            got = replay_lanes(tape, lanes, tier="batched")
-            want = [replay_tape(tape, lane.rf, lane.config,
-                                memory_model=(small_cache()
-                                              if lane.memory_model
-                                              else None))
+            got = replay_lanes(tape, lanes)
+            want = [replay_tape_reference(tape, lane.rf, lane.config,
+                                          memory_model=(small_cache()
+                                                        if lane.memory_model
+                                                        else None))
                     for lane in lanes]
             for g, w in zip(got, want):
                 assert result_key(g) == result_key(w), name
@@ -211,53 +198,6 @@ class TestValidationAndTiers:
         with pytest.raises(ExecutionError, match=r"lane 1 \(hiperrf\)"):
             replay_lanes(tape, lanes)
 
-    def test_resolve_tier_env_vocabulary(self, monkeypatch):
-        for raw in ("off", "0", "compiled", "sequential", "-3"):
-            monkeypatch.setenv(LANES_ENV_VAR, raw)
-            assert resolve_lanes_tier() == ("compiled", None)
-        for raw in ("", "on", "batched", "auto"):
-            monkeypatch.setenv(LANES_ENV_VAR, raw)
-            assert resolve_lanes_tier() == ("batched", None)
-        monkeypatch.setenv(LANES_ENV_VAR, "8")
-        assert resolve_lanes_tier() == ("batched", 8)
-        monkeypatch.delenv(LANES_ENV_VAR)
-        assert resolve_lanes_tier() == ("batched", None)
-
-    def test_resolve_tier_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(LANES_ENV_VAR, "warp")
-        with pytest.raises(ConfigError, match="REPRO_CPU_LANES"):
-            resolve_lanes_tier()
-
-    def test_explicit_tier_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(LANES_ENV_VAR, "off")
-        assert resolve_lanes_tier("batched") == ("batched", None)
-        monkeypatch.setenv(LANES_ENV_VAR, "on")
-        assert resolve_lanes_tier("compiled") == ("compiled", None)
-        with pytest.raises(ConfigError, match="unknown CPU lane tier"):
-            resolve_lanes_tier("turbo")
-
-    def test_lane_cap_chunks_match_full_batch(self, some_tapes,
-                                              monkeypatch):
-        """A cap of 2 splits 6 lanes into three kernel calls; results
-        must be identical to the uncapped batch."""
-        lanes = lane_pool(6)
-        name, tape = next(iter(some_tapes.items()))
-        full = [result_key(r) for r in replay_lanes(tape, lanes,
-                                                    tier="batched")]
-        monkeypatch.setenv(LANES_ENV_VAR, "2")
-        capped = [result_key(r) for r in replay_lanes(tape, lanes)]
-        assert capped == full
-
-    def test_compiled_tier_env_matches_batched(self, some_tapes,
-                                               monkeypatch):
-        lanes = lanes_for_designs(RF_DESIGN_NAMES)
-        name, tape = next(iter(some_tapes.items()))
-        batch = [result_key(r) for r in replay_lanes(tape, lanes,
-                                                     tier="batched")]
-        monkeypatch.setenv(LANES_ENV_VAR, "off")
-        scalar = [result_key(r) for r in replay_lanes(tape, lanes)]
-        assert scalar == batch
-
 
 class TestMemoization:
     def test_design_tables_lru_returns_cached_arrays(self, some_tapes):
@@ -276,10 +216,3 @@ class TestMemoization:
         other = assemble(get_workload("towers").build(SCALE))
         c = OpTape.from_program(other, max_instructions=MAX_INSTRUCTIONS)
         assert c.content_fingerprint() != a.content_fingerprint()
-
-    def test_tape_statics_memoized_on_fingerprint(self, some_tapes):
-        tape = next(iter(some_tapes.values()))
-        first = batched._tape_statics(tape, "none")
-        again = batched._tape_statics(tape, "none")
-        assert first is again
-        assert batched._tape_statics(tape, "all") is not first

@@ -11,15 +11,9 @@ programs driven by the deterministic workload-generator LCG.
 import pytest
 
 from repro.cpu import CoreConfig, GateLevelPipeline, OpTape, RFTimingModel
-from repro.cpu.compiled import (
-    COMPILED_ENV_VAR,
-    compiled_enabled,
-    replay,
-    replay_tape,
-    replay_tape_reference,
-)
+from repro.cpu.compiled import replay_tape, replay_tape_reference
 from repro.cpu.rf_model import RF_DESIGN_NAMES
-from repro.errors import ConfigError, ExecutionError
+from repro.errors import ExecutionError
 from repro.experiments.figure14 import FIGURE14_WORKLOADS
 from repro.isa import Executor, Instruction, assemble
 from repro.isa.executor import ExecutedOp
@@ -165,22 +159,8 @@ class TestTierDispatch:
         tape = self._tape()
         rf = RFTimingModel.for_design("hiperrf")
         config = CoreConfig()
-        assert result_key(replay(tape, rf, config, tier="compiled")) == \
-            result_key(replay(tape, rf, config, tier="reference"))
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ConfigError, match="tier"):
-            replay(self._tape(), RFTimingModel.for_design("ndro_rf"),
-                   CoreConfig(), tier="vectorized")
-
-    def test_env_switch(self, monkeypatch):
-        monkeypatch.delenv(COMPILED_ENV_VAR, raising=False)
-        assert compiled_enabled()
-        for value in ("0", "off", "FALSE", "no"):
-            monkeypatch.setenv(COMPILED_ENV_VAR, value)
-            assert not compiled_enabled()
-        monkeypatch.setenv(COMPILED_ENV_VAR, "1")
-        assert compiled_enabled()
+        assert result_key(replay_tape(tape, rf, config)) == \
+            result_key(replay_tape_reference(tape, rf, config))
 
     def test_tape_wider_than_register_file_rejected(self):
         ops = [ExecutedOp(pc=0, instr=Instruction("add", rd=40, rs1=2),

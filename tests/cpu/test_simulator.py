@@ -60,9 +60,12 @@ class TestCpuSimulator:
             sim.run_trace(ops, "simple", max_instructions=len(ops) - 1)
 
     def test_tiers_agree(self):
+        """simulate_program's compiled lanes match the reference
+        pipeline's live run, design by design."""
         program = assemble(SIMPLE)
-        compiled = simulate_program(program, tier="compiled")
-        reference = simulate_program(program, tier="reference")
+        compiled = simulate_program(program)
+        reference = {design: CpuSimulator(design).run_program(program)
+                     for design in compiled}
         for design in compiled:
             assert compiled[design].total_cycles == \
                 reference[design].total_cycles

@@ -2,13 +2,15 @@
 
 The skew and fault studies replay every trial as a stimulus lane over
 one cached build; the compiled-netlist cache's hit/miss counters are
-the build spy.  The sweeps must also be tier-independent: forcing the
-sequential compiled oracle gives the identical outcomes.
+the build spy.  The sweeps must also be path-independent: moving the
+lane-count threshold so the other replay path runs gives the identical
+outcomes.
 """
 
 from __future__ import annotations
 
 from repro.experiments import fault_study, skew
+from repro.pulse import batched
 from repro.pulse.cache import DEFAULT_CACHE
 from repro.rf.geometry import RFGeometry
 
@@ -37,12 +39,20 @@ class TestSingleBuildPerSweep:
         assert DEFAULT_CACHE.stats()["misses"] == 1
 
 
+def run_both_paths(monkeypatch, sweep):
+    """``sweep()`` with every lane set batched, then all sequential."""
+    monkeypatch.setattr(batched, "BATCHED_MIN_LANES", 1)
+    wheel = sweep()
+    monkeypatch.setattr(batched, "BATCHED_MIN_LANES", 1 << 30)
+    return wheel, sweep()
+
+
 class TestSweepTierEquivalence:
-    def test_fault_sweep_tiers_agree(self):
-        batched = fault_study.run_sweep(tier="batched", geometry=SMALL)
-        compiled = fault_study.run_sweep(tier="compiled", geometry=SMALL)
-        assert batched == compiled
-        summary = fault_study.sweep_summary(batched)
+    def test_fault_sweep_tiers_agree(self, monkeypatch):
+        wheel, sequential = run_both_paths(
+            monkeypatch, lambda: fault_study.run_sweep(geometry=SMALL))
+        assert wheel == sequential
+        summary = fault_study.sweep_summary(wheel)
         assert summary["drop_loopback_pulse"]["trials"] == 16
         assert summary["extra_data_pulse"]["trials"] == 16
         # A dropped loopback pulse corrupts whenever the struck column
@@ -50,7 +60,8 @@ class TestSweepTierEquivalence:
         assert summary["drop_loopback_pulse"]["state_corrupted"] > 0
         assert summary["extra_data_pulse"]["state_corrupted"] == 0
 
-    def test_skew_tiers_agree(self):
+    def test_skew_tiers_agree(self, monkeypatch):
         skews = [-4.0, 0.0, 8.0]
-        assert skew.run(skews, tier="batched") == \
-            skew.run(skews, tier="compiled")
+        wheel, sequential = run_both_paths(monkeypatch,
+                                           lambda: skew.run(skews))
+        assert wheel == sequential

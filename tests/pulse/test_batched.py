@@ -1,19 +1,21 @@
-"""Cross-tier equivalence: reference vs compiled vs batched lanes.
+"""Cross-path equivalence: reference vs sequential vs batched lanes.
 
 Every scenario drives the *same* per-lane program three ways:
 
 * live on a fresh reference engine (one engine per lane - the ground
   truth),
-* as captured stimulus lanes through ``run_lanes(tier="compiled")``
-  (sequential snapshot/restore replay),
-* as the same lanes through ``run_lanes(tier="batched")`` (one shared
+* as captured stimulus lanes through ``run_lanes_sequential``
+  (snapshot/restore replay on the compiled engine),
+* as the same lanes through ``run_lanes_batched`` (one shared
   vectorized event wheel).
 
-The tiers must agree on *everything*, per lane: error type and text,
-delivered-event count, final clock, the full delivery trace (order, not
-just content), probe pulse times and component state.  Lane counts
-cover L in {1, 2, 7, 64}, lanes retire unevenly, and strict-timing
-faults and per-lane ``max_events`` exhaustion hit only some lanes of a
+Both lane paths are called directly, so each is checked at every lane
+count whatever ``run_lanes`` would pick.  They must agree on
+*everything*, per lane: error type and text, delivered-event count,
+final clock, the full delivery trace (order, not just content), probe
+pulse times and component state.  Lane counts cover L in {1, 2, 7, 64},
+lanes retire unevenly, and strict-timing faults, same-instant pulse
+pairs and per-lane ``max_events`` exhaustion hit only some lanes of a
 batch.
 """
 
@@ -21,18 +23,24 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.pulse import (
     DRO,
     Engine,
     HCDRO,
     JTL,
+    NDROC,
+    TFF,
     Probe,
     SplitTree,
     capture_stimulus,
     install_lane,
     run_lanes,
 )
+from repro.pulse import batched
+from repro.pulse.batched import run_lanes_batched, run_lanes_sequential
 from repro.pulse.demux import NdrocDemux
+from repro.pulse.logic import ClockedAnd
 from repro.rf.geometry import RFGeometry
 from repro.rf.netlist import PulseHiPerRF, PulseNdroRF
 
@@ -63,30 +71,37 @@ def _reference_outcome(build, program, lane: int, strict: bool):
     }
 
 
+def capture_lanes(engine, handle, program, lanes: int) -> list:
+    stimuli = []
+    for lane in range(lanes):
+        with capture_stimulus(engine) as capture:
+            program(engine, handle, lane)
+        stimuli.append(capture.stimulus())
+    return stimuli
+
+
 def assert_tiers_match(build, program, lanes: int,
                        strict: bool = True) -> list:
-    """Run ``lanes`` lanes of one scenario on all three tiers."""
+    """Run ``lanes`` lanes of one scenario three ways and compare."""
     references = [_reference_outcome(build, program, lane, strict)
                   for lane in range(lanes)]
 
     engine = Engine(strict_timing=strict)
     handle = build(engine)
     compiled = engine.compile()
-    stimuli = []
-    for lane in range(lanes):
-        with capture_stimulus(engine) as capture:
-            program(engine, handle, lane)
-        stimuli.append(capture.stimulus())
+    stimuli = capture_lanes(engine, handle, program, lanes)
 
-    sequential = run_lanes(compiled, stimuli, tier="compiled", trace=True)
-    batched = run_lanes(compiled, stimuli, tier="batched", trace=True)
+    sequential = run_lanes_sequential(compiled, stimuli, trace=True)
+    wheel = run_lanes_batched(compiled, stimuli, trace=True)
 
-    # Batched vs compiled: full LaneOutcome equality (state columns,
+    # Batched vs sequential: full LaneOutcome equality (state columns,
     # pending events, probes, traces, errors - everything).
-    assert batched == sequential
+    assert wheel == sequential
+    # run_lanes picks one of the two by lane count; same answer.
+    assert run_lanes(compiled, stimuli, trace=True) == sequential
 
-    # Both lane tiers vs the per-lane reference ground truth.
-    for reference, outcome in zip(references, batched):
+    # Both lane paths vs the per-lane reference ground truth.
+    for reference, outcome in zip(references, wheel):
         assert outcome.error == reference["error"]
         assert outcome.delivered == reference["delivered"]
         assert outcome.now_ps == reference["now_ps"]
@@ -96,7 +111,7 @@ def assert_tiers_match(build, program, lanes: int,
                        for name, comp in engine._components.items()
                        if isinstance(comp, Probe)}
         assert lane_probes == reference["probes"]
-    return batched
+    return wheel
 
 
 # -- netlist builders and per-lane programs -----------------------------
@@ -234,6 +249,62 @@ def program_ndrorf(engine, rf, lane):
     rf.read_word(register, rf.op_period_ps + 50.0)
 
 
+def build_same_instant(engine):
+    """An HC-DRO and an NDROC with zero-delay outputs, so a pulse they
+    emit lands in the same instant's next generation."""
+    hc = engine.add(HCDRO("hc", clk_to_q_ps=0.0))
+    hc.connect("q", engine.add(Probe("hc.q")), "in")
+    nd = engine.add(NDROC("nd", propagation_ps=0.0))
+    nd.connect("out0", engine.add(Probe("nd.out0")), "in")
+    nd.connect("out1", engine.add(Probe("nd.out1")), "in")
+    return hc, nd
+
+
+#: One burst pattern per lane (cycled): ``(cell, pin, offset_ps)``
+#: pulses around the burst instant, and whether strict timing rejects
+#: the lane.  HC-DRO ``d``+``d``/``clk``+``clk`` and NDROC ``clk``+``clk``
+#: violate; the other same-instant pairs are legal but order-dependent.
+#: In the ``nd clk, hc d, hc clk`` row both parts of the split wave emit
+#: at the burst instant; in the row after it the part before the repeat
+#: freezes the lane.
+SAME_INSTANT_PATTERNS = (
+    ((("hc", "d", 0.0), ("hc", "d", 0.0)), True),
+    ((("hc", "clk", 0.0), ("hc", "clk", 0.0)), True),
+    ((("hc", "d", 0.0), ("hc", "clk", 0.0)), False),
+    ((("hc", "clk", 0.0), ("hc", "d", 0.0)), False),
+    ((("nd", "clk", 0.0), ("nd", "clk", 0.0)), True),
+    ((("nd", "reset", 0.0), ("nd", "set", 0.0)), False),
+    ((("nd", "set", 0.0), ("nd", "reset", 0.0)), False),
+    ((("hc", "d", 0.0), ("hc", "clk", 0.0), ("nd", "reset", 0.0),
+      ("nd", "set", 0.0)), False),
+    ((("nd", "clk", 0.0), ("hc", "d", 0.0), ("hc", "clk", 0.0)), False),
+    ((("hc", "d", -5.0), ("hc", "d", 0.0), ("nd", "clk", 0.0),
+      ("nd", "clk", 0.0)), True),
+    ((), False),
+)
+
+
+def program_same_instant(engine, handle, lane):
+    """Preload, fire one lane-dependent burst, then read both cells.
+
+    Every third lane first fills the HC-DRO (3 fluxons), so its
+    ``d``+``clk`` burst meets a full cell instead of an empty one.
+    """
+    hc, nd = handle
+    cells = {"hc": hc, "nd": nd}
+    spacing = hc.min_pulse_spacing_ps
+    if lane % 3 == 2:
+        for i in range(3):
+            engine.schedule(hc, "d", 10.0 + i * spacing)
+    burst = 200.0
+    pulses, _ = SAME_INSTANT_PATTERNS[lane % len(SAME_INSTANT_PATTERNS)]
+    for name, port, offset in pulses:
+        engine.schedule(cells[name], port, burst + offset)
+    engine.schedule(nd, "clk", burst + 100.0)
+    engine.schedule(hc, "clk", burst + 100.0)
+    engine.run()
+
+
 SCENARIOS = {
     "jtl_chain": (build_jtl_chain, program_jtl, True),
     "dro_column": (build_dro_column, program_dro_column, True),
@@ -287,51 +358,75 @@ class TestCrossTierEquivalence:
                 assert outcome.error is None
 
 
+class TestStrictDuplicateSplit:
+    """A strict wave that delivers twice to one NDROC or HC-DRO is cut
+    before the repeat and run as consecutive waves at one instant."""
+
+    @pytest.mark.parametrize("lanes", LANE_COUNTS)
+    def test_same_instant_pairs_match_oracles(self, lanes):
+        outcomes = assert_tiers_match(build_same_instant,
+                                      program_same_instant, lanes)
+        for outcome in outcomes:
+            _, violates = SAME_INSTANT_PATTERNS[
+                outcome.lane % len(SAME_INSTANT_PATTERNS)]
+            if violates:
+                assert outcome.error is not None
+                assert outcome.error[0] == "TimingViolationError"
+            else:
+                assert outcome.error is None
+
+    def test_lenient_mode_same_instant_pairs(self):
+        outcomes = assert_tiers_match(build_same_instant,
+                                      program_same_instant, 22,
+                                      strict=False)
+        assert all(outcome.error is None for outcome in outcomes)
+
+
+def build_unbatchable(engine):
+    """An HC-DRO plus a TFF and a clocked AND: no vector kernel."""
+    cell, probe = build_hcdro(engine)
+    engine.add(TFF("tff"))
+    engine.add(ClockedAnd("and"))
+    return cell, probe
+
+
 class TestTierSelection:
-    def _stimuli(self, engine, handle, lanes):
-        stimuli = []
-        for lane in range(lanes):
-            with capture_stimulus(engine) as capture:
-                program_hcdro(engine, handle, lane)
-            stimuli.append(capture.stimulus())
-        return stimuli
+    def test_lane_count_picks_path(self, monkeypatch):
+        """Sequential below BATCHED_MIN_LANES, the wheel at it, and
+        sequential at any lane count when a cell has no vector kernel."""
+        calls = []
+        for name in ("run_lanes_batched", "run_lanes_sequential"):
+            real = getattr(batched, name)
 
-    def test_env_lane_cap_chunks_identically(self, monkeypatch):
+            def spy(compiled, stimuli, trace=False, _real=real,
+                    _name=name):
+                calls.append((_name, len(stimuli)))
+                return _real(compiled, stimuli, trace)
+
+            monkeypatch.setattr(batched, name, spy)
+        threshold = batched.BATCHED_MIN_LANES
+        for build, lanes, expected in (
+                (build_hcdro, threshold - 1, "run_lanes_sequential"),
+                (build_hcdro, threshold, "run_lanes_batched"),
+                (build_unbatchable, threshold, "run_lanes_sequential"),
+                (build_unbatchable, 4 * threshold, "run_lanes_sequential")):
+            engine = Engine(strict_timing=True)
+            handle = build(engine)
+            compiled = engine.compile()
+            stimuli = capture_lanes(engine, handle, program_hcdro, lanes)
+            calls.clear()
+            outcomes = run_lanes(compiled, stimuli)
+            assert calls == [(expected, lanes)]
+            assert len(outcomes) == lanes
+        with pytest.raises(SimulationError, match="no vector kernel"):
+            run_lanes_batched(compiled, stimuli)
+
+    def test_on_error_raise_carries_lane_index(self, monkeypatch):
         engine = Engine(strict_timing=True)
         handle = build_hcdro(engine)
         compiled = engine.compile()
-        stimuli = self._stimuli(engine, handle, 7)
-        whole = run_lanes(compiled, stimuli, tier="batched", trace=True)
-        monkeypatch.setenv("REPRO_PULSE_LANES", "3")
-        chunked = run_lanes(compiled, stimuli, trace=True)
-        assert chunked == whole
-
-    def test_env_off_selects_compiled(self, monkeypatch):
-        engine = Engine(strict_timing=True)
-        handle = build_hcdro(engine)
-        compiled = engine.compile()
-        stimuli = self._stimuli(engine, handle, 3)
-        expected = run_lanes(compiled, stimuli, tier="compiled")
-        monkeypatch.setenv("REPRO_PULSE_LANES", "off")
-        assert run_lanes(compiled, stimuli) == expected
-
-    def test_on_error_raise_carries_lane_index(self):
-        engine = Engine(strict_timing=True)
-        handle = build_hcdro(engine)
-        compiled = engine.compile()
-        stimuli = []
-        for lane in range(3):
-            with capture_stimulus(engine) as capture:
-                program_hcdro_faulty(engine, handle, lane)
-            stimuli.append(capture.stimulus())
-        with pytest.raises(Exception, match="lane 0:"):
-            run_lanes(compiled, stimuli, tier="batched", on_error="raise")
-
-
-class TestWavePathEquivalence:
-    """Both wave admission paths (vectorized and scalar-fallback) agree."""
-
-    @pytest.mark.parametrize("wave_min", ("1", "100000"))
-    def test_wave_min_env(self, monkeypatch, wave_min):
-        monkeypatch.setenv("REPRO_PULSE_WAVE_MIN", wave_min)
-        assert_tiers_match(build_hiperrf, program_hiperrf, 4)
+        stimuli = capture_lanes(engine, handle, program_hcdro_faulty, 3)
+        for threshold in (1, len(stimuli) + 1):  # wheel, then sequential
+            monkeypatch.setattr(batched, "BATCHED_MIN_LANES", threshold)
+            with pytest.raises(Exception, match="lane 0:"):
+                run_lanes(compiled, stimuli, on_error="raise")

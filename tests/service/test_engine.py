@@ -10,6 +10,7 @@ import pytest
 from repro.experiments.parallel import ResultCache
 from repro.service.adapters import run_job_naive
 from repro.service.engine import CoalescingEngine
+from repro.service.jobs import JobStore
 from tests.service.test_adapters import CHEAP_MARGINS
 
 
@@ -119,6 +120,26 @@ class TestCoalescing:
         assert lanes["batches_coalesced"] == 1
         assert lanes["lanes_max"] == 2
         assert lanes["lanes_p50"] == 2.0
+
+    def test_stats_totals_survive_history_trim(self):
+        """Item totals keep counting once the finished-job history
+        trims, in step with ``dispatched_items``."""
+        async def main():
+            async with CoalescingEngine(cache=None, window_ms=0,
+                                        store=JobStore(max_finished=3)
+                                        ) as eng:
+                for value in range(8):
+                    job = await eng.run("pulse_rf",
+                                        {"pattern": [[1, value]]})
+                    assert job.state.value == "done", job.error
+                return eng.stats()
+
+        stats = run(main())
+        assert stats["jobs"] == 3
+        assert stats["jobs_done"] == 8 and stats["jobs_failed"] == 0
+        assert stats["items"] == stats["dispatched_items"] == 8
+        assert stats["item_computed"] == 8
+        assert stats["item_cache_hits"] == stats["item_coalesced"] == 0
 
     def test_engine_without_cache_still_coalesces(self):
         async def main():
