@@ -26,7 +26,7 @@ bench:
 # Tracks the RCSJ solver speedup trajectory across PRs: writes machine-
 # readable timings (incl. the reference-solver baseline) to BENCH_josim.json.
 bench-josim:
-	pytest benchmarks/bench_josim.py --benchmark-only \
+	PYTHONPATH=src pytest benchmarks/bench_josim.py --benchmark-only \
 		--benchmark-json=BENCH_josim.json
 
 # Tracks the compiled pulse-engine backend against the reference event

@@ -14,8 +14,10 @@ the chunked Monte Carlo tier and records lanes/sec at each batch size.
 import os
 import time
 
+import pytest
+
 from repro.experiments import josim_cells
-from repro.josim import sweep
+from repro.josim import sweep, testbench
 from repro.josim.margins import sweep_margin_grid, sweep_read_amplitude
 from repro.josim.testbench import HCDROTestbench
 
@@ -99,25 +101,20 @@ def test_batched_margin_grid_speedup(benchmark):
 
     Both paths sweep the identical 5x5 (read, bias) grid with the
     default three write counts (75 lanes), run cache cleared so every
-    lane is simulated.  The scalar path is forced with
-    ``REPRO_JOSIM_BATCH=0``; the batched path groups the 75 configs
-    into three 25-lane topology batches.  Verdicts must agree
-    point-for-point - the scalar solver is the equivalence oracle.
+    lane is simulated.  The batched path groups the 75 configs into
+    three 25-lane topology batches; the scalar path lifts the lane-count
+    rule above 25 lanes, so the scalar testbench runs once per grid
+    config.  Verdicts must agree point-for-point - the scalar solver is
+    the equivalence oracle.
     """
     def grid():
         sweep.clear_run_cache()
         return sweep_margin_grid(GRID_SCALES, GRID_SCALES, workers=1)
 
-    saved = os.environ.get(sweep.BATCH_ENV_VAR)
-    try:
-        os.environ[sweep.BATCH_ENV_VAR] = "0"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(testbench, "BATCHED_MIN_LANES", 2**30)
         scalar_points = grid()
         t_scalar = _best_of(grid)
-    finally:
-        if saved is None:
-            os.environ.pop(sweep.BATCH_ENV_VAR, None)
-        else:
-            os.environ[sweep.BATCH_ENV_VAR] = saved
     batched_points = grid()
     t_batched = _best_of(grid)
     assert [(p.read_amplitude_ua, p.j2_bias_ua, p.correct)
@@ -146,8 +143,8 @@ def test_megabatch_monte_carlo_yield(benchmark):
     Every lane is one full HC-DRO margin-testbench program (3 writes,
     4 reads) with sampled Ic/L/bias process spreads, evaluated on one
     worker through the chunked block-diagonal batched tier (peak
-    memory bounded by ``REPRO_JOSIM_CHUNK``, never a ``(B, n, n)``
-    dense stack across the whole batch).  The scalar baseline runs the
+    memory bounded by ``CHUNK_LANES``, never a ``(B, n, n)`` dense
+    stack across the whole batch).  The scalar baseline runs the
     identical sampled lanes through ``TransientSolver`` one by one;
     the recorded floor is batched-vs-scalar lanes/sec at the largest
     batch size.

@@ -37,7 +37,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.experiments.parallel import cache_max_bytes, enforce_cache_limit
+from repro.experiments.parallel import (
+    CACHE_ENV_VAR,
+    cache_max_bytes,
+    enforce_cache_limit,
+)
 from repro.isa.assembler import Program
 from repro.isa.executor import ExecutedOp, Executor, HaltReason
 
@@ -46,10 +50,6 @@ FLAG_LOAD = 1
 FLAG_STORE = 2
 FLAG_TAKEN = 4
 FLAG_BRANCH = 8
-
-#: Environment variable enabling the default on-disk trace cache (shared
-#: with :mod:`repro.experiments.parallel`'s result cache).
-CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 
 
 class _ReplayInstr:

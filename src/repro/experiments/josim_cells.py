@@ -5,9 +5,10 @@ and confirms the paper's claims: the cell robustly stores 0-3 fluxons
 (2 bits), overflow pulses are dissipated, and each read pops exactly one
 stored fluxon (destructive readout).
 
-The write-count sweep is dispatched through :mod:`repro.josim.sweep`,
-so the five transients fan out across worker processes and repeated
-configurations come from the run-cache.
+The write-count sweep is dispatched through :mod:`repro.josim.sweep`.
+Each write count is its own one-lane topology group, so the five
+transients run on the scalar solver and fan out across worker
+processes; repeated configurations come from the run-cache.
 """
 
 from __future__ import annotations

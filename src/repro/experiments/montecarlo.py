@@ -9,7 +9,9 @@ solver — so the default 96-sample study is a few hundred transients,
 not a few hundred scalar solver calls.
 
 Pass ``workers=1`` (or ``REPRO_SWEEP_WORKERS=1``) to force serial
-execution; ``REPRO_JOSIM_CHUNK`` bounds solver memory either way.
+execution; each worker dispatch is one solver chunk
+(:data:`repro.josim.solver.CHUNK_LANES` lanes), which bounds solver
+memory either way.
 """
 
 from __future__ import annotations

@@ -50,7 +50,6 @@ from repro.josim.sweep import (
     sweep_map,
     topology_key,
 )
-from repro.josim.backend import ArrayBackend, available_backends, get_backend
 from repro.josim.montecarlo import (
     SpreadSpec,
     YieldConfig,
@@ -59,7 +58,6 @@ from repro.josim.montecarlo import (
 )
 
 __all__ = [
-    "ArrayBackend",
     "BatchedTransientSolver",
     "BiasCurrent",
     "Capacitor",
@@ -75,11 +73,9 @@ __all__ = [
     "TransientSolver",
     "YieldConfig",
     "YieldReport",
-    "available_backends",
     "build_dro_cell",
     "build_hcdro_cell",
     "build_jtl_stage",
-    "get_backend",
     "junction_fluxons",
     "loop_fluxons",
     "run_configs",

@@ -1,191 +1,26 @@
-"""Pluggable array backend for the batched RCSJ solver.
+"""The array namespace the batched RCSJ solver runs on.
 
-The mega-batch Monte Carlo tier runs the same Newton hot loop over
-``(lanes, n)`` state arrays whether the arrays live in NumPy, CuPy or
-any other ``numpy``-compatible namespace.  This module is the seam: the
-solver asks :func:`get_backend` for an :class:`ArrayBackend` once and
-then touches arrays only through ``backend.xp`` (the array namespace)
-and ``backend.solve_lanes`` (the batched block-diagonal linear solve).
-
-Backends:
-
-* ``numpy`` (default) — the NumPy namespace with the LAPACK-batched
-  ``numpy.linalg.solve`` gufunc as the lane solver.
-* ``numpy-lu`` — NumPy arrays, but the lane solve goes through
-  :func:`lu_solve_lanes`, the generic vectorized LU factorization with
-  partial pivoting written against seam ops only.  This is the kernel a
-  namespace without a native batched solve falls back to; keeping it
-  selectable on NumPy keeps it continuously tested against LAPACK.
-* ``cupy`` — resolved lazily; raises :class:`ConfigError` with an
-  actionable message when CuPy is not installed (this container ships
-  NumPy only).
-
-Third-party namespaces (e.g. a torch adapter) plug in through
-:func:`register_backend` without touching the solver.
-
-Selection: an explicit ``get_backend(name)`` argument wins, then the
-``REPRO_JOSIM_BACKEND`` environment variable, then ``numpy``.
+:class:`~repro.josim.solver.BatchedTransientSolver` calls NumPy
+directly (its stacked lane solve is the LAPACK-batched
+``numpy.linalg.solve``).  This module only names that namespace, so a
+report can record which one a measurement ran on.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from types import ModuleType
-from typing import Any, Callable, Dict, Optional
-
-import numpy as np
-
-from repro.errors import ConfigError
-
-#: Environment variable selecting the array backend (default ``numpy``).
-BACKEND_ENV_VAR = "REPRO_JOSIM_BACKEND"
-
-#: Backend-native array handle (np.ndarray for the NumPy backends).
-Array = Any
 
 
 @dataclass(frozen=True)
 class ArrayBackend:
-    """One array namespace plus the batched linear-algebra kernel.
-
-    ``xp`` is a ``numpy``-compatible module; every array op in the
-    solver hot loop goes through it.  ``solve_lanes`` solves the
-    block-diagonal stacked system ``A[i] @ x[i] = b[i]`` for contiguous
-    lane-major ``A`` of shape ``(lanes, n, n)`` and ``b`` of shape
-    ``(lanes, n)``, raising ``numpy.linalg.LinAlgError`` when any lane
-    is singular.  ``to_numpy``/``from_numpy`` move arrays across the
-    host boundary (identity for NumPy).
-    """
+    """Name of the array namespace the solver runs on."""
 
     name: str
-    xp: ModuleType
-    solve_lanes: Callable[[Array, Array], Array]
-    to_numpy: Callable[[Array], np.ndarray]
-    from_numpy: Callable[[np.ndarray], Array]
 
 
-def lu_solve_lanes(xp: ModuleType, jacobians: Array, rhs: Array) -> Array:
-    """Batched LU solve with partial pivoting, written in seam ops only.
-
-    Factors every lane's small ``(n, n)`` block independently — one
-    vectorized elimination pass per column, all lanes advanced together
-    over the contiguous lane-major stack — so a namespace without a
-    native batched ``solve`` still gets the block-diagonal Newton path.
-    Raises ``numpy.linalg.LinAlgError`` on a singular (or non-finite)
-    lane, matching the native kernels.
-    """
-    a = xp.array(jacobians, dtype=float)
-    b = xp.array(rhs, dtype=float)
-    lanes = xp.arange(a.shape[0])
-    n = int(a.shape[1])
-    for k in range(n):
-        pivot_rows = xp.argmax(xp.abs(a[:, k:, k]), axis=1) + k
-        # Per-lane row swap k <-> pivot (fancy indexing yields copies,
-        # so the three-step swap is safe).
-        held_a = a[lanes, k]
-        a[lanes, k] = a[lanes, pivot_rows]
-        a[lanes, pivot_rows] = held_a
-        held_b = b[lanes, k]
-        b[lanes, k] = b[lanes, pivot_rows]
-        b[lanes, pivot_rows] = held_b
-        pivots = a[:, k, k]
-        if not bool(xp.all(xp.abs(pivots) > 0.0)):
-            raise np.linalg.LinAlgError(
-                f"singular lane block in batched LU (column {k})")
-        factors = a[:, k + 1:, k] / pivots[:, None]
-        a[:, k + 1:, k:] -= factors[:, :, None] * a[:, k, k:][:, None, :]
-        b[:, k + 1:] -= factors * b[:, k][:, None]
-    x = xp.zeros_like(b)
-    for k in range(n - 1, -1, -1):
-        partial = (a[:, k, k + 1:] * x[:, k + 1:]).sum(axis=1)
-        x[:, k] = (b[:, k] - partial) / a[:, k, k]
-    return x
+_NUMPY = ArrayBackend(name="numpy")
 
 
-def _numpy_solve_lanes(jacobians: Array, rhs: Array) -> Array:
-    return np.linalg.solve(jacobians, rhs[..., None])[..., 0]
-
-
-def _numpy_lu_solve_lanes(jacobians: Array, rhs: Array) -> Array:
-    return lu_solve_lanes(np, jacobians, rhs)
-
-
-def _identity(array: Array) -> Array:
-    return array
-
-
-def _make_numpy_backend() -> ArrayBackend:
-    return ArrayBackend(name="numpy", xp=np,
-                        solve_lanes=_numpy_solve_lanes,
-                        to_numpy=np.asarray, from_numpy=_identity)
-
-
-def _make_numpy_lu_backend() -> ArrayBackend:
-    return ArrayBackend(name="numpy-lu", xp=np,
-                        solve_lanes=_numpy_lu_solve_lanes,
-                        to_numpy=np.asarray, from_numpy=_identity)
-
-
-def _make_cupy_backend() -> ArrayBackend:  # pragma: no cover - needs GPU
-    try:
-        import cupy
-    except ImportError as exc:
-        raise ConfigError(
-            "josim array backend 'cupy' requested via "
-            f"{BACKEND_ENV_VAR} but cupy is not installed; install "
-            "cupy-cuda* or fall back to REPRO_JOSIM_BACKEND=numpy"
-        ) from exc
-
-    def cupy_solve(jacobians: Array, rhs: Array) -> Array:
-        return cupy.linalg.solve(jacobians, rhs[..., None])[..., 0]
-
-    return ArrayBackend(name="cupy", xp=cupy, solve_lanes=cupy_solve,
-                        to_numpy=cupy.asnumpy, from_numpy=cupy.asarray)
-
-
-_FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {
-    "numpy": _make_numpy_backend,
-    "numpy-lu": _make_numpy_lu_backend,
-    "cupy": _make_cupy_backend,
-}
-
-_CACHE: Dict[str, ArrayBackend] = {}
-
-
-def register_backend(name: str,
-                     factory: Callable[[], ArrayBackend]) -> None:
-    """Register (or replace) a backend factory under ``name``.
-
-    The factory runs on first :func:`get_backend` resolution; raising
-    :class:`ConfigError` from it is the supported way to report an
-    unusable backend (missing package, no device).
-    """
-    key = name.strip().lower()
-    if not key:
-        raise ConfigError("backend name must be non-empty")
-    _FACTORIES[key] = factory
-    _CACHE.pop(key, None)
-
-
-def available_backends() -> list[str]:
-    """Registered backend names (not all of them may resolve)."""
-    return sorted(_FACTORIES)
-
-
-def get_backend(name: Optional[str] = None) -> ArrayBackend:
-    """Resolve a backend: argument, then ``REPRO_JOSIM_BACKEND``, then numpy."""
-    resolved = (name if name is not None
-                else os.environ.get(BACKEND_ENV_VAR, "numpy"))
-    key = resolved.strip().lower() or "numpy"
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-    factory = _FACTORIES.get(key)
-    if factory is None:
-        raise ConfigError(
-            f"unknown josim array backend {resolved!r}; known backends: "
-            f"{', '.join(available_backends())}")
-    backend = factory()
-    _CACHE[key] = backend
-    return backend
+def get_backend() -> ArrayBackend:
+    """The batched solver's array namespace: always NumPy."""
+    return _NUMPY

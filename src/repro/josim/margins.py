@@ -9,13 +9,16 @@ fluxons, pops exactly one per clock, empty reads silent).
 
 All sweeps are dispatched through :mod:`repro.josim.sweep`: operating
 points are grouped by topology (write/read counts and timestep) and
-each group runs as one lane-parallel batched transient — on a 1-CPU
-host the whole grid executes in-process through the batched solver;
-with more workers, whole batches fan out across processes.  Repeated
+each group's lane count picks the solver
+(:func:`repro.josim.testbench.run_hcdro_batch`) — groups of
+``BATCHED_MIN_LANES`` or more run as one lane-parallel batched
+transient, smaller ones config by config on the scalar solver.  On a
+1-CPU host the whole grid executes in-process; with more workers,
+whole groups fan out across processes.  Repeated
 testbench configurations (e.g. the shared nominal point of a
 row/column sweep) are simulated once thanks to the keyed run-cache.
-The API here is unchanged by the batched backend: callers still hand
-over grids of scales and get :class:`MarginPoint` verdicts back.
+Callers hand over grids of scales and get :class:`MarginPoint`
+verdicts back.
 """
 
 from __future__ import annotations

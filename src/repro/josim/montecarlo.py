@@ -16,9 +16,10 @@ chunked block-diagonal batched solver:
   receives (bitwise reproducibility).
 * :func:`run_yield_analysis` shards ``samples x read_scales`` lanes
   through :class:`~repro.josim.solver.BatchedTransientSolver` (one
-  topology group, streamed per-chunk via ``run_reduced`` so waveforms
-  never accumulate), optionally fanning shards out across worker
-  processes, and rolls the integer verdicts up into a
+  topology group, one solver chunk per shard, streamed via
+  ``run_reduced`` so waveforms never accumulate), optionally fanning
+  shards out across worker processes, and rolls the integer verdicts
+  up into a
   :class:`YieldReport` (yield %, percentile margins, per-parameter
   sensitivity).
 * :func:`verify_against_scalar` replays randomly sampled lanes through
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -47,8 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.experiments.parallel import parallel_map, resolve_workers
-from repro.josim.backend import BACKEND_ENV_VAR, available_backends
+from repro.experiments.parallel import parallel_map
 from repro.josim.cells import (
     CellHandles,
     RECOMMENDED_J2_BIAS_UA,
@@ -60,9 +59,9 @@ from repro.josim.cells import (
 from repro.josim.elements import BiasCurrent, Inductor, JosephsonJunction
 from repro.josim.solver import (
     BatchedTransientSolver,
-    CHUNK_ENV_VAR,
     TransientResult,
     TransientSolver,
+    chunk_lane_limit,
 )
 from repro.josim.testbench import HCDRORunReport, _reduce_report, _stamp_stimulus
 
@@ -127,8 +126,6 @@ class YieldConfig:
     settle_ps: float = 30.0
     timestep_ps: float = 0.05
     record_every: int = 20
-    shard_lanes: int = 2048
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.samples <= 0:
@@ -139,8 +136,6 @@ class YieldConfig:
             raise ConfigError("read_scales must be positive")
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
-        if self.shard_lanes < 1:
-            raise ConfigError("shard_lanes must be >= 1")
 
     @property
     def lanes(self) -> int:
@@ -277,7 +272,7 @@ class _ShardTask:
 
 
 def _run_shard(task: _ShardTask) -> List[LaneOutcome]:
-    """Run one shard's lanes as a single chunked batched transient."""
+    """Run one shard's lanes as one batched-solver chunk."""
     config = task.config
     lanes = [
         _build_lane(config, task.specs, task.multiplier_rows[i], scale)
@@ -287,8 +282,7 @@ def _run_shard(task: _ShardTask) -> List[LaneOutcome]:
         [handles.circuit for handles, _, _ in lanes],
         timestep_ps=config.timestep_ps,
         labels=[f"mc lane {i} (scale {scale:g})"
-                for i, scale in enumerate(task.read_scales)],
-        backend=config.backend)
+                for i, scale in enumerate(task.read_scales)])
     outcomes: List[Optional[LaneOutcome]] = [None] * len(lanes)
 
     def reduce(lane: int, result: TransientResult) -> None:
@@ -308,26 +302,24 @@ def run_lanes(config: YieldConfig, multipliers: np.ndarray,
               workers: Optional[int] = None) -> List[LaneOutcome]:
     """Evaluate every (sample, scale) lane; returns sample-major outcomes.
 
-    Lanes are split into driver-level shards of ``config.shard_lanes``
-    (each shard is itself chunk-streamed by the batched solver, so peak
-    memory is governed by ``REPRO_JOSIM_CHUNK`` either way); shards fan
-    out across worker processes when more than one resolves.
+    Lanes are split into shards of one batched-solver chunk
+    (:data:`~repro.josim.solver.CHUNK_LANES`), so peak memory is one
+    chunk's; shards fan out across worker processes when more than one
+    worker resolves and more than one shard exists.
     """
     scales = config.read_scales
     lane_scales = [scale for _ in range(config.samples) for scale in scales]
     lane_samples = [s for s in range(config.samples) for _ in scales]
+    shard = chunk_lane_limit()
     tasks: List[_ShardTask] = []
-    for start in range(0, len(lane_scales), config.shard_lanes):
-        stop = min(start + config.shard_lanes, len(lane_scales))
+    for start in range(0, len(lane_scales), shard):
+        stop = min(start + shard, len(lane_scales))
         tasks.append(_ShardTask(
             config=config,
             specs=tuple(specs),
             multiplier_rows=multipliers[lane_samples[start:stop]],
             read_scales=tuple(lane_scales[start:stop])))
-    if resolve_workers(workers) <= 1 or len(tasks) <= 1:
-        shard_results = [_run_shard(task) for task in tasks]
-    else:
-        shard_results = parallel_map(_run_shard, tasks, workers=workers)
+    shard_results = parallel_map(_run_shard, tasks, workers=workers)
     outcomes: List[LaneOutcome] = []
     for result in shard_results:
         outcomes.extend(result)
@@ -453,8 +445,7 @@ def verify_against_scalar(config: Optional[YieldConfig] = None,
         ))
     solver = BatchedTransientSolver(
         [batched[0].circuit for batched, _ in built],
-        timestep_ps=config.timestep_ps,
-        backend=config.backend)
+        timestep_ps=config.timestep_ps)
     batched_results = solver.run([batched[2] for batched, _ in built])
     worst = 0.0
     for (_, scalar_lane), batched_result in zip(built, batched_results):
@@ -541,23 +532,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="comma-separated read-amplitude scales")
     parser.add_argument("--writes", type=int, default=3)
     parser.add_argument("--reads", type=int, default=4)
-    parser.add_argument("--shard-lanes", type=int, default=2048,
-                        help="lanes per worker dispatch unit")
-    parser.add_argument("--chunk", type=int, default=None,
-                        help=f"override {CHUNK_ENV_VAR} (solver chunk lanes)")
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--backend", type=str, default=None,
-                        choices=available_backends(),
-                        help=f"array backend (default: ${BACKEND_ENV_VAR} "
-                             "or numpy)")
     parser.add_argument("--verify", type=int, default=0, metavar="LANES",
                         help="also replay LANES lanes through the scalar "
                              "oracle and report max |dphi|")
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
 
-    if args.chunk is not None:
-        os.environ[CHUNK_ENV_VAR] = str(args.chunk)
     try:
         config = YieldConfig(
             samples=args.samples,
@@ -566,9 +547,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                sigma_bias=args.sigma_bias),
             read_scales=_parse_scales(args.scales),
             writes=args.writes,
-            reads=args.reads,
-            shard_lanes=args.shard_lanes,
-            backend=args.backend)
+            reads=args.reads)
         report = run_yield_analysis(config, workers=args.workers)
         payload = _report_dict(report)
         if args.verify > 0:

@@ -22,26 +22,28 @@ Three assembly tiers share one set of physics:
   *value vectors* and scattered into flat block-diagonal ``(chunk,
   n*n)`` Jacobian blocks one chunk at a time — a mega-batch of 10^5
   lanes never materializes a ``(B, n, n)`` dense stack.  Lanes are
-  processed in chunks of ``REPRO_JOSIM_CHUNK`` so peak memory is
+  processed in chunks of :data:`CHUNK_LANES` so peak memory is
   ``O(chunk * n^2)`` regardless of B; within a chunk one Python-level
   timestep loop advances every lane: one batched ``sin``/``cos`` pass,
   one batched residual matmul, per-lane convergence masks with lane
-  freezing (converged lanes drop out of further solves), a batched
-  block-diagonal LU solve over the still-active sub-batch through the
-  :mod:`repro.josim.backend` seam, and lane retirement for uneven
-  stimulus durations.  Per-lane trajectories match the compiled scalar
-  backend to ~1e-9.  :meth:`BatchedTransientSolver.run_reduced` streams
-  per-lane results through a reducer chunk by chunk so yield analyses
-  over 10^4-10^5 lanes never hold every trajectory at once.
+  freezing (converged lanes drop out of further solves), one
+  LAPACK-batched ``numpy.linalg.solve`` over the still-active
+  sub-batch, and lane retirement for uneven stimulus durations.
+  Per-lane trajectories match the compiled scalar tier to ~1e-9.
+  :meth:`BatchedTransientSolver.run_reduced` streams per-lane results
+  through a reducer chunk by chunk so yield analyses over 10^4-10^5
+  lanes never hold every trajectory at once.
 * **reference** (``reference=True``): the original per-element assembly,
   kept as the independently-auditable ground truth.  The equivalence
   tests drive all backends through the same decks and assert the
   trajectories agree to ~1e-9.
+
+At one lane the batched tier is ~3x slower than the compiled one, so
+:func:`repro.josim.testbench.run_hcdro_batch` picks by lane count.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
@@ -56,7 +58,6 @@ except ImportError:  # pragma: no cover - scipy is normally available
     _GESV = None
 
 from repro.errors import SimulationError
-from repro.josim.backend import ArrayBackend, get_backend
 from repro.josim.circuit import Circuit
 from repro.josim.elements import (
     BiasCurrent,
@@ -75,28 +76,17 @@ from repro.josim.elements import (
 #: silently blows memory on the table alone.
 _SOURCE_TABLE_LIMIT = 4_000_000
 
-#: Environment variable capping lanes per batched-solver chunk.  Peak
-#: memory of a batched run is ``O(chunk * n^2)`` (plus the chunk's
-#: recording buffers) regardless of the total lane count; ``0`` or
-#: ``off`` disables chunking (the whole batch runs as one chunk).
-CHUNK_ENV_VAR = "REPRO_JOSIM_CHUNK"
-_DEFAULT_CHUNK_LANES = 2048
+#: Lanes per batched-solver chunk.  Peak memory of a batched run is
+#: ``O(chunk * n^2)`` (plus the chunk's recording buffers) regardless
+#: of the total lane count.
+CHUNK_LANES = 2048
 
 R = TypeVar("R")
 
 
 def chunk_lane_limit() -> int:
-    """Configured lanes-per-chunk cap; 0 means a single chunk."""
-    env = os.environ.get(CHUNK_ENV_VAR)
-    if env is not None:
-        lowered = env.strip().lower()
-        if lowered in ("off", "false", "no"):
-            return 0
-        try:
-            return max(0, int(lowered))
-        except ValueError:
-            pass
-    return _DEFAULT_CHUNK_LANES
+    """Lanes per batched-solver chunk (:data:`CHUNK_LANES`)."""
+    return CHUNK_LANES
 
 
 @dataclass
@@ -711,10 +701,8 @@ class _BatchedStamps:
     """
 
     def __init__(self, circuits: Sequence[Circuit], h: float,
-                 structure: _BatchedStructure,
-                 backend: Optional[ArrayBackend] = None) -> None:
+                 structure: _BatchedStructure) -> None:
         self.struct = structure
-        self.backend = backend if backend is not None else get_backend()
         n = structure.n
         batch = len(circuits)
         self.batch = batch
@@ -736,15 +724,11 @@ class _BatchedStamps:
         a_a_flat = a_vals @ structure.stamp_a
         j_lin_flat = (phi_vals @ structure.stamp_phi
                       + dv * a_v_flat + da * a_a_flat)
-        from_numpy = self.backend.from_numpy
-        self.a_v_flat = from_numpy(np.ascontiguousarray(a_v_flat))
-        self.a_a_flat = from_numpy(np.ascontiguousarray(a_a_flat))
-        self.j_lin_flat = from_numpy(np.ascontiguousarray(j_lin_flat))
-        self.ic = from_numpy(lane_values(
-            structure.jj_idx, lambda e: e.critical_current_ua))
-        self.incidence_t = from_numpy(structure.incidence_t)
-        self.r_sin_t = from_numpy(structure.r_sin_t)
-        self.jc_t = from_numpy(structure.jc_t)
+        self.a_v_flat = np.ascontiguousarray(a_v_flat)
+        self.a_a_flat = np.ascontiguousarray(a_a_flat)
+        self.j_lin_flat = np.ascontiguousarray(j_lin_flat)
+        self.ic = lane_values(structure.jj_idx,
+                              lambda e: e.critical_current_ua)
 
         self.bias_cur = lane_values(structure.bias_idx,
                                     lambda e: e.current_ua)
@@ -789,18 +773,16 @@ class BatchedTransientSolver:
 
     Stacks ``B`` circuits sharing one :func:`topology_signature` into
     lane-major state arrays and advances them through a Python-level
-    timestep loop, ``REPRO_JOSIM_CHUNK`` lanes at a time; the Newton
+    timestep loop, :data:`CHUNK_LANES` lanes at a time; the Newton
     iteration is fully vectorized across a chunk's lanes, converged
     lanes freeze out of further solves, and lanes with shorter stimulus
     programs retire early (``run`` takes per-lane durations).  Per-lane
     parameters live in compact value vectors scattered into flat
     block-diagonal Jacobian rows per chunk, so a mega-batch never
-    materializes a ``(B, n, n)`` dense stack; the stacked lane solve
-    goes through the :mod:`repro.josim.backend` seam (NumPy's
-    LAPACK-batched kernel by default, the generic batched LU for
-    namespaces without one).  Per-lane trajectories match
-    :class:`TransientSolver`'s compiled path to ~1e-9 — the scalar
-    backend is the equivalence oracle.
+    materializes a ``(B, n, n)`` dense stack; the stacked lane solve is
+    NumPy's LAPACK-batched ``linalg.solve``.  Per-lane trajectories
+    match :class:`TransientSolver`'s compiled path to ~1e-9 — the
+    scalar tier is the equivalence oracle.
 
     ``labels`` names lanes in :class:`SimulationError` messages (e.g.
     the sweep layer passes the lane's ``HCDROConfig`` repr) so a failing
@@ -810,8 +792,7 @@ class BatchedTransientSolver:
     def __init__(self, circuits: Sequence[Circuit],
                  timestep_ps: float = 0.05, newton_tol_ua: float = 1e-6,
                  max_newton_iter: int = 60,
-                 labels: Optional[Sequence[str]] = None,
-                 backend: Optional[str] = None) -> None:
+                 labels: Optional[Sequence[str]] = None) -> None:
         circuits = list(circuits)
         if not circuits:
             raise SimulationError("empty batch")
@@ -838,7 +819,6 @@ class BatchedTransientSolver:
         self.max_iter = max_newton_iter
         self.signature = signatures[0]
         self._n = circuits[0].num_nodes
-        self._backend_name = backend
         self._compile()
 
     def _compile(self) -> None:
@@ -904,15 +884,12 @@ class BatchedTransientSolver:
                 len(c.elements) for c in self.circuits]:
             self._compile()  # a circuit grew since construction
         steps = np.array([int(round(float(d) / self.h)) for d in durations])
-        backend = get_backend(self._backend_name)
         chunk = chunk_lane_limit()
-        if chunk <= 0:
-            chunk = batch
         outputs: List[R] = []
         for start in range(0, batch, chunk):
             stop = min(start + chunk, batch)
             stamps = _BatchedStamps(self.circuits[start:stop], self.h,
-                                    self._structure, backend)
+                                    self._structure)
             times, phases, velocities, rows = self._run_batched(
                 stamps, steps[start:stop], record_every, start)
             for offset in range(stop - start):
@@ -939,8 +916,6 @@ class BatchedTransientSolver:
     def _run_batched(self, stamps: _BatchedStamps, steps: np.ndarray,
                      record_every: int, lane_offset: int):
         """Advance one chunk of lanes; ``steps`` is chunk-local."""
-        backend = stamps.backend
-        xp = backend.xp
         n = self._n
         h = self.h
         tol = self.tol
@@ -949,9 +924,9 @@ class BatchedTransientSolver:
         c1 = 2.0 / h
         c2 = 4.0 / (h * h)
         c3 = 4.0 / h
-        phi = xp.zeros((batch, n))
-        v = xp.zeros((batch, n))
-        a = xp.zeros((batch, n))
+        phi = np.zeros((batch, n))
+        v = np.zeros((batch, n))
+        a = np.zeros((batch, n))
         times, phases, velocities = self._record_plan(steps, record_every)
         rows = np.ones(batch, dtype=int)  # row 0 is the t=0 state
 
@@ -960,17 +935,17 @@ class BatchedTransientSolver:
         a_v = stamps.a_v_flat.reshape(batch, n, n)
         a_a = stamps.a_a_flat.reshape(batch, n, n)
         ic = stamps.ic
-        incidence_t = stamps.incidence_t
-        r_sin_t = stamps.r_sin_t
-        jc_t = stamps.jc_t
+        incidence_t = stamps.struct.incidence_t
+        r_sin_t = stamps.struct.r_sin_t
+        jc_t = stamps.struct.jc_t
 
         max_steps = int(steps.max())
         # Per-chunk source table; the limit accounts for the chunk's
         # lane count (steps * n * chunk entries), falling back to
         # per-step evaluation for very long or very wide chunks.
         if max_steps * batch * max(n, 1) <= _SOURCE_TABLE_LIMIT:
-            source_rows = backend.from_numpy(stamps.source_residual(
-                h * np.arange(1, max_steps + 1)))
+            source_rows = stamps.source_residual(
+                h * np.arange(1, max_steps + 1))
         else:
             source_rows = None
 
@@ -998,8 +973,7 @@ class BatchedTransientSolver:
             if source_rows is not None:
                 step_const += source_rows[step - 1][gather]
             else:
-                step_const += backend.from_numpy(
-                    stamps.source_residual(t))[gather]
+                step_const += stamps.source_residual(t)[gather]
             j_lin_act = j_lin[gather]
             j_lin_flat_act = j_lin_flat[gather]
             ic_act = ic[gather]
@@ -1012,8 +986,8 @@ class BatchedTransientSolver:
                 dphi = sub @ incidence_t
                 residual = (j_lin_act[work] @ sub[..., None])[..., 0]
                 residual += step_const[work]
-                residual += (ic_act[work] * xp.sin(dphi)) @ r_sin_t
-                sub_norms = backend.to_numpy(xp.abs(residual).max(axis=1))
+                residual += (ic_act[work] * np.sin(dphi)) @ r_sin_t
+                sub_norms = np.abs(residual).max(axis=1)
                 norms[work] = sub_norms
                 converged = sub_norms < tol
                 if converged.any():
@@ -1026,18 +1000,17 @@ class BatchedTransientSolver:
                     residual = residual[keep]
                     dphi = dphi[keep]
                 jac = (j_lin_flat_act[work]
-                       + (ic_act[work] * xp.cos(dphi)) @ jc_t)
+                       + (ic_act[work] * np.cos(dphi)) @ jc_t)
                 jac = jac.reshape(-1, n, n)
                 try:
-                    update = backend.solve_lanes(jac, residual)
+                    update = np.linalg.solve(jac, residual[..., None])[..., 0]
                 except np.linalg.LinAlgError as exc:
                     lane = lane_offset + self._singular_lane(
-                        backend.to_numpy(jac), backend.to_numpy(residual),
-                        active[work])
+                        jac, residual, active[work])
                     raise self._lane_error(
                         lane, "singular Jacobian", t) from exc
                 # Damped Newton keeps 2pi phase slips stable (per lane).
-                max_step = xp.abs(update).max(axis=1)
+                max_step = np.abs(update).max(axis=1)
                 over = max_step > 1.0
                 if bool(over.any()):
                     update[over] /= max_step[over][:, None]
@@ -1058,8 +1031,8 @@ class BatchedTransientSolver:
             if selected.size:
                 at = rows[selected]
                 times[selected, at] = t
-                phases[selected, at, 1:] = backend.to_numpy(phi[selected])
-                velocities[selected, at, 1:] = backend.to_numpy(v[selected])
+                phases[selected, at, 1:] = phi[selected]
+                velocities[selected, at, 1:] = v[selected]
                 rows[selected] = at + 1
         return times, phases, velocities, rows
 

@@ -9,37 +9,27 @@ provides the shared driver used by :mod:`repro.josim.margins` and the
   testbench run (drive point + stimulus counts), usable as a cache key
   and picklable for worker processes.
 * :func:`simulate_hcdro` — run one configuration and reduce it to a
-  :class:`HCDROSummary` (the full waveform stays in the worker).
+  :class:`HCDROSummary` (the full waveform stays in the worker),
+  consulting the run-cache first.
 * :func:`simulate_hcdro_batch` — run many *same-topology*
-  configurations as lanes of one batched transient
-  (:class:`~repro.josim.solver.BatchedTransientSolver`).
+  configurations through :func:`repro.josim.testbench.run_hcdro_batch`,
+  whose lane count picks the scalar or the batched solver.
 * :func:`run_configs` — simulate many configurations with deterministic
-  result ordering and an LRU-bounded process-global run-cache.  Pending
-  configurations are grouped by :func:`topology_key` (write count, read
-  count, timestep — the config-level proxy for
-  :func:`repro.josim.solver.topology_signature`) and each group runs as
-  one batched transient.  With more than one resolved worker, whole
-  batches fan out across a ``ProcessPoolExecutor``; when
-  :func:`resolve_workers` yields 1 (e.g. a 1-CPU host or
-  ``REPRO_SWEEP_WORKERS=1``) everything runs in-process — no pool is
-  ever spawned, so single-CPU machines never pay pool startup for
-  nothing.
-* :func:`sweep_map` — the same parallel/serial machinery for arbitrary
-  picklable functions.
+  result ordering and an LRU-bounded process-global run-cache
+  (:data:`RUN_CACHE_SIZE` summaries).  Pending configurations are
+  grouped by :func:`topology_key` (write count, read count, timestep —
+  the config-level proxy for
+  :func:`repro.josim.solver.topology_signature`), split into groups of
+  at most :data:`GROUP_MAX_LANES`, and :func:`sweep_map` runs
+  :func:`simulate_hcdro_batch` over the groups.
+* :func:`sweep_map` — :func:`repro.experiments.parallel.parallel_map`:
+  with more than one resolved worker and more than one group, groups
+  fan out across a ``ProcessPoolExecutor``; otherwise everything runs
+  in-process — no pool is ever spawned, so single-CPU machines never
+  pay pool startup for nothing.
 
 Worker count resolution: an explicit ``workers`` argument wins, then
 the ``REPRO_SWEEP_WORKERS`` environment variable, then ``os.cpu_count()``.
-
-Batching is controlled by ``REPRO_JOSIM_BATCH``: unset (default) caps
-batches at 64 lanes, a positive integer overrides the cap, and ``0`` or
-``off`` disables batching entirely (every config goes through the
-scalar solver — the equivalence oracle, and the baseline the batched
-benchmark compares against).
-
-The run-cache is bounded: ``REPRO_JOSIM_CACHE_SIZE`` caps the number of
-retained summaries (default 4096, least-recently-used eviction; ``0``
-or a negative value removes the bound) so long grid studies on small
-machines don't grow memory without limit.
 
 The executor machinery that started here has been generalised into
 :mod:`repro.experiments.parallel` (which adds on-disk result caching);
@@ -49,10 +39,9 @@ existing analog-study callers keep working unchanged.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.parallel import (  # noqa: F401  (re-exports)
     WORKERS_ENV_VAR,
@@ -65,20 +54,14 @@ from repro.josim.cells import (
     RECOMMENDED_PULSE_WIDTH_PS,
     RECOMMENDED_READ_PULSE_UA,
     RECOMMENDED_WRITE_PULSE_UA,
-    build_hcdro_cell,
 )
 
-T = TypeVar("T")
-R = TypeVar("R")
+#: Run summaries the process-global run-cache keeps (LRU eviction), so
+#: long grid studies on small machines don't grow memory without limit.
+RUN_CACHE_SIZE = 4096
 
-#: Environment variable bounding the run-cache (entries; <=0 unbounds it).
-CACHE_SIZE_ENV_VAR = "REPRO_JOSIM_CACHE_SIZE"
-_DEFAULT_CACHE_SIZE = 4096
-
-#: Environment variable controlling batched dispatch: unset -> default
-#: lane cap, positive integer -> that cap, 0/"off" -> scalar solver only.
-BATCH_ENV_VAR = "REPRO_JOSIM_BATCH"
-_DEFAULT_BATCH_LANES = 64
+#: Most configs one dispatch group carries.
+GROUP_MAX_LANES = 64
 
 
 @dataclass(frozen=True)
@@ -139,17 +122,6 @@ def topology_key(config: HCDROConfig) -> Tuple[int, int, float]:
 _RUN_CACHE: "OrderedDict[HCDROConfig, HCDROSummary]" = OrderedDict()
 
 
-def _cache_capacity() -> int:
-    """Configured cache bound; <=0 disables the bound."""
-    env = os.environ.get(CACHE_SIZE_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return _DEFAULT_CACHE_SIZE
-
-
 def _cache_get(config: HCDROConfig) -> Optional[HCDROSummary]:
     summary = _RUN_CACHE.get(config)
     if summary is not None:
@@ -160,10 +132,8 @@ def _cache_get(config: HCDROConfig) -> Optional[HCDROSummary]:
 def _cache_put(config: HCDROConfig, summary: HCDROSummary) -> None:
     _RUN_CACHE[config] = summary
     _RUN_CACHE.move_to_end(config)
-    capacity = _cache_capacity()
-    if capacity > 0:
-        while len(_RUN_CACHE) > capacity:
-            _RUN_CACHE.popitem(last=False)
+    while len(_RUN_CACHE) > RUN_CACHE_SIZE:
+        _RUN_CACHE.popitem(last=False)
 
 
 def clear_run_cache() -> None:
@@ -175,55 +145,28 @@ def run_cache_size() -> int:
     return len(_RUN_CACHE)
 
 
-def batch_lane_limit() -> int:
-    """Max lanes per batched transient; 0 disables batched dispatch."""
-    env = os.environ.get(BATCH_ENV_VAR)
-    if env is not None:
-        lowered = env.strip().lower()
-        if lowered in ("off", "false", "no"):
-            return 0
-        try:
-            return max(0, int(lowered))
-        except ValueError:
-            pass
-    return _DEFAULT_BATCH_LANES
-
-
 def simulate_hcdro(config: HCDROConfig) -> HCDROSummary:
     """Simulate one configuration, consulting the run-cache first."""
     cached = _cache_get(config)
     if cached is not None:
         return cached
-    # Imported here so a bare ``import repro.josim.sweep`` stays cheap
-    # in worker bootstrap paths.
-    from repro.josim.testbench import HCDROTestbench
-
-    bench = HCDROTestbench(
-        handles=build_hcdro_cell(j2_bias_ua=config.j2_bias_ua),
-        write_amplitude_ua=config.write_amplitude_ua,
-        read_amplitude_ua=config.read_amplitude_ua,
-        pulse_width_ps=config.pulse_width_ps,
-        pulse_spacing_ps=config.pulse_spacing_ps,
-        timestep_ps=config.timestep_ps)
-    report = bench.run(writes=config.writes, reads=config.reads,
-                       settle_ps=config.settle_ps)
-    summary = HCDROSummary(
-        config=config,
-        stored_after_writes=report.stored_after_writes,
-        stored_at_end=report.stored_at_end,
-        output_pulses=report.output_pulses)
+    summary = simulate_hcdro_batch([config])[0]
     _cache_put(config, summary)
     return summary
 
 
 def simulate_hcdro_batch(
         configs: Sequence[HCDROConfig]) -> List[HCDROSummary]:
-    """Simulate same-topology configurations as one batched transient.
+    """Simulate same-topology configurations, uncached.
 
     The caller is responsible for grouping by :func:`topology_key`
-    (``run_configs`` does); a lane that fails raises
-    :class:`~repro.errors.SimulationError` naming its index and config.
+    (``run_configs`` does); the group's lane count picks the solver
+    path (:func:`repro.josim.testbench.run_hcdro_batch`).  A lane that
+    fails raises :class:`~repro.errors.SimulationError` naming its
+    index and config.
     """
+    # Imported here so a bare ``import repro.josim.sweep`` stays cheap
+    # in worker bootstrap paths.
     from repro.josim.testbench import run_hcdro_batch
 
     configs = list(configs)
@@ -236,30 +179,19 @@ def simulate_hcdro_batch(
         for config, report in zip(configs, reports)]
 
 
-def _simulate_group(group: List[HCDROConfig]) -> List[HCDROSummary]:
-    """Worker entry: one batch (or a scalar run for singleton groups)."""
-    if len(group) == 1:
-        return [simulate_hcdro(group[0])]
-    return simulate_hcdro_batch(group)
-
-
 def _group_pending(pending: Sequence[HCDROConfig]) -> List[List[HCDROConfig]]:
     """Split pending configs into dispatch units.
 
-    Same-topology configs batch together (up to the configured lane
-    cap, preserving first-seen order); with batching disabled every
-    config is its own scalar dispatch unit.
+    Same-topology configs group together, at most
+    :data:`GROUP_MAX_LANES` per group, preserving first-seen order.
     """
-    lane_cap = batch_lane_limit()
-    if lane_cap <= 0:
-        return [[config] for config in pending]
     by_key: "OrderedDict[tuple, List[HCDROConfig]]" = OrderedDict()
     for config in pending:
         by_key.setdefault(topology_key(config), []).append(config)
     groups: List[List[HCDROConfig]] = []
     for lanes in by_key.values():
-        for start in range(0, len(lanes), lane_cap):
-            groups.append(lanes[start:start + lane_cap])
+        for start in range(0, len(lanes), GROUP_MAX_LANES):
+            groups.append(lanes[start:start + GROUP_MAX_LANES])
     return groups
 
 
@@ -271,8 +203,9 @@ def run_configs(configs: Sequence[HCDROConfig],
     run-cache) are simulated exactly once; the returned list matches
     ``configs`` element-for-element regardless of worker scheduling or
     cache eviction.  Pending work is grouped by :func:`topology_key`
-    and each group runs as one lane-parallel batched transient; when
-    only one worker resolves, batches run in-process (no pool spawn).
+    and each group is one :func:`simulate_hcdro_batch` call; when only
+    one worker resolves or one group exists, groups run in-process (no
+    pool spawn).
     """
     configs = list(configs)
     results = {}
@@ -287,13 +220,8 @@ def run_configs(configs: Sequence[HCDROConfig],
             results[config] = cached
         else:
             pending.append(config)
-    groups = _group_pending(pending)
-    if resolve_workers(workers) <= 1 or len(groups) <= 1:
-        # 1-CPU dispatch rule: never pay ProcessPoolExecutor startup
-        # when there is nothing to fan out over.
-        computed = [_simulate_group(group) for group in groups]
-    else:
-        computed = sweep_map(_simulate_group, groups, workers=workers)
+    computed = sweep_map(simulate_hcdro_batch, _group_pending(pending),
+                         workers=workers)
     for summaries in computed:
         for summary in summaries:
             _cache_put(summary.config, summary)

@@ -8,12 +8,15 @@ Two entry points share one stimulus-deck builder:
 
 * :meth:`HCDROTestbench.run` - one cell, one transient (the compiled
   scalar solver).
-* :func:`run_hcdro_batch` / :meth:`HCDROTestbench.run_batch` - many
-  same-topology ``(write, read, bias)`` programs evaluated in one
-  lane-parallel :class:`~repro.josim.solver.BatchedTransientSolver`
-  run.  Lanes may differ in drive amplitudes, bias, pulse timing and
-  total duration (shorter programs retire early); they must agree on
-  the write/read counts and the timestep so every lane shares the batch
+* :func:`run_hcdro_batch` - many same-topology ``(write, read, bias)``
+  programs, and the only place that picks an RCSJ solver path: the
+  lane count alone decides.  Below :data:`BATCHED_MIN_LANES` lanes each
+  config runs through :meth:`HCDROTestbench.run`; from there on all of
+  them run as lanes of one
+  :class:`~repro.josim.solver.BatchedTransientSolver` transient.  Lanes
+  may differ in drive amplitudes, bias, pulse timing and total
+  duration (shorter programs retire early); they must agree on the
+  write/read counts and the timestep so every lane shares the batch
   topology signature.
 """
 
@@ -40,6 +43,11 @@ from repro.josim.solver import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.josim.sweep import HCDROConfig
+
+#: Fewest lanes that run on the batched solver: the measured crossover
+#: (scalar / batched ms per 3-write, 4-read group on a 2-vCPU host:
+#: 677 / 759 at 3 lanes, 989 / 877 at 4; table in docs/architecture.md).
+BATCHED_MIN_LANES = 4
 
 
 @dataclass
@@ -155,27 +163,42 @@ class HCDROTestbench:
         return _reduce_report(result, self.handles, writes, reads,
                               read_start)
 
-    @staticmethod
-    def run_batch(configs: Sequence["HCDROConfig"],
-                  record_every: int = 1) -> List[HCDRORunReport]:
-        """Evaluate many same-topology programs in one batched transient."""
-        return run_hcdro_batch(configs, record_every=record_every)
+
+def _run_scalar(lane: int, config: "HCDROConfig",
+                record_every: int) -> HCDRORunReport:
+    """One config through :meth:`HCDROTestbench.run`; errors name the lane."""
+    bench = HCDROTestbench(
+        handles=build_hcdro_cell(j2_bias_ua=config.j2_bias_ua),
+        write_amplitude_ua=config.write_amplitude_ua,
+        read_amplitude_ua=config.read_amplitude_ua,
+        pulse_width_ps=config.pulse_width_ps,
+        pulse_spacing_ps=config.pulse_spacing_ps,
+        timestep_ps=config.timestep_ps)
+    try:
+        return bench.run(writes=config.writes, reads=config.reads,
+                         settle_ps=config.settle_ps,
+                         record_every=record_every)
+    except SimulationError as exc:
+        raise SimulationError(f"lane {lane} ({config!r}): {exc}") from exc
 
 
 def run_hcdro_batch(configs: Sequence["HCDROConfig"],
                     record_every: int = 1) -> List[HCDRORunReport]:
-    """Run one HC-DRO transient per config as lanes of a single batch.
+    """Run one HC-DRO transient per config; reports in config order.
 
     Every config must share the batch topology — the same ``writes``
     and ``reads`` pulse counts and the same ``timestep_ps`` (this is
     the grouping :func:`repro.josim.sweep.run_configs` performs).
     Amplitudes, bias, pulse width/spacing and settle time are per-lane
-    data; lanes whose stimulus program ends earlier retire early.
+    data.  Below :data:`BATCHED_MIN_LANES` configs each runs alone on
+    the scalar solver, in config order; from there on all of them run
+    as lanes of one batched transient, where lanes whose stimulus
+    program ends earlier retire early.
 
     A lane that fails to converge (or produces a singular Jacobian)
     raises :class:`SimulationError` naming the lane index and its
-    config, so a poisoned operating point in a margin grid is
-    identifiable from the exception alone.
+    config on either path, so a poisoned operating point in a margin
+    grid is identifiable from the exception alone.
     """
     configs = list(configs)
     if not configs:
@@ -193,6 +216,9 @@ def run_hcdro_batch(configs: Sequence["HCDROConfig"],
                 f"lane {lane} ({config!r}) has timestep "
                 f"{config.timestep_ps} ps but the batch runs at "
                 f"{head.timestep_ps} ps")
+    if len(configs) < BATCHED_MIN_LANES:
+        return [_run_scalar(lane, config, record_every)
+                for lane, config in enumerate(configs)]
     lanes = []
     for config in configs:
         handles = build_hcdro_cell(j2_bias_ua=config.j2_bias_ua)
@@ -214,3 +240,4 @@ def run_hcdro_batch(configs: Sequence["HCDROConfig"],
                            read_start)
             for result, config, (handles, read_start, _)
             in zip(results, configs, lanes)]
+

@@ -14,7 +14,7 @@ turns the experiment runners into a long-running asyncio job service
   contract),
 * a short micro-batch window groups pending analog items by
   ``topology_key`` so strangers' lanes join one
-  :class:`~repro.josim.solver.BatchedTransientSolver` dispatch, and
+  :func:`~repro.josim.testbench.run_hcdro_batch` dispatch, and
   groups CPU items by program so strangers' designs replay one shared
   op tape,
 * identical in-flight keys collapse (singleflight): duplicate requests

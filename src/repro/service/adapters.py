@@ -13,8 +13,10 @@ Items of the same *kind* sharing a *group* token batch into one
 dispatch:
 
 * ``hcdro`` items group by :func:`repro.josim.sweep.topology_key` and
-  run as lanes of one :class:`~repro.josim.solver.BatchedTransientSolver`
-  transient - strangers' margin points share a dispatch,
+  run through :func:`repro.josim.testbench.run_hcdro_batch` - strangers'
+  margin points share a dispatch, whose lane count picks the scalar
+  solver or one :class:`~repro.josim.solver.BatchedTransientSolver`
+  transient,
 * ``cpu`` items group by program: the dispatcher replays one shared op
   tape through the *union* of every requester's designs, then hands
   each item its own subset - bitwise identical to running the request
@@ -37,7 +39,7 @@ import enum
 import math
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.experiments.parallel import stable_key
 
@@ -247,7 +249,7 @@ def _hcdro_value(config: Any, report: Any) -> Dict[str, Any]:
 
 
 def _hcdro_compute(payloads: Sequence[Any]) -> List[Dict[str, Any]]:
-    """One batched transient over same-topology lanes."""
+    """One ``run_hcdro_batch`` call over same-topology lanes."""
     from repro.josim.testbench import run_hcdro_batch
 
     reports = run_hcdro_batch(list(payloads))
@@ -344,7 +346,7 @@ def _decompose_montecarlo(params: Params) -> DecomposedJob:
         report.pop("lanes_per_sec", None)
         return report
 
-    item = _call_item("service-montecarlo-v1", key, compute)
+    item = _call_item("service-montecarlo-v2", key, compute)
     return DecomposedJob(items=(item,), recompose=_first)
 
 
@@ -409,36 +411,17 @@ def _decompose_pulse_rf(params: Params) -> DecomposedJob:
     return DecomposedJob(items=(item,), recompose=_first)
 
 
-def _pulse_compute_one(payload: Tuple[int, int, float, List[List[int]]]
-                       ) -> Dict[str, Any]:
-    """Scalar reference for one pulse item (live engine, no lanes)."""
-    from repro.rf import RFGeometry
-    from repro.rf.netlist import PulseHiPerRF
-
-    registers, width, op_period_ps, pattern = payload
-    geometry = RFGeometry(registers, width)
-    with PulseHiPerRF.checkout_cached(geometry, op_period_ps) as rf:
-        t = op_period_ps
-        for register, value in pattern:
-            t = rf.write_word(register, value, t) + op_period_ps
-        stored = {str(register): rf.stored_word(register)
-                  for register, _ in pattern}
-        read_back = {}
-        for register, _ in pattern:
-            read_back[str(register)] = rf.read_word(register, t)
-            t += 4 * op_period_ps
-        return {"stored": stored, "read": read_back}
-
-
 def _pulse_schedule_one(rf: Any, op_period_ps: float,
                         pattern: List[List[int]]) -> List[float]:
     """Schedule one item's write/read program (live or under capture).
 
-    The timeline is ``_pulse_compute_one``'s exactly; each read also
-    fires the HC-READ counters onto the b0/b1 probes so the value
-    survives in the lane record (a lane outcome cannot pause at the
-    settle time to decode live counters the way ``read_word`` does).
-    Returns the settle time of every read, in pattern order.
+    Writes every pattern word (each one op period after the previous
+    write ends), then reads each register back with loopback, four op
+    periods apart.  Each read also fires the
+    HC-READ counters onto the b0/b1 probes so the value survives in the
+    lane record (a lane outcome cannot pause at the settle time to
+    decode live counters the way ``read_word`` does).  Returns the
+    settle time of every read, in pattern order.
     """
     engine = rf.engine
     t = op_period_ps
@@ -473,9 +456,9 @@ def _pulse_compute(payloads: Sequence[Any]) -> List[Dict[str, Any]]:
     stimulus lane and the group replays in a single
     :meth:`~repro.pulse.engine.Engine.run_lanes` call (whose lane count
     picks sequential or batched replay).  Per-item values decode
-    from the installed lane state and are identical to
-    ``_pulse_compute_one``'s whether the item dispatches alone or with
-    strangers - the equivalence the service benchmark enforces.
+    from the installed lane state and are identical whether the item
+    dispatches alone or with strangers - the equivalence the service
+    benchmark enforces.
     """
     from repro.pulse import capture_stimulus, install_lane
     from repro.rf import RFGeometry
@@ -615,26 +598,10 @@ def dispatch_group(kind: str, payloads: Sequence[Any]) -> List[Any]:
 def compute_item(item: WorkItem) -> Any:
     """Scalar per-item path: what one request costs on its own.
 
-    ``hcdro`` items run the scalar testbench (the batched tier's
-    integer-equivalence oracle), every other kind dispatches a
-    singleton group - so a naive run exercises per-request execution
-    with no sharing of any sort.
+    Every item dispatches as a singleton group (an ``hcdro`` item thus
+    runs the scalar solver, the batched tier's oracle) - so a naive
+    run exercises per-request execution with no sharing of any sort.
     """
-    if item.kind == "hcdro":
-        from repro.josim.cells import build_hcdro_cell
-        from repro.josim.testbench import HCDROTestbench
-
-        config = item.payload
-        bench = HCDROTestbench(
-            handles=build_hcdro_cell(j2_bias_ua=config.j2_bias_ua),
-            write_amplitude_ua=config.write_amplitude_ua,
-            read_amplitude_ua=config.read_amplitude_ua,
-            pulse_width_ps=config.pulse_width_ps,
-            pulse_spacing_ps=config.pulse_spacing_ps,
-            timestep_ps=config.timestep_ps)
-        report = bench.run(writes=config.writes, reads=config.reads,
-                           settle_ps=config.settle_ps)
-        return _hcdro_value(config, report)
     return dispatch_group(item.kind, [item.payload])[0]
 
 

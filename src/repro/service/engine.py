@@ -10,9 +10,10 @@ Each submitted job decomposes into unit work items
 2. otherwise parks the item in a **micro-batch window**
    (``window_ms``); when the window closes, pending items are grouped
    by their ``group`` token and each group runs as *one* dispatch on a
-   worker thread - strangers' analog lanes share a
-   ``BatchedTransientSolver`` transient, strangers' CPU designs replay
-   one op tape,
+   worker thread - strangers' analog lanes share a solver dispatch,
+   strangers' CPU designs replay one op tape; when a group's dispatch
+   raises, each of its items is dispatched alone, so a failure stays
+   with the items whose own dispatch raises,
 3. inside the dispatch thread, each item first consults the shared
    on-disk :class:`~repro.experiments.parallel.ResultCache` and claims
    the process-global :data:`~repro.experiments.parallel.SINGLE_FLIGHT`
@@ -32,7 +33,7 @@ import asyncio
 import os
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.experiments.parallel import (
     SINGLE_FLIGHT,
@@ -51,6 +52,24 @@ from repro.service.jobs import Job, JobStore
 
 #: (value, served_from_cache) - what an item's shared future resolves to.
 ItemResult = Tuple[Any, bool]
+
+#: One item's dispatch outcome: its result, or the exception it fails with.
+ItemOutcome = Union[ItemResult, BaseException]
+
+
+def _dispatch_isolated(kind: str, payloads: List[Any]) -> List[Any]:
+    """``dispatch_group``, with a failure kept to the payloads it hits.
+
+    When a group of several payloads raises, each payload is dispatched
+    alone.  Returns one entry per payload: its value, or the exception
+    its own dispatch raised.
+    """
+    try:
+        return dispatch_group(kind, payloads)
+    except Exception as exc:
+        if len(payloads) == 1:
+            return [exc]
+    return [_dispatch_isolated(kind, [payload])[0] for payload in payloads]
 
 
 def default_workers() -> int:
@@ -258,36 +277,41 @@ class CoalescingEngine:
     ) -> None:
         assert self._loop is not None and self._pool is not None
         items = [item for item, _ in entries]
+        resolved: List[ItemOutcome]
         try:
             resolved = await self._loop.run_in_executor(
                 self._pool, self._dispatch_batch, kind, items)
         except BaseException as exc:
-            for item, future in entries:
-                self._inflight.pop(item.digest(), None)
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        for (item, future), result in zip(entries, resolved):
+            resolved = [exc] * len(entries)
+        for (item, future), outcome in zip(entries, resolved):
             self._inflight.pop(item.digest(), None)
-            if not future.done():
-                future.set_result(result)
+            if future.done():
+                continue
+            if isinstance(outcome, BaseException):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
 
     # -- dispatch thread ---------------------------------------------------
 
     def _dispatch_batch(self, kind: str,
-                        items: List[WorkItem]) -> List[ItemResult]:
+                        items: List[WorkItem]) -> List[ItemOutcome]:
         """One coalesced group, on a worker thread.
 
         Per item: consult the shared cache, claim the process-global
         singleflight for true misses (so a concurrent CLI sweep in this
         process never duplicates our work, and vice versa), compute all
         led misses in one batched dispatch, publish, resolve waiters.
+        An item whose own dispatch raises fails alone: its flight and
+        its outcome carry the exception, and the rest publish.
         """
         store = self.cache
         if store is None:
-            values = dispatch_group(kind, [item.payload for item in items])
-            return [(jsonable(value), False) for value in values]
-        resolved: List[Optional[ItemResult]] = [None] * len(items)
+            outcomes = _dispatch_isolated(
+                kind, [item.payload for item in items])
+            return [outcome if isinstance(outcome, BaseException)
+                    else (jsonable(outcome), False) for outcome in outcomes]
+        resolved: List[Optional[ItemOutcome]] = [None] * len(items)
         led: List[Tuple[int, Any, Any]] = []
         waiting: List[Tuple[int, Any]] = []
         for index, item in enumerate(items):
@@ -304,19 +328,26 @@ class CoalescingEngine:
         try:
             # A group can be all hits/waiters (a duplicate burst after
             # its key was published): nothing left to dispatch.
-            values = dispatch_group(
+            outcomes = _dispatch_isolated(
                 kind, [items[index].payload for index, _, _ in led]) \
                 if led else []
         except BaseException as exc:
             for _, flight_key, flight in led:
                 SINGLE_FLIGHT.finish(flight_key, flight, exception=exc)
             raise
-        for (index, flight_key, flight), value in zip(led, values):
-            value = jsonable(value)
+        for (index, flight_key, flight), outcome in zip(led, outcomes):
+            if isinstance(outcome, BaseException):
+                SINGLE_FLIGHT.finish(flight_key, flight, exception=outcome)
+                resolved[index] = outcome
+                continue
+            value = jsonable(outcome)
             store.put(items[index].namespace, items[index].key, value)
             SINGLE_FLIGHT.finish(flight_key, flight, value=value)
             resolved[index] = (value, False)
         for index, flight in waiting:
-            resolved[index] = (SINGLE_FLIGHT.wait(flight), True)
+            try:
+                resolved[index] = (SINGLE_FLIGHT.wait(flight), True)
+            except Exception as exc:
+                resolved[index] = exc
         return [entry if entry is not None else (None, False)
                 for entry in resolved]

@@ -16,7 +16,8 @@ import pytest
 
 import repro.josim.solver as solver_mod
 from repro.errors import SimulationError
-from repro.josim import BatchedTransientSolver, TransientSolver
+from repro.josim import BatchedTransientSolver, TransientSolver, testbench
+from repro.josim.backend import get_backend
 from repro.josim.cells import (
     RECOMMENDED_READ_PULSE_UA,
     RECOMMENDED_WRITE_PULSE_UA,
@@ -137,32 +138,27 @@ class TestBatchedEquivalence:
 class TestChunkedExecution:
     """Lane chunking must be invisible except for peak memory."""
 
-    def test_chunk_env_parsing(self, monkeypatch):
-        monkeypatch.delenv(solver_mod.CHUNK_ENV_VAR, raising=False)
-        assert solver_mod.chunk_lane_limit() == 2048
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "17")
+    def test_reported_chunk_and_backend(self, monkeypatch):
+        """The names a run report records for the batched tier."""
+        assert solver_mod.chunk_lane_limit() == solver_mod.CHUNK_LANES
+        assert solver_mod.CHUNK_LANES == 2048
+        monkeypatch.setattr(solver_mod, "CHUNK_LANES", 17)
         assert solver_mod.chunk_lane_limit() == 17
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "off")
-        assert solver_mod.chunk_lane_limit() == 0
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "-3")
-        assert solver_mod.chunk_lane_limit() == 0
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "nonsense")
-        assert solver_mod.chunk_lane_limit() == 2048
+        assert get_backend().name == "numpy"
 
     def test_chunked_hcdro_matches_scalar(self, monkeypatch):
         """A chunk smaller than the batch leaves the 1e-9 bar intact."""
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "2")
+        monkeypatch.setattr(solver_mod, "CHUNK_LANES", 2)
         factory, lane_params, duration, junctions = LANE_DECKS["hcdro"]
         _assert_lanes_match_scalar(factory, lane_params, duration,
                                    junctions)
 
     def test_chunked_matches_unchunked(self, monkeypatch):
         factory, lane_params, duration, _ = LANE_DECKS["dro"]
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "off")
         whole = BatchedTransientSolver(
             [factory(*p) for p in lane_params], timestep_ps=0.05,
         ).run(duration)
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "1")
+        monkeypatch.setattr(solver_mod, "CHUNK_LANES", 1)
         chunked = BatchedTransientSolver(
             [factory(*p) for p in lane_params], timestep_ps=0.05,
         ).run(duration)
@@ -173,14 +169,14 @@ class TestChunkedExecution:
 
     def test_stamps_built_per_chunk(self, monkeypatch):
         """Peak stamp width is the chunk size, not the batch size."""
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "2")
+        monkeypatch.setattr(solver_mod, "CHUNK_LANES", 2)
         widths = []
         original = solver_mod._BatchedStamps
 
         class SpyStamps(original):
-            def __init__(self, circuits, h, structure, backend=None):
+            def __init__(self, circuits, h, structure):
                 widths.append(len(circuits))
-                super().__init__(circuits, h, structure, backend)
+                super().__init__(circuits, h, structure)
 
         monkeypatch.setattr(solver_mod, "_BatchedStamps", SpyStamps)
         circuits = [_jtl_deck(0.6 + 0.02 * k) for k in range(5)]
@@ -188,7 +184,7 @@ class TestChunkedExecution:
         assert widths == [2, 2, 1]
 
     def test_run_reduced_streams_in_lane_order(self, monkeypatch):
-        monkeypatch.setenv(solver_mod.CHUNK_ENV_VAR, "2")
+        monkeypatch.setattr(solver_mod, "CHUNK_LANES", 2)
         circuits = [_jtl_deck(0.6 + 0.02 * k) for k in range(5)]
         full = BatchedTransientSolver(circuits, timestep_ps=0.05).run(40.0)
         circuits = [_jtl_deck(0.6 + 0.02 * k) for k in range(5)]
@@ -297,8 +293,14 @@ class TestBatchedErrorReporting:
             assert junction_fluxons(result, "J2") == 1
 
 
+#: ``BATCHED_MIN_LANES`` values that send a 2- or 3-lane batch down the
+#: batched path, then the scalar one.
+BOTH_PATHS = (1, 2**30)
+
+
 class TestBatchedTestbench:
-    def test_batch_matches_scalar_testbench(self):
+    def test_batch_matches_scalar_testbench(self, monkeypatch):
+        monkeypatch.setattr(testbench, "BATCHED_MIN_LANES", 1)
         configs = [HCDROConfig(writes=2, reads=3),
                    HCDROConfig(writes=2, reads=3,
                                read_amplitude_ua=1.05
@@ -322,42 +324,70 @@ class TestBatchedTestbench:
                 report.result.phases - scalar.result.phases)))
             assert max_dphi <= 1e-9
 
-    def test_run_batch_classmethod_delegates(self):
-        reports = HCDROTestbench.run_batch(
-            [HCDROConfig(writes=1, reads=2),
-             HCDROConfig(writes=1, reads=2, j2_bias_ua=74.0)])
-        assert [r.stored_after_writes for r in reports] == [1, 1]
-        assert [r.output_pulses for r in reports] == [1, 1]
-
     def test_empty_batch_is_empty(self):
         assert run_hcdro_batch([]) == []
 
-    def test_mismatched_stimulus_counts_rejected(self):
-        with pytest.raises(SimulationError, match="lane 1.*writes"):
-            run_hcdro_batch([HCDROConfig(writes=1, reads=2),
-                             HCDROConfig(writes=2, reads=2)])
+    def test_mismatched_stimulus_counts_rejected(self, monkeypatch):
+        for threshold in BOTH_PATHS:
+            monkeypatch.setattr(testbench, "BATCHED_MIN_LANES", threshold)
+            with pytest.raises(SimulationError, match="lane 1.*writes"):
+                run_hcdro_batch([HCDROConfig(writes=1, reads=2),
+                                 HCDROConfig(writes=2, reads=2)])
 
-    def test_mismatched_timestep_rejected(self):
-        with pytest.raises(SimulationError, match="lane 1.*timestep"):
-            run_hcdro_batch([HCDROConfig(writes=0, reads=0),
-                             HCDROConfig(writes=0, reads=0,
-                                         timestep_ps=0.1)])
+    def test_mismatched_timestep_rejected(self, monkeypatch):
+        for threshold in BOTH_PATHS:
+            monkeypatch.setattr(testbench, "BATCHED_MIN_LANES", threshold)
+            with pytest.raises(SimulationError, match="lane 1.*timestep"):
+                run_hcdro_batch([HCDROConfig(writes=0, reads=0),
+                                 HCDROConfig(writes=0, reads=0,
+                                             timestep_ps=0.1)])
 
-    def test_poisoned_config_named_in_error(self):
+    def test_poisoned_config_named_in_error(self, monkeypatch):
         """One bad operating point in a batch must be identifiable from
-        the exception alone: lane index plus the config repr."""
+        the exception alone, on either path: lane index plus the config
+        repr."""
         poison = HCDROConfig(writes=1, reads=1,
                              write_amplitude_ua=float("nan"))
-        with pytest.raises(SimulationError) as excinfo:
-            run_hcdro_batch([HCDROConfig(writes=1, reads=1), poison])
-        message = str(excinfo.value)
-        assert "lane 1" in message
-        assert "HCDROConfig" in message
-        assert "nan" in message
+        for threshold in BOTH_PATHS:
+            monkeypatch.setattr(testbench, "BATCHED_MIN_LANES", threshold)
+            with pytest.raises(SimulationError) as excinfo:
+                run_hcdro_batch([HCDROConfig(writes=1, reads=1), poison])
+            message = str(excinfo.value)
+            assert "lane 1" in message
+            assert "HCDROConfig" in message
+            assert "nan" in message
 
-    def test_uneven_settle_times_share_a_batch(self):
+    def test_lane_count_picks_path(self, monkeypatch):
+        """Below BATCHED_MIN_LANES (4) lanes each config runs on the
+        scalar solver; from 4 lanes one batched solver runs them all."""
+        built = {"batched": [], "scalar": 0}
+        batched_cls = testbench.BatchedTransientSolver
+        scalar_cls = testbench.TransientSolver
+
+        def batched_spy(circuits, *args, **kwargs):
+            built["batched"].append(len(circuits))
+            return batched_cls(circuits, *args, **kwargs)
+
+        def scalar_spy(*args, **kwargs):
+            built["scalar"] += 1
+            return scalar_cls(*args, **kwargs)
+
+        monkeypatch.setattr(testbench, "BatchedTransientSolver", batched_spy)
+        monkeypatch.setattr(testbench, "TransientSolver", scalar_spy)
+        configs = [HCDROConfig(settle_ps=20.0 + 5.0 * k) for k in range(4)]
+        scalar = run_hcdro_batch(configs[:3])
+        assert built == {"batched": [], "scalar": 3}
+        batched = run_hcdro_batch(configs)
+        assert built == {"batched": [4], "scalar": 3}
+        for alone, lane in zip(scalar, batched):
+            max_dphi = float(np.max(np.abs(
+                alone.result.phases - lane.result.phases)))
+            assert max_dphi <= 1e-9
+
+    def test_uneven_settle_times_share_a_batch(self, monkeypatch):
         """settle/spacing are lane data: lanes with different durations
         run in one batch and match their scalar equivalents."""
+        monkeypatch.setattr(testbench, "BATCHED_MIN_LANES", 1)
         configs = [HCDROConfig(writes=1, reads=1, settle_ps=20.0),
                    HCDROConfig(writes=1, reads=1, settle_ps=40.0)]
         reports = run_hcdro_batch(configs)

@@ -7,12 +7,13 @@ workers — and every batched lane remains a faithful stand-in for the
 scalar solver (1e-9 phase bar).
 """
 
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import repro.josim.montecarlo as mc
+import repro.josim.solver as solver_mod
 from repro.errors import ConfigError
 from repro.josim.cells import build_hcdro_cell
 from repro.josim.montecarlo import (
@@ -25,7 +26,6 @@ from repro.josim.montecarlo import (
     sample_multipliers,
     verify_against_scalar,
 )
-from repro.josim.solver import CHUNK_ENV_VAR
 
 
 #: Small-but-nontrivial study used by the invariance tests: 18 lanes.
@@ -93,23 +93,33 @@ class TestSampling:
 
 
 class TestSchedulingInvariance:
-    def test_shard_size_does_not_change_results(self):
+    def test_shard_size_does_not_change_results(self, monkeypatch):
+        """A shard is one solver chunk: 18 lanes at 4 per chunk run as
+        five shards and roll up exactly like one."""
         reference = run_yield_analysis(SMALL, workers=1)
-        resharded = run_yield_analysis(
-            dataclasses.replace(SMALL, shard_lanes=4), workers=1)
+        widths = []
+        run_shard = mc._run_shard
+
+        def spy(task):
+            widths.append(len(task.read_scales))
+            return run_shard(task)
+
+        monkeypatch.setattr(mc, "_run_shard", spy)
+        monkeypatch.setattr(solver_mod, "CHUNK_LANES", 4)
+        resharded = run_yield_analysis(SMALL, workers=1)
+        assert widths == [4, 4, 4, 4, 2]
         assert _report_key(resharded) == _report_key(reference)
 
     def test_solver_chunk_does_not_change_results(self, monkeypatch):
         reference = run_yield_analysis(SMALL, workers=1)
-        monkeypatch.setenv(CHUNK_ENV_VAR, "3")
+        monkeypatch.setattr(solver_mod, "CHUNK_LANES", 3)
         chunked = run_yield_analysis(SMALL, workers=1)
         assert _report_key(chunked) == _report_key(reference)
 
-    def test_worker_count_does_not_change_results(self):
-        reference = run_yield_analysis(
-            dataclasses.replace(SMALL, shard_lanes=5), workers=1)
-        fanned = run_yield_analysis(
-            dataclasses.replace(SMALL, shard_lanes=5), workers=2)
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "CHUNK_LANES", 5)
+        reference = run_yield_analysis(SMALL, workers=1)
+        fanned = run_yield_analysis(SMALL, workers=2)
         assert _report_key(fanned) == _report_key(reference)
 
     def test_same_seed_same_report(self):

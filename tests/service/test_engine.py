@@ -177,6 +177,33 @@ class TestFailure:
             assert job.state.value in ("done", "failed")
             assert job.terminal
 
+    @pytest.mark.parametrize("with_cache", [False, True],
+                             ids=["no-cache", "cache"])
+    def test_failing_item_fails_only_its_own_job(self, tmp_path,
+                                                  with_cache):
+        """A stranger's diverging operating point shares the healthy
+        job's dispatch group but fails only the stranger's job."""
+        healthy = {"scales": [1.0], "write_counts": [1], "reads": 1}
+        stranger = dict(healthy, j2_bias_ua=1e7)
+
+        async def main():
+            cache = ResultCache(tmp_path) if with_cache else None
+            async with CoalescingEngine(cache=cache, window_ms=20) as eng:
+                good = eng.submit("margins", healthy)
+                bad = eng.submit("margins", stranger)
+                await eng.wait(good)
+                await eng.wait(bad)
+                return good, bad, eng.stats()
+
+        good, bad, stats = run(main())
+        assert stats["largest_group"] == 2  # both items shared a group
+        assert good.state.value == "done", good.error
+        assert json.dumps(good.result, sort_keys=True) == json.dumps(
+            run_job_naive("margins", healthy), sort_keys=True)
+        assert bad.state.value == "failed"
+        assert "j2_bias_ua=10000000.0" in (bad.error or "")
+        assert stats["jobs_done"] == stats["jobs_failed"] == 1
+
     def test_failed_job_reports_error_string(self, tmp_path):
         async def main():
             async with CoalescingEngine(cache=ResultCache(tmp_path),
