@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-josim bench-pulse bench-pulse-batched bench-cpu bench-service serve experiments examples quick all lint-netlists lvs
+.PHONY: install test bench bench-josim bench-pulse bench-cpu bench-service serve experiments examples quick all lint-netlists lvs
 
 install:
 	pip install -e .
@@ -30,20 +30,10 @@ bench-josim:
 		--benchmark-json=BENCH_josim.json
 
 # Tracks the compiled pulse-engine backend against the reference event
-# loop (DRO column, HC-DRO/LoopBuffer traffic, 32x32 op mix), the
-# build-once netlist cache, and the batched lane wheel: writes
-# BENCH_pulse.json.
+# loop (DRO column, HC-DRO/LoopBuffer traffic, 32x32 op mix) and the
+# build-once netlist cache: writes BENCH_pulse.json.
 bench-pulse:
-	PYTHONPATH=src pytest benchmarks/bench_pulse_engine.py \
-		benchmarks/bench_pulse_batched.py --benchmark-only \
-		--benchmark-json=BENCH_pulse.json
-
-# Tracks the batched (lane-parallel) pulse wheel against sequential
-# compiled replay on the 64-lane fault-injection sweep: writes
-# BENCH_pulse.json, including the enforced >= 3x lanes/sec speedup
-# (REPRO_BENCH_LANES_MIN_SPEEDUP relaxes the floor for noisy runners).
-bench-pulse-batched:
-	PYTHONPATH=src pytest benchmarks/bench_pulse_batched.py --benchmark-only \
+	PYTHONPATH=src pytest benchmarks/bench_pulse_engine.py --benchmark-only \
 		--benchmark-json=BENCH_pulse.json
 
 # Tracks the compiled op-tape CPU replay against the reference pipeline

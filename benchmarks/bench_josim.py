@@ -144,10 +144,12 @@ def test_megabatch_monte_carlo_yield(benchmark):
     4 reads) with sampled Ic/L/bias process spreads, evaluated on one
     worker through the chunked block-diagonal batched tier (peak
     memory bounded by ``CHUNK_LANES``, never a ``(B, n, n)`` dense
-    stack across the whole batch).  The scalar baseline runs the
-    identical sampled lanes through ``TransientSolver`` one by one;
-    the recorded floor is batched-vs-scalar lanes/sec at the largest
-    batch size.
+    stack across the whole batch).  The scalar baseline runs sampled
+    lanes through ``TransientSolver`` one by one, and its probe lanes
+    are interleaved with the largest batch's shards (one before each
+    shard, one after the last), so the floor's two rates are timed
+    over the same minutes of a host whose speed drifts.  The recorded
+    floor is batched-vs-scalar lanes/sec at the largest batch size.
     """
     from repro.josim.montecarlo import (
         YieldConfig,
@@ -156,44 +158,58 @@ def test_megabatch_monte_carlo_yield(benchmark):
         run_lanes,
         sample_multipliers,
     )
-    from repro.josim.solver import TransientSolver
+    from repro.josim.solver import TransientSolver, chunk_lane_limit
 
     seed = 20260808
     specs = hcdro_parameter_specs()
     sizes = [size for size in MEGABATCH_SIZES
              if size <= MEGABATCH_MAX_LANES] or [max(MEGABATCH_MAX_LANES, 8)]
+    largest = max(sizes)
 
-    # Scalar baseline: a handful of sampled lanes, one solver each.
-    baseline_lanes = 4
-    base_config = YieldConfig(samples=baseline_lanes, seed=seed,
-                              read_scales=(1.0,))
-    base_multipliers = sample_multipliers(specs, baseline_lanes, seed)
+    # Scalar probe lanes: a handful of sampled lanes, one solver each,
+    # taken in turn.
+    probe_config = YieldConfig(samples=4, seed=seed, read_scales=(1.0,))
+    probe_rows = sample_multipliers(specs, probe_config.samples, seed)
+    probe_times = []
 
-    def scalar_lanes():
-        for row in base_multipliers:
-            handles, _, end = _build_lane(base_config, specs, row, 1.0)
-            TransientSolver(handles.circuit,
-                            timestep_ps=base_config.timestep_ps).run(
-                end, record_every=base_config.record_every)
-
-    t_scalar = _best_of(scalar_lanes)
-    scalar_rate = baseline_lanes / t_scalar
-    benchmark.extra_info["scalar_lanes_per_sec"] = scalar_rate
+    def scalar_probe():
+        row = probe_rows[len(probe_times) % len(probe_rows)]
+        t0 = time.perf_counter()
+        handles, _, end = _build_lane(probe_config, specs, row, 1.0)
+        TransientSolver(handles.circuit,
+                        timestep_ps=probe_config.timestep_ps).run(
+            end, record_every=probe_config.record_every)
+        probe_times.append(time.perf_counter() - t0)
 
     rates = {}
     for size in sizes:
-        config = YieldConfig(samples=size, seed=seed, read_scales=(1.0,))
         multipliers = sample_multipliers(specs, size, seed)
-        t0 = time.perf_counter()
-        outcomes = run_lanes(config, multipliers, specs, workers=1)
-        elapsed = time.perf_counter() - t0
-        assert len(outcomes) == size
+        # The largest batch runs one shard (one solver chunk) per
+        # run_lanes call, with a scalar probe before each shard; the
+        # smaller ones run whole.
+        step = chunk_lane_limit() if size == largest else size
+        elapsed = 0.0
+        lanes = 0
+        for start in range(0, size, step):
+            if size == largest:
+                scalar_probe()
+            shard = multipliers[start:start + step]
+            config = YieldConfig(samples=len(shard), seed=seed,
+                                 read_scales=(1.0,))
+            t0 = time.perf_counter()
+            lanes += len(run_lanes(config, shard, specs, workers=1))
+            elapsed += time.perf_counter() - t0
+        if size == largest:
+            scalar_probe()
+        assert lanes == size
         rates[size] = size / elapsed
         benchmark.extra_info[f"lanes_per_sec_B{size}"] = rates[size]
         benchmark.extra_info[f"elapsed_s_B{size}"] = elapsed
 
-    largest = max(sizes)
+    scalar_rate = len(probe_times) / sum(probe_times)
     speedup = rates[largest] / scalar_rate
+    benchmark.extra_info["scalar_lanes_per_sec"] = scalar_rate
+    benchmark.extra_info["scalar_probe_lanes"] = len(probe_times)
     benchmark.extra_info["largest_batch"] = largest
     benchmark.extra_info["megabatch_speedup"] = speedup
     assert speedup >= MIN_MEGABATCH_SPEEDUP, (

@@ -52,8 +52,8 @@ def run_sweep(geometry: RFGeometry = SWEEP_GEOMETRY) -> List[FaultOutcome]:
     """Exhaustive HiPerRF fault sweep, dispatched as one lane set.
 
     The netlist is built once through the compiled-netlist cache; every
-    (fault, register, column) trial becomes one stimulus lane.  The
-    default 64-lane sweep replays on the batched pulse wheel.
+    (fault, register, column) trial becomes one stimulus lane, replayed
+    by snapshot/restore on the compiled engine (64 lanes by default).
     """
     return run_hiperrf_trials(sweep_trials(geometry), geometry)
 

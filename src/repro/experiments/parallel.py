@@ -389,7 +389,8 @@ def cached_map(namespace: str, fn: Callable[[T], R], points: Sequence[T],
     this call leads the keys nobody else is computing (one pool fan-out
     for all of them) and *waits* for keys another thread's overlapping
     sweep already has in flight, so concurrent callers sharing a cache
-    never duplicate a point's work.
+    never duplicate a point's work.  A publish that raises is re-raised
+    only once every flight this call leads has its computed value.
     """
     items = list(points)
     key_list = list(keys) if keys is not None else items
@@ -427,10 +428,18 @@ def cached_map(namespace: str, fn: Callable[[T], R], points: Sequence[T],
         for _, flight_key, flight in led.values():
             SINGLE_FLIGHT.finish(flight_key, flight, exception=exc)
         raise
+    # Finish every led flight before a failed publish (disk full,
+    # read-only root) propagates, so no waiter on a later key hangs.
+    publish_error: Optional[Exception] = None
     for (index, flight_key, flight), value in zip(led.values(), computed):
-        store.put(namespace, key_list[index], value)
+        try:
+            store.put(namespace, key_list[index], value)
+        except Exception as exc:
+            publish_error = publish_error or exc
         SINGLE_FLIGHT.finish(flight_key, flight, value=value)
         results[index] = value
+    if publish_error is not None:
+        raise publish_error
     for index, flight in waiting:
         results[index] = SINGLE_FLIGHT.wait(flight)
     # Duplicate occurrences resolve from their leading slot.

@@ -23,7 +23,6 @@ from repro.pulse.batched import (
     LaneOutcome,
     LaneStimulus,
     StimulusCapture,
-    batched_supported,
     capture_stimulus,
     install_lane,
     run_lanes,
@@ -68,7 +67,6 @@ __all__ = [
     "StimulusCapture",
     "TFF",
     "Wire",
-    "batched_supported",
     "build_once",
     "capture_stimulus",
     "install_lane",

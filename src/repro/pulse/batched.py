@@ -1,72 +1,37 @@
-"""Batched pulse replay: one vectorized event wheel across stimulus lanes.
+"""Pulse lane replay: one compiled netlist, many stimulus lanes.
 
-The compiled backend (:mod:`repro.pulse.compiled`) removed the
-object-graph overhead from a *single* simulation, but sweep workloads -
-fault injection (one run per fault site), loopback skew windows,
-figure15 read sweeps, the service's coalesced ``pulse_rf`` groups - run
-the same netlist L times with different stimuli.  :func:`run_lanes`
-replays such a lane set one of two ways, and the lane count alone picks
-which:
+Sweep workloads - fault injection (one run per fault site), loopback
+skew windows, figure15 read sweeps, the service's coalesced
+``pulse_rf`` groups - run the same netlist L times with different
+stimuli.  Each lane is recorded once as a :class:`LaneStimulus` (with
+:func:`capture_stimulus`, so existing drivers need no change), and
+:func:`run_lanes` replays the lane set on the compiled engine
+(:mod:`repro.pulse.compiled`): every lane restores the engine's
+snapshot, replays its injections and run segments, and records a
+:class:`LaneOutcome`.  A restore is an O(state) array copy, so a lane
+set costs one elaboration plus L compiled runs.
 
-* fewer than :data:`BATCHED_MIN_LANES` lanes replay sequentially on the
-  compiled engine (snapshot/restore per lane) - the exact oracle, and
-  the faster path for small lane sets;
-* larger lane sets run as one batched wheel.  It reuses the compiled
-  engine's flat structure (kind codes, parameter arrays, CSR wire
-  tables) as shared *read-only* NumPy arrays, widens the mutable state
-  slots to lane-major ``(L, n)`` arrays, and drives one shared
-  time-bucket event wheel whose buckets hold ``(lane, packed_target)``
-  pairs.  All same-timestamp deliveries form a *wave*; each wave is
-  split by kind code and resolved by a vectorized per-kind update
-  kernel with per-lane masks, so the interpreter cost of a timestamp is
-  paid once for all lanes instead of once per lane.
+The compiled engine's inlined handlers are the one fast definition of
+each cell's behaviour, and ``Component.on_pulse`` on the reference
+:class:`~repro.pulse.engine.Engine` is the oracle they are checked
+against, lane by lane (``tests/pulse/test_batched.py``).
 
-Netlists holding a cell with no vector kernel - fallback components
-(unrecognised classes or monkey-patched ``on_pulse``), TFFs or clocked
-gates - always replay sequentially.
-
-Exactness contract
-------------------
-The sequential replay is the oracle: for every lane, the wheel produces
-the identical delivered-event order, trace, state arrays, probe times,
-``now_ps``, delivered count, pending multiset, and error type/text that
-a sequential compiled replay of that lane's :class:`LaneStimulus`
-produces.  The correctness argument mirrors the compiled bucket
-discipline: within one timestamp the compiled engine drains a FIFO
-bucket, appending same-time emissions to its end - i.e. it processes
-the bucket as successive emission *generations*.  The wheel processes
-one generation at a time.  Deliveries to one ``(lane, cell)`` inside a
-generation apply in wave order (duplicate targets are split into
-rounds), per-kind vector kernels commute, and emissions are re-ordered
-by their source event's wave position before they are appended -
-reproducing the reference ``(time_ps, seq)`` order per lane exactly.
-
-Timing violations are predicted from the state before a wave, so in
-strict mode no wave may deliver twice to one NDROC or HC-DRO.  A wave
-that would delivers only its part before the first repeated
-``(lane, cell)`` among those deliveries; the rest goes back to the
-front of the instant's queue, ahead of that part's same-time emissions,
-and is delivered next - the order the FIFO drain above produces, so the
-cut is exact.
-
-Lane semantics follow ``BatchedTransientSolver``'s freeze/early-retire
-model: each lane carries its own segment horizons and ``max_events``
-budgets, a lane that raises (strict timing, oscillation guard, bad
-stimulus) freezes - its remaining events drain to the pending set while
-the other lanes keep running - and errors are reported per lane with
-the global lane index (``on_error="raise"`` surfaces the first one as
-an exception naming the lane).
+Lane semantics: each lane carries its own segment horizons and
+``max_events`` budgets; a lane that raises (strict timing, oscillation
+guard, bad stimulus) stops there and keeps its partial state, the other
+lanes are unaffected, and errors are reported per lane with the lane
+index (``on_error="raise"`` surfaces the first one as an exception
+naming the lane).  ``docs/architecture.md`` ("Lane replay") records
+the lane counts each sweep sends and why no vectorized lane wheel
+replays them.
 """
 
 from __future__ import annotations
 
 import copy
 from contextlib import contextmanager
-from dataclasses import dataclass
-from heapq import heappop, heappush
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import (
     ConfigError,
@@ -74,22 +39,7 @@ from repro.errors import (
     SimulationError,
     TimingViolationError,
 )
-from repro.pulse.compiled import (
-    K_CNT,
-    K_DAND,
-    K_DELAY,
-    K_DRO,
-    K_FALLBACK,
-    K_HCDRO,
-    K_MRG,
-    K_NDRO,
-    K_NDROC,
-    K_PROBE,
-    K_SINK,
-    K_SPL,
-    CompiledEngine,
-    PulseSnapshot,
-)
+from repro.pulse.compiled import CompiledEngine, PulseSnapshot
 from repro.pulse.engine import Component, Engine
 
 _INF = float("inf")
@@ -97,34 +47,6 @@ _NEG_INF = float("-inf")
 
 #: Default per-segment event budget (matches ``Engine.run``'s default).
 _DEFAULT_MAX_EVENTS = 10_000_000
-
-#: Lane sets smaller than this replay sequentially on the compiled
-#: engine; larger ones run as one batched wheel.  The crossover was
-#: measured on the register-file sweeps (see the batched pulse section
-#: of ``docs/architecture.md``): below it the wheel's per-wave NumPy
-#: overhead costs more than replaying each lane in turn.
-BATCHED_MIN_LANES = 32
-
-#: Kinds with a vectorized kernel.  A netlist holding any other kind
-#: (TFF, clocked gates, fallback components) replays sequentially.
-_VECTOR_KINDS = frozenset({
-    K_SPL, K_DAND, K_MRG, K_NDROC, K_HCDRO, K_DELAY, K_CNT, K_NDRO,
-    K_DRO, K_PROBE, K_SINK,
-})
-
-#: Kinds whose kernel mutates no per-cell state: duplicate same-time
-#: deliveries to one cell need no round-splitting (each event's
-#: emissions are independent and keyed by its own wave order).
-_DUP_SAFE = frozenset({K_SPL, K_DELAY, K_PROBE})
-
-#: Wave-descriptor cache entries per run.  Sweeps replay one schedule
-#: across lanes, so wave byte patterns recur heavily; the cap only
-#: bounds memory for pathological non-repeating workloads.
-_WAVE_CACHE_CAP = 1024
-
-#: One prepared kernel call: (kind, lanes, cis, pis, order, flat, prep).
-_Call = Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-              Optional[np.ndarray], Any]
 
 #: Exception names an outcome can carry, mapped back for on_error="raise".
 _ERROR_TYPES = {
@@ -215,98 +137,39 @@ def capture_stimulus(engine: Engine) -> Iterator[StimulusCapture]:
 # -- lane outcomes ------------------------------------------------------
 
 
+@dataclass
 class LaneOutcome:
-    """Final state of one lane, comparable field-for-field across tiers.
+    """Final state of one lane, comparable field-for-field.
 
-    The five per-component state columns (``i0``..``f1``) materialize
-    lazily: producers hand over NumPy rows (or plain lists) and the
-    list conversion happens on first access.  Sweeps that only read
-    probes, errors or delivered counts never pay the O(components)
-    conversion per lane.
+    ``i0``..``f1`` are the compiled engine's per-component state
+    columns; ``pending_events`` is the sorted ``(time, component, port)``
+    multiset of undelivered events.
     """
 
-    __slots__ = ("lane", "error", "delivered", "now_ps", "pending",
-                 "pending_events", "trace", "probes", "fallback",
-                 "_i0", "_i1", "_i2", "_f0", "_f1")
-
-    def __init__(self, lane: int, error: Optional[Tuple[str, str]],
-                 delivered: int, now_ps: float, pending: int,
-                 pending_events: List[Tuple[float, str, str]],
-                 trace: Optional[List[Tuple[float, str, str]]],
-                 i0: Any, i1: Any, i2: Any, f0: Any, f1: Any,
-                 probes: Dict[int, List[float]],
-                 fallback: Dict[int, Dict[str, Any]]) -> None:
-        self.lane = lane
-        #: ``(exception type name, message)`` or None.
-        self.error = error
-        self.delivered = delivered
-        self.now_ps = now_ps
-        self.pending = pending
-        #: Undelivered events as a sorted ``(time, component, port)``
-        #: multiset.
-        self.pending_events = pending_events
-        self.trace = trace
-        self.probes = probes
-        self.fallback = fallback
-        self._i0 = i0
-        self._i1 = i1
-        self._i2 = i2
-        self._f0 = f0
-        self._f1 = f1
-
-    @staticmethod
-    def _as_list(value: Any) -> list:
-        return value if isinstance(value, list) else value.tolist()
-
-    @property
-    def i0(self) -> List[int]:
-        self._i0 = v = self._as_list(self._i0)
-        return v
-
-    @property
-    def i1(self) -> List[int]:
-        self._i1 = v = self._as_list(self._i1)
-        return v
-
-    @property
-    def i2(self) -> List[int]:
-        self._i2 = v = self._as_list(self._i2)
-        return v
-
-    @property
-    def f0(self) -> List[float]:
-        self._f0 = v = self._as_list(self._f0)
-        return v
-
-    @property
-    def f1(self) -> List[float]:
-        self._f1 = v = self._as_list(self._f1)
-        return v
-
-    def _key(self) -> Tuple[Any, ...]:
-        return (self.lane, self.error, self.delivered, self.now_ps,
-                self.pending, self.pending_events, self.trace,
-                self.i0, self.i1, self.i2, self.f0, self.f1,
-                self.probes, self.fallback)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaneOutcome):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return (f"LaneOutcome(lane={self.lane}, error={self.error!r}, "
-                f"delivered={self.delivered}, now_ps={self.now_ps}, "
-                f"pending={self.pending})")
+    lane: int
+    #: ``(exception type name, message)`` or None.
+    error: Optional[Tuple[str, str]]
+    delivered: int
+    now_ps: float
+    pending: int
+    pending_events: List[Tuple[float, str, str]] = field(repr=False)
+    trace: Optional[List[Tuple[float, str, str]]] = field(repr=False)
+    i0: List[int] = field(repr=False)
+    i1: List[int] = field(repr=False)
+    i2: List[int] = field(repr=False)
+    f0: List[float] = field(repr=False)
+    f1: List[float] = field(repr=False)
+    probes: Dict[int, List[float]] = field(repr=False)
+    fallback: Dict[int, Dict[str, Any]] = field(repr=False)
 
 
 def install_lane(compiled: CompiledEngine, outcome: LaneOutcome) -> None:
     """Load one lane's final state into the compiled engine.
 
     Observation-only: the event queue is cleared, component objects are
-    synchronised from the lane arrays, and probe lists are replaced, so
-    white-box readers (``stored_word``, probe times, counters) see the
-    lane exactly as a solo run would have left it.
+    synchronised from the lane's state columns, and probe lists are
+    replaced, so white-box readers (``stored_word``, probe times,
+    counters) see the lane exactly as a solo run would have left it.
     """
     compiled.restore(PulseSnapshot(
         now_ps=outcome.now_ps,
@@ -318,78 +181,19 @@ def install_lane(compiled: CompiledEngine, outcome: LaneOutcome) -> None:
         fallback=copy.deepcopy(outcome.fallback)))
 
 
-# -- shared read-only structure ----------------------------------------
-
-
-class _LaneStatic:
-    """The compiled netlist's structure, converted once to NumPy arrays."""
-
-    def __init__(self, compiled: CompiledEngine) -> None:
-        self.n = len(compiled._comps)
-        self.kind = np.asarray(compiled._kind, dtype=np.int64)
-        self.delay = np.asarray(compiled._delay, dtype=np.float64)
-        self.p0 = np.asarray(compiled._p0, dtype=np.float64)
-        self.p1 = np.asarray(compiled._p1, dtype=np.float64)
-        self.out_base = np.asarray(compiled._out_base, dtype=np.int64)
-        self.nout = np.asarray(compiled._nout, dtype=np.int64)
-        self.wire_tgt = np.asarray(compiled._wire_tgt, dtype=np.int64)
-        self.wire_delay = np.asarray(compiled._wire_delay, dtype=np.float64)
-        self.names = compiled._names
-        self.in_ports = compiled._in_ports
-        self.supported = set(compiled._kind) <= _VECTOR_KINDS
-        self.max_cnt_bits = 1
-        for ci in np.flatnonzero(self.kind == K_CNT).tolist():
-            self.max_cnt_bits = max(self.max_cnt_bits, int(self.nout[ci]))
-        # Per-kind "every output slot is wired" flags: when True the
-        # kernels skip the per-emission liveness mask entirely.
-        self.kind_all_live = [True] * (K_FALLBACK + 1)
-        for code in range(K_FALLBACK + 1):
-            for ci in np.flatnonzero(self.kind == code).tolist():
-                b = int(self.out_base[ci])
-                ne = int(self.nout[ci])
-                if ne and not bool((self.wire_tgt[b:b + ne] >= 0).all()):
-                    self.kind_all_live[code] = False
-                    break
-
-
-def _lane_static(compiled: CompiledEngine) -> _LaneStatic:
-    static = getattr(compiled, "_lane_static_cache", None)
-    if static is None:
-        static = _LaneStatic(compiled)
-        setattr(compiled, "_lane_static_cache", static)
-    return static
-
-
-def batched_supported(compiled: CompiledEngine) -> bool:
-    """True when every component has a vector kernel.
-
-    Fallback components (unrecognised classes or patched ``on_pulse``),
-    TFFs and clocked gates have none; a netlist holding any of them
-    replays sequentially whatever its lane count.
-    """
-    return _lane_static(compiled).supported
-
-
-# -- path selection -----------------------------------------------------
+# -- replay -------------------------------------------------------------
 
 
 def resolve_lanes_tier(compiled: CompiledEngine,
-                       lanes: Optional[int] = None) -> Tuple[str, int]:
-    """The path :func:`run_lanes` takes, as ``(path, BATCHED_MIN_LANES)``.
+                       lanes: Optional[int] = None
+                       ) -> Tuple[str, Optional[int]]:
+    """The path :func:`run_lanes` takes: always ``("sequential", None)``.
 
-    ``path`` is ``"batched"`` (one wheel) when the netlist has a vector
-    kernel for every cell and the lane set has at least
-    :data:`BATCHED_MIN_LANES` lanes, else ``"sequential"``.  With
-    ``lanes`` omitted it reports the path of a lane set at the
-    threshold, i.e. whether this netlist batches at all.
+    Every lane set replays lane by lane on the compiled engine; there
+    is no lane-count threshold.  Kept so run reports can record the
+    path they measured.
     """
-    if not batched_supported(compiled) or (
-            lanes is not None and lanes < BATCHED_MIN_LANES):
-        return "sequential", BATCHED_MIN_LANES
-    return "batched", BATCHED_MIN_LANES
-
-
-# -- public entry points ------------------------------------------------
+    return "sequential", None
 
 
 def run_lanes(compiled: CompiledEngine, stimuli: Sequence[LaneStimulus],
@@ -397,80 +201,17 @@ def run_lanes(compiled: CompiledEngine, stimuli: Sequence[LaneStimulus],
               on_error: str = "record") -> List[LaneOutcome]:
     """Replay ``stimuli`` lanes from the engine's current state.
 
-    Returns one :class:`LaneOutcome` per stimulus, in order; the lane
-    count picks the path (:func:`resolve_lanes_tier`), and both paths
-    return identical outcomes.  The engine's own state is left
-    untouched.  ``on_error="record"`` (the default) reports per-lane
-    failures in ``LaneOutcome.error``; ``"raise"`` re-raises the first
-    one, prefixed with the global lane index.
+    Returns one :class:`LaneOutcome` per stimulus, in order.  Each lane
+    restores the engine's current state, replays its stimulus and
+    records its outcome; the engine is restored on exit, so its own
+    state is left untouched.  ``on_error="record"`` (the default)
+    reports per-lane failures in ``LaneOutcome.error``; ``"raise"``
+    re-raises the first one, prefixed with the lane index.
     """
     if on_error not in ("record", "raise"):
         raise ConfigError(f"unknown on_error mode {on_error!r}")
-    path, _ = resolve_lanes_tier(compiled, len(stimuli))
-    if path == "batched":
-        outcomes = run_lanes_batched(compiled, stimuli, trace)
-    else:
-        outcomes = run_lanes_sequential(compiled, stimuli, trace)
-    if on_error == "raise":
-        for outcome in outcomes:
-            if outcome.error is not None:
-                etype, message = outcome.error
-                exc = _ERROR_TYPES.get(etype, SimulationError)
-                raise exc(f"lane {outcome.lane}: {message}")
-    return outcomes
-
-
-def _validate_stimuli(stimuli: Sequence[LaneStimulus]) -> None:
     for lane, stimulus in enumerate(stimuli):
         _validate_segments(lane, stimulus.segments)
-
-
-def _validate_segments(lane: int,
-                       segments: Sequence[Tuple[float, int]]) -> None:
-    if not segments:
-        raise ConfigError(f"lane {lane}: stimulus has no run segments")
-    previous = _NEG_INF
-    for index, (until_ps, _max_events) in enumerate(segments):
-        if previous == _INF:
-            raise ConfigError(
-                f"lane {lane}: an infinite run horizon must be the last "
-                "segment")
-        if until_ps < previous:
-            raise ConfigError(
-                f"lane {lane}: run horizons must be non-decreasing "
-                f"(segment {index}: {until_ps} < {previous})")
-        previous = until_ps
-
-
-def run_lanes_batched(compiled: CompiledEngine,
-                      stimuli: Sequence[LaneStimulus],
-                      trace: bool = False) -> List[LaneOutcome]:
-    """Replay every lane as one batched wheel, whatever the lane count.
-
-    Raises :class:`~repro.errors.SimulationError` when the netlist holds
-    a cell with no vector kernel (see :func:`batched_supported`).
-    """
-    _validate_stimuli(stimuli)
-    if not batched_supported(compiled):
-        raise SimulationError(
-            "batched pulse replay: netlist holds a cell with no vector "
-            "kernel (fallback component, TFF or clocked gate)")
-    if not stimuli:
-        return []
-    return _BatchedRun(compiled, stimuli, compiled.snapshot(),
-                       trace).execute()
-
-
-def run_lanes_sequential(compiled: CompiledEngine,
-                         stimuli: Sequence[LaneStimulus],
-                         trace: bool = False) -> List[LaneOutcome]:
-    """Replay the lanes one at a time on the compiled engine.
-
-    Each lane restores the engine's current state, replays its
-    stimulus and records its outcome; the engine is restored on exit.
-    This is the exactness oracle for the batched wheel.
-    """
-    _validate_stimuli(stimuli)
     base = compiled.snapshot()
     engine = compiled.engine
     saved_trace = engine.trace
@@ -492,7 +233,30 @@ def run_lanes_sequential(compiled: CompiledEngine,
     finally:
         compiled.restore(base)
         engine.trace = saved_trace
+    if on_error == "raise":
+        for outcome in outcomes:
+            if outcome.error is not None:
+                etype, message = outcome.error
+                exc_type = _ERROR_TYPES.get(etype, SimulationError)
+                raise exc_type(f"lane {outcome.lane}: {message}")
     return outcomes
+
+
+def _validate_segments(lane: int,
+                       segments: Sequence[Tuple[float, int]]) -> None:
+    if not segments:
+        raise ConfigError(f"lane {lane}: stimulus has no run segments")
+    previous = _NEG_INF
+    for index, (until_ps, _max_events) in enumerate(segments):
+        if previous == _INF:
+            raise ConfigError(
+                f"lane {lane}: an infinite run horizon must be the last "
+                "segment")
+        if until_ps < previous:
+            raise ConfigError(
+                f"lane {lane}: run horizons must be non-decreasing "
+                f"(segment {index}: {until_ps} < {previous})")
+        previous = until_ps
 
 
 def _outcome_from_compiled(compiled: CompiledEngine, lane: int,
@@ -521,1107 +285,3 @@ def _outcome_from_compiled(compiled: CompiledEngine, lane: int,
         trace=trace,
         i0=snap.i0, i1=snap.i1, i2=snap.i2, f0=snap.f0, f1=snap.f1,
         probes=snap.probes, fallback=snap.fallback)
-
-
-# -- the batched wheel --------------------------------------------------
-
-
-class _WaveDesc:
-    """Structural digest of one wave pattern, cached per byte pattern.
-
-    Everything that depends only on ``(lanes, packed)`` and the static
-    netlist lives here: kind split, duplicate-target rounds, output
-    slots, emission keys, liveness filtering, static delay columns and
-    the timing-hazard prediction columns.
-    """
-
-    __slots__ = ("cis", "kinds", "pis", "split", "hz_pred", "calls")
-
-    cis: np.ndarray
-    kinds: np.ndarray
-    pis: np.ndarray
-    #: Strict mode only: wave position of the first repeated delivery
-    #: to one ``(lane, NDROC/HC-DRO)``; 0 when there is none.
-    split: int
-    hz_pred: Optional[Tuple[Any, np.ndarray, np.ndarray, np.ndarray,
-                            np.ndarray]]
-    calls: List[_Call]
-
-
-class _BatchedRun:
-    """One wheel shared by every lane of a lane set over one netlist."""
-
-    def __init__(self, compiled: CompiledEngine,
-                 stimuli: Sequence[LaneStimulus],
-                 base: PulseSnapshot, trace: bool) -> None:
-        self.compiled = compiled
-        self.static = _lane_static(compiled)
-        self.strict = compiled.engine.strict_timing
-        self.lanes = len(stimuli)
-        n = self.static.n
-        lanes = self.lanes
-        self.i0 = np.tile(np.asarray(base.i0, dtype=np.int64), (lanes, 1))
-        self.i1 = np.tile(np.asarray(base.i1, dtype=np.int64), (lanes, 1))
-        self.i2 = np.tile(np.asarray(base.i2, dtype=np.int64), (lanes, 1))
-        self.f0 = np.tile(np.asarray(base.f0, dtype=np.float64), (lanes, 1))
-        self.f1 = np.tile(np.asarray(base.f1, dtype=np.float64), (lanes, 1))
-        # Flat views of the same memory: kernels gather/scatter through
-        # one precomputed ``lane * n + ci`` index instead of 2-D fancy
-        # indexing, which is markedly cheaper.
-        self.i0f = self.i0.reshape(-1)
-        self.i1f = self.i1.reshape(-1)
-        self.i2f = self.i2.reshape(-1)
-        self.f0f = self.f0.reshape(-1)
-        self.f1f = self.f1.reshape(-1)
-        self.probes: List[Dict[int, List[float]]] = [
-            {ci: list(times) for ci, times in base.probes.items()}
-            for _ in range(lanes)]
-        self.base_now = base.now_ps
-        self.now = np.full(lanes, base.now_ps, dtype=np.float64)
-        self.delivered = np.zeros(lanes, dtype=np.int64)
-        self.frozen = np.zeros(lanes, dtype=bool)
-        self.any_frozen = False
-        self.errors: List[Optional[Tuple[str, str]]] = [None] * lanes
-        self.traces: List[Optional[List[Tuple[float, str, str]]]] = [
-            [] if trace else None for _ in range(lanes)]
-        self.any_trace = trace
-        self.leftover: List[List[Tuple[float, int]]] = [
-            [] for _ in range(lanes)]
-        self.segments: List[Tuple[Tuple[float, int], ...]] = [
-            stimulus.segments for stimulus in stimuli]
-        self.seg_ptr = np.zeros(lanes, dtype=np.int64)
-        self.cur_until = np.array(
-            [segs[0][0] for segs in self.segments], dtype=np.float64)
-        self.cur_budget = np.array(
-            [segs[0][1] for segs in self.segments], dtype=np.int64)
-        self.seg_delivered = np.zeros(lanes, dtype=np.int64)
-        # The wheel: a heap of distinct times plus per-time chunk lists,
-        # exactly the compiled queue widened by one lane column.  Each
-        # chunk is either a plain list (base-queue seeding) or an int64
-        # array (injections, spilled emissions); order across chunks is
-        # emission order, so per-lane FIFO order is preserved.
-        self.heap: List[float] = []
-        self.buckets: Dict[float, Tuple[list, list]] = {}
-        #: kept_lanes arrays whose delivered counts have not been folded
-        #: into ``delivered``/``seg_delivered`` yet (flushed lazily).
-        self._deliv_backlog: List[np.ndarray] = []
-        self._order_buf = np.arange(1024, dtype=np.int64)
-        #: Wave descriptors keyed by the exact (lanes, targets) byte
-        #: pattern; see :class:`_WaveDesc`.  The cache lives on the
-        #: compiled engine (like ``_lane_static_cache``) because a
-        #: descriptor depends only on that byte pattern plus per-netlist
-        #: constants (static arrays, ``strict_timing``) - repeated
-        #: sweeps over one netlist replay the same wave shapes, so
-        #: reusing descriptors across ``run_lanes`` calls turns the
-        #: dominant per-wave structural cost into a one-time warmup.
-        cache = getattr(compiled, "_lane_desc_cache", None)
-        if cache is None:
-            cache = {}
-            setattr(compiled, "_lane_desc_cache", cache)
-        self._wave_cache: Dict[Tuple[bytes, bytes], _WaveDesc] = cache
-        self._seed_base_queue(base)
-        self._seed_injections(stimuli, n)
-        # Fast-path guards, all conservative: a wave only pays for the
-        # horizon / budget / timing-hazard machinery when the cheap
-        # counter says it might matter.
-        kind_arr = self.static.kind
-        self._hazard_ci = (kind_arr == K_NDROC) | (kind_arr == K_HCDRO)
-        self._has_hazard = bool(self._hazard_ci.any())
-        #: Lower bound of every live lane's segment horizon.
-        self.min_until = float(self.cur_until.min())
-        #: Lower bound of every live lane's remaining segment budget;
-        #: decremented by each wave's size, recomputed exactly when it
-        #: runs low or segments advance.
-        self.budget_slack = int((self.cur_budget - self.seg_delivered)
-                                .min())
-
-    # -- setup ---------------------------------------------------------
-
-    def _push(self, lane: int, time_ps: float, packed: int) -> None:
-        bucket = self.buckets.get(time_ps)
-        if bucket is None:
-            self.buckets[time_ps] = ([[lane]], [[packed]])
-            heappush(self.heap, time_ps)
-        else:
-            tail = bucket[0][-1]
-            if isinstance(tail, list):
-                tail.append(lane)
-                bucket[1][-1].append(packed)
-            else:
-                bucket[0].append([lane])
-                bucket[1].append([packed])
-
-    def _seed_base_queue(self, base: PulseSnapshot) -> None:
-        """Events pending in the base state replay in every lane."""
-        if not base.cur and not base.buckets:
-            return
-        for packed in base.cur:
-            for lane in range(self.lanes):
-                self._push(lane, base.cur_time, packed)
-        for time_ps in sorted(base.buckets):
-            for packed in base.buckets[time_ps]:
-                for lane in range(self.lanes):
-                    self._push(lane, time_ps, packed)
-
-    def _seed_injections(self, stimuli: Sequence[LaneStimulus],
-                         n: int) -> None:
-        components = self.compiled.engine._components
-        ids = self.compiled._ids
-        kind = self.compiled._kind
-        in_ports = self.static.in_ports
-        #: (component, port) -> packed target.  Persisted on the
-        #: compiled engine: the mapping is pure netlist structure, so
-        #: repeated sweeps skip straight to the column-wise fast path.
-        pack_cache: Dict[Tuple[str, str], int] = getattr(
-            self.compiled, "_lane_pack_cache", None) or {}
-        if not pack_cache:
-            setattr(self.compiled, "_lane_pack_cache", pack_cache)
-        times: List[float] = []
-        inj_lanes: List[int] = []
-        packs: List[int] = []
-        base_cut = self.base_now - 1e-9
-        for lane, stimulus in enumerate(stimuli):
-            inj = stimulus.injections
-            if not inj:
-                continue
-            # Fast path once the (name, port) cache is warm: column-wise
-            # packing at C speed, falling back to the per-injection loop
-            # for cache misses or past-time errors.
-            cols = tuple(zip(*inj))
-            col_packs = list(map(pack_cache.get, zip(cols[0], cols[1])))
-            if None not in col_packs and min(cols[2]) >= base_cut:
-                times.extend(cols[2])
-                inj_lanes.extend([lane] * len(inj))
-                packs.extend(col_packs)
-                continue
-            # A lane that errors while scheduling keeps its earlier
-            # injections pending (they drain to the pending set at
-            # admission), matching the sequential oracle.
-            try:
-                for name, port, time_ps in stimulus.injections:
-                    packed = pack_cache.get((name, port))
-                    if packed is None:
-                        # Validation order matches Engine.schedule:
-                        # name, then past-check, then port.
-                        component = components.get(name)
-                        if component is None:
-                            raise NetlistError(
-                                f"no component named {name!r}")
-                        if time_ps < self.base_now - 1e-9:
-                            raise SimulationError(
-                                "cannot schedule a pulse in the past: "
-                                f"t={time_ps} < now={self.base_now}")
-                        ci = ids[component]
-                        ports = in_ports[ci]
-                        if port not in ports:
-                            raise NetlistError(
-                                f"{component.name}: unknown input port "
-                                f"{port!r}")
-                        packed = ((ci << 8) | (kind[ci] << 3)
-                                  | ports.index(port))
-                        pack_cache[(name, port)] = packed
-                    elif time_ps < self.base_now - 1e-9:
-                        raise SimulationError(
-                            "cannot schedule a pulse in the past: "
-                            f"t={time_ps} < now={self.base_now}")
-                    times.append(time_ps)
-                    inj_lanes.append(lane)
-                    packs.append(packed)
-            except (SimulationError, NetlistError) as exc:
-                self._freeze(lane, type(exc).__name__, str(exc))
-        if not times:
-            return
-        # One stable time sort replaces per-injection heap pushes; ties
-        # keep schedule order per lane, like the compiled (time, seq)
-        # heap.
-        ts = np.asarray(times, dtype=np.float64)
-        srt = np.argsort(ts, kind="stable")
-        ts = ts[srt]
-        ls = np.asarray(inj_lanes, dtype=np.int64)[srt]
-        ps = np.asarray(packs, dtype=np.int64)[srt]
-        boundaries = np.flatnonzero(ts[1:] != ts[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [ts.size]))
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            time_ps = float(ts[start])
-            bucket = self.buckets.get(time_ps)
-            if bucket is None:
-                self.buckets[time_ps] = ([ls[start:end]], [ps[start:end]])
-                heappush(self.heap, time_ps)
-            else:
-                bucket[0].append(ls[start:end])
-                bucket[1].append(ps[start:end])
-
-    # -- lane bookkeeping ----------------------------------------------
-
-    def _freeze(self, lane: int, etype: str, message: str) -> None:
-        self.errors[lane] = (etype, message)
-        self.frozen[lane] = True
-        self.any_frozen = True
-        # Frozen lanes are filtered at admission; park their horizon and
-        # budget so they never trip the fast-path guards again.
-        self.cur_until[lane] = _INF
-        self.cur_budget[lane] = 1 << 62
-        self.seg_delivered[lane] = 0
-
-    def _advance_segments(self, lane: int, time_ps: float) -> bool:
-        """Move the lane's segment pointer past ``time_ps``.
-
-        Returns False when the event lies beyond the final horizon (the
-        event stays pending, like the compiled loop's ``t > until_ps``
-        break).
-        """
-        segments = self.segments[lane]
-        while time_ps > self.cur_until[lane]:
-            ptr = int(self.seg_ptr[lane]) + 1
-            if ptr >= len(segments):
-                return False
-            self.seg_ptr[lane] = ptr
-            self.cur_until[lane] = segments[ptr][0]
-            self.cur_budget[lane] = segments[ptr][1]
-            self.seg_delivered[lane] = 0
-        return True
-
-    # -- main loop -----------------------------------------------------
-
-    def _flush_delivered(self) -> None:
-        """Fold backlogged per-wave delivery counts into the lane totals.
-
-        Additions commute, so the fold can be deferred; it must run
-        before anything *reads* ``seg_delivered`` (budget checks) or
-        resets it (segment advancement).
-        """
-        backlog = self._deliv_backlog
-        if not backlog:
-            return
-        if len(backlog) == 1:
-            counts = np.bincount(backlog[0], minlength=self.lanes)
-        else:
-            counts = np.bincount(np.concatenate(backlog),
-                                 minlength=self.lanes)
-        self.delivered += counts
-        self.seg_delivered += counts
-        backlog.clear()
-
-    def execute(self) -> List[LaneOutcome]:
-        heap = self.heap
-        buckets = self.buckets
-        while heap:
-            time_ps = heappop(heap)
-            chunk_lanes, chunk_packed = buckets.pop(time_ps)
-            if len(chunk_lanes) == 1:
-                wave_lanes: Any = chunk_lanes[0]
-                wave_packed: Any = chunk_packed[0]
-            else:
-                wave_lanes = np.concatenate(
-                    [np.asarray(c, dtype=np.int64) for c in chunk_lanes])
-                wave_packed = np.concatenate(
-                    [np.asarray(c, dtype=np.int64) for c in chunk_packed])
-            while len(wave_lanes):
-                wave_lanes, wave_packed = self._wave(
-                    time_ps, wave_lanes, wave_packed)
-        return self._finish()
-
-    def _wave(self, t: float, lanes_list: Sequence[int],
-              packed_list: Sequence[int]
-              ) -> Tuple[Sequence[int], Sequence[int]]:
-        """Deliver one wave at ``t``; return the next wave at ``t``."""
-        lanes = np.asarray(lanes_list, dtype=np.int64)
-        packed = np.asarray(packed_list, dtype=np.int64)
-        # Admission: frozen lanes park their events as pending, exactly
-        # what the compiled queue retains after an error.
-        if self.any_frozen:
-            dead = self.frozen[lanes]
-            if dead.any():
-                for j in np.flatnonzero(dead).tolist():
-                    self.leftover[int(lanes[j])].append(
-                        (t, int(packed[j])))
-                keep = ~dead
-                lanes = lanes[keep]
-                packed = packed[keep]
-                if lanes.size == 0:
-                    return [], []
-        # Segment horizons: events beyond a lane's last horizon stay
-        # pending; crossing a horizon resets the segment event budget.
-        # ``min_until`` is a lower bound over live lanes, so most waves
-        # skip this entirely.
-        if t > self.min_until:
-            self._flush_delivered()
-            over = t > self.cur_until[lanes]
-            if over.any():
-                keep_mask = np.ones(lanes.size, dtype=bool)
-                for j in np.flatnonzero(over).tolist():
-                    lane = int(lanes[j])
-                    if t > self.cur_until[lane]:
-                        if not self._advance_segments(lane, t):
-                            self.leftover[lane].append((t, int(packed[j])))
-                            keep_mask[j] = False
-                if not keep_mask.all():
-                    lanes = lanes[keep_mask]
-                    packed = packed[keep_mask]
-                    if lanes.size == 0:
-                        return [], []
-            # Eagerly advance idle lagging lanes too: their next event
-            # (all at >= t) would trigger the same advance, and moving
-            # them now lets min_until jump past this wave.
-            for lane in np.flatnonzero(self.cur_until < t).tolist():
-                self._advance_segments(lane, t)
-            self.min_until = float(self.cur_until.min())
-            self.budget_slack = int(
-                (self.cur_budget - self.seg_delivered).min())
-        desc = self._describe(lanes, packed)
-        split = desc.split
-        if split:
-            # Strict mode, and the wave delivers twice to one NDROC or
-            # HC-DRO: deliver only the part before the repeat.  The rest
-            # stays at the front of the instant's FIFO, ahead of the
-            # part's same-time emissions, and is admitted again (the
-            # part may have frozen lanes) as the head of the next wave.
-            rest_lanes, rest_packed = lanes[split:], packed[split:]
-            lanes, packed = lanes[:split], packed[:split]
-            desc = self._describe(lanes, packed)
-        size = lanes.size
-        slack = self.budget_slack
-        self.budget_slack = slack - size
-        next_lanes, next_packed = self._wave_vector(t, lanes, packed, desc,
-                                                    size > slack)
-        if split:
-            return (np.concatenate((rest_lanes, np.asarray(
-                        next_lanes, dtype=np.int64))),
-                    np.concatenate((rest_packed, np.asarray(
-                        next_packed, dtype=np.int64))))
-        return next_lanes, next_packed
-
-    def _describe(self, lanes: np.ndarray,
-                  packed: np.ndarray) -> "_WaveDesc":
-        # Sweeps replay the same stimulus schedule across lanes, so wave
-        # patterns recur; all structural work (kind split, duplicate
-        # rounds, slots, keys, liveness) is cached per unique pattern.
-        key = (lanes.tobytes(), packed.tobytes())
-        desc = self._wave_cache.get(key)
-        if desc is None:
-            desc = self._build_desc(lanes, packed)
-            if len(self._wave_cache) < _WAVE_CACHE_CAP:
-                self._wave_cache[key] = desc
-        return desc
-
-    # -- vector wave ----------------------------------------------------
-
-    def _wave_vector(self, t: float, lanes: np.ndarray, packed: np.ndarray,
-                     desc: "_WaveDesc",
-                     budget_check: bool) -> Tuple[Sequence[int],
-                                                  Sequence[int]]:
-        st = self.static
-        lane_count = self.lanes
-        # Per-lane stop orders: budget exhaustion plus (in strict mode)
-        # predicted timing violations.  Violation predicates only read
-        # state the wave cannot mutate for the same cell (``_wave``
-        # splits a strict wave before any repeated timing-checked
-        # cell), so they are exact.
-        cuts: Dict[int, Tuple[int, str, str, bool]] = {}
-        if budget_check:
-            self._flush_delivered()
-            counts = np.bincount(lanes, minlength=lane_count)
-            remaining = self.cur_budget - self.seg_delivered
-            if bool((counts > remaining).any()):
-                for lane in np.flatnonzero(counts > remaining).tolist():
-                    positions = np.flatnonzero(lanes == lane)
-                    stop = int(positions[int(remaining[lane])])
-                    cuts[lane] = (stop, "SimulationError",
-                                  f"exceeded {int(self.cur_budget[lane])} "
-                                  "events; oscillating netlist?", False)
-        self._predict_errors(t, lanes, desc, cuts)
-        calls = desc.calls
-        kept_lanes = lanes
-        kept_cis = desc.cis
-        kept_pis = desc.pis
-        if cuts:
-            size = lanes.size
-            buf = self._order_buf
-            if buf.size < size:
-                self._order_buf = buf = np.arange(
-                    max(size, buf.size * 2), dtype=np.int64)
-            order = buf[:size]
-            deliver_cut = np.full(lane_count, size, dtype=np.int64)
-            for lane, (stop, _etype, _msg, _traced) in cuts.items():
-                deliver_cut[lane] = stop
-            keep = order < deliver_cut[lanes]
-            kept_lanes = lanes[keep]
-            if kept_lanes.size:
-                # A cut wave's structure no longer matches the cached
-                # descriptor; rebuild (uncached) on the surviving prefix.
-                kdesc = self._build_desc(kept_lanes, packed[keep])
-                calls = kdesc.calls
-                kept_cis = kdesc.cis
-                kept_pis = kdesc.pis
-            else:
-                calls = []
-        if self.any_trace and kept_lanes.size:
-            names = st.names
-            in_ports = st.in_ports
-            for j in range(kept_lanes.size):
-                trace = self.traces[int(kept_lanes[j])]
-                if trace is not None:
-                    ci = int(kept_cis[j])
-                    trace.append((t, names[ci],
-                                  in_ports[ci][int(kept_pis[j])]))
-        if kept_lanes.size:
-            self._deliv_backlog.append(kept_lanes)
-            self.now[kept_lanes] = t
-        if cuts:
-            self._apply_cuts(t, lanes, packed, cuts)
-        if budget_check or cuts:
-            self._flush_delivered()
-            self.budget_slack = int(
-                (self.cur_budget - self.seg_delivered).min())
-        if kept_lanes.size == 0:
-            return (), ()
-        # Emission accumulator: (order*KEY + sub, lane, packed_tgt, ta).
-        acc: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for call in calls:
-            self._run_call(call, t, acc)
-        return self._spill_emissions(t, acc)
-
-    # -- wave descriptors -----------------------------------------------
-
-    def _build_desc(self, lanes: np.ndarray,
-                    packed: np.ndarray) -> "_WaveDesc":
-        """Digest one wave pattern into ready-to-run kernel calls.
-
-        Everything here depends only on ``(lanes, packed)`` and the
-        static netlist - kind split, duplicate-target rounds, output
-        slots, emission keys, liveness masks, static delays - so the
-        digest is cached per unique byte pattern and a cache hit leaves
-        only state gathers/scatters and ``(t + d) + w`` per wave.
-        """
-        st = self.static
-        n = st.n
-        cis = packed >> 8
-        kinds = (packed >> 3) & 31
-        pis = packed & 7
-        k0 = int(kinds[0])
-        uniform = bool((kinds == k0).all())
-        desc = _WaveDesc()
-        desc.cis = cis
-        desc.kinds = kinds
-        desc.pis = pis
-        desc.split = 0
-        desc.hz_pred = None
-        desc.calls = []
-        if self.strict and self._has_hazard:
-            # hz_idx indexes the timing-checked (NDROC/HCDRO) events:
-            # None means the whole wave, False means none.
-            hz_idx: Any = None
-            if uniform:
-                if k0 != K_NDROC and k0 != K_HCDRO:
-                    hz_idx = False
-            else:
-                hm = self._hazard_ci[cis]
-                hz_idx = np.flatnonzero(hm) if bool(hm.any()) else False
-            if hz_idx is not False:
-                if hz_idx is None:
-                    sub_l, sub_c = lanes, cis
-                    sub_p, sub_k = pis, kinds
-                else:
-                    sub_l = lanes[hz_idx]
-                    sub_c = cis[hz_idx]
-                    sub_p = pis[hz_idx]
-                    sub_k = kinds[hz_idx]
-                sub_flat = sub_l * n + sub_c
-                if sub_flat.size > 1:
-                    # A stable sort keeps equal targets in wave order, so
-                    # every entry equal to its predecessor is a repeat.
-                    srt = np.argsort(sub_flat, kind="stable")
-                    later = srt[1:]
-                    repeats = later[sub_flat[later] == sub_flat[srt[:-1]]]
-                    if repeats.size:
-                        first = int(repeats.min())
-                        desc.split = (first if hz_idx is None
-                                      else int(hz_idx[first]))
-                        return desc
-                hcdro = sub_k == K_HCDRO
-                # NDROC set/reset never violate; NDROC clk (pi==2) and
-                # HCDRO d (pi==0) check f0, HCDRO clk (pi==1) checks f1.
-                candidate = hcdro | (sub_p == 2)
-                hc1 = hcdro & (sub_p == 1)
-                desc.hz_pred = (hz_idx, sub_flat, hc1, candidate,
-                                st.p0[sub_c])
-        order = np.arange(lanes.size, dtype=np.int64)
-        if uniform:
-            self._build_group(desc.calls, k0, lanes, cis, pis, order)
-        else:
-            kcounts = np.bincount(kinds, minlength=K_FALLBACK + 1)
-            for code in np.flatnonzero(kcounts).tolist():
-                sel = kinds == code
-                self._build_group(desc.calls, code, lanes[sel], cis[sel],
-                                  pis[sel], order[sel])
-        return desc
-
-    def _build_group(self, calls: List[_Call], code: int, lanes: np.ndarray,
-                     cis: np.ndarray, pis: np.ndarray,
-                     order: np.ndarray) -> None:
-        """Append one kind group, round-splitting duplicate cell targets.
-
-        Two deliveries to the same ``(lane, cell)`` in one generation
-        (e.g. a DAND coincidence pair) must apply in wave order; sorting
-        by cell and peeling one occurrence per round keeps every round
-        duplicate-free so the vector kernel stays exact.  Stateless
-        kinds skip the check entirely.  Strict-mode NDROC/HCDRO
-        duplicates never reach here (``_wave`` splits the wave first).
-        """
-        if code in _DUP_SAFE:
-            calls.append(self._make_call(code, lanes, cis, pis, order,
-                                         None))
-            return
-        flat = lanes * self.static.n + cis
-        if lanes.size > 1:
-            srt = np.argsort(flat, kind="stable")
-            sp = flat[srt]
-            dup = sp[1:] == sp[:-1]
-            if bool(dup.any()):
-                starts = np.concatenate(
-                    ([0], np.flatnonzero(~dup) + 1))
-                counts = np.diff(np.append(starts, sp.size))
-                occ = np.empty(sp.size, dtype=np.int64)
-                occ[srt] = (np.arange(sp.size, dtype=np.int64)
-                            - np.repeat(starts, counts))
-                for occurrence in range(int(counts.max())):
-                    m = occ == occurrence
-                    calls.append(self._make_call(
-                        code, lanes[m], cis[m], pis[m], order[m], flat[m]))
-                return
-        calls.append(self._make_call(code, lanes, cis, pis, order, flat))
-
-    def _make_call(self, code: int, lanes: np.ndarray, cis: np.ndarray,
-                   pis: np.ndarray, order: np.ndarray,
-                   flat: Optional[np.ndarray]) -> _Call:
-        """Build one kernel call with its static per-kind prep."""
-        st = self.static
-        prep: Any
-        if code == K_SPL:
-            # Fused: both output slots interleaved event-major, so the
-            # chunk lands in the accumulator already key-ordered.
-            m = cis.size
-            bse = st.out_base[cis]
-            slots = np.empty(2 * m, dtype=np.int64)
-            slots[0::2] = bse
-            slots[1::2] = bse + 1
-            keys = np.empty(2 * m, dtype=np.int64)
-            keys[0::2] = order * 64
-            keys[1::2] = keys[0::2] + 1
-            prep = self._emit_static(keys, np.repeat(lanes, 2), slots,
-                                     np.repeat(st.delay[cis], 2))
-        elif code == K_DELAY:
-            prep = self._emit_static(order * 64, lanes, st.out_base[cis],
-                                     st.delay[cis])
-        elif code == K_PROBE:
-            prep = self._emit_static(order * 64, lanes, st.out_base[cis],
-                                     None)
-        elif code == K_DAND:
-            prep = (st.p0[cis], pis == 0, pis == 1,
-                    self._emit_fire_prep(lanes, cis, order))
-        elif code == K_MRG:
-            prep = (st.p0[cis], st.p1[cis], pis == 0,
-                    self._emit_fire_prep(lanes, cis, order))
-        elif code == K_NDROC:
-            p_min = int(pis.min())
-            # Pure-port fast paths are strict-only: in lenient mode even
-            # a pure clk wave can dissipate violating pulses in-kernel.
-            pure = (p_min if self.strict and p_min == int(pis.max())
-                    else None)
-            prep = (st.out_base[cis], st.delay[cis], order * 64, pure,
-                    pis == 0, pis == 1, pis == 2, st.p0[cis],
-                    st.kind_all_live[K_NDROC])
-        elif code == K_HCDRO:
-            p_min = int(pis.min())
-            pure = (p_min if self.strict and p_min == int(pis.max())
-                    else None)
-            prep = (st.p0[cis], st.p1[cis], pure, pis == 0, pis != 0,
-                    self._emit_fire_prep(lanes, cis, order))
-        elif code == K_CNT:
-            read_p = pis == 1
-            prep = (pis == 0, read_p, pis == 2, st.p1[cis],
-                    st.out_base[cis], st.delay[cis], st.nout[cis],
-                    order * 64, bool(read_p.any()))
-        elif code == K_NDRO:
-            prep = (pis == 0, pis == 1, pis == 2,
-                    self._emit_fire_prep(lanes, cis, order))
-        elif code == K_DRO:
-            prep = (pis == 0, self._emit_fire_prep(lanes, cis, order))
-        else:  # K_SINK
-            prep = None
-        return (code, lanes, cis, pis, order, flat, prep)
-
-    def _emit_static(self, keys: np.ndarray, lanes: np.ndarray,
-                     slots: np.ndarray,
-                     dly: Optional[np.ndarray]) -> Any:
-        """Pre-masked emission columns for a statically-known slot set.
-
-        Dead (unwired) slots are filtered here, once, so the per-wave
-        kernel is a single ``(t + d) + w`` (or ``t + w`` when ``dly`` is
-        None, the probe case).  Returns None when nothing is wired.
-        """
-        st = self.static
-        tg = st.wire_tgt[slots]
-        wd = st.wire_delay[slots]
-        live = tg >= 0
-        if not bool(live.all()):
-            if not bool(live.any()):
-                return None
-            keys = keys[live]
-            lanes = lanes[live]
-            tg = tg[live]
-            wd = wd[live]
-            if dly is not None:
-                dly = dly[live]
-        if dly is None:
-            return (keys, lanes, tg, wd)
-        return (keys, lanes, tg, dly, wd)
-
-    def _emit_fire_prep(self, lanes: np.ndarray, cis: np.ndarray,
-                        order: np.ndarray) -> Any:
-        """Like :meth:`_emit_static` for kernels with a dynamic fire
-        mask: also records the live-position index so the mask can be
-        restricted to the pre-filtered columns."""
-        st = self.static
-        slots = st.out_base[cis]
-        tg = st.wire_tgt[slots]
-        keys = order * 64
-        dly = st.delay[cis]
-        wd = st.wire_delay[slots]
-        live = tg >= 0
-        if bool(live.all()):
-            return (keys, lanes, tg, dly, wd, None)
-        if not bool(live.any()):
-            return None
-        idx = np.flatnonzero(live)
-        return (keys[idx], lanes[idx], tg[idx], dly[idx], wd[idx], idx)
-
-    def _predict_errors(self, t: float, lanes: np.ndarray,
-                        desc: "_WaveDesc",
-                        cuts: Dict[int, Tuple[int, str, str, bool]]
-                        ) -> None:
-        """Fold predicted strict-timing violations into the stop map."""
-        st = self.static
-        if desc.hz_pred is None:
-            return
-        hz_idx, sub_flat, hc1, candidate, p0sub = desc.hz_pred
-        last = np.where(hc1, self.f1f[sub_flat], self.f0f[sub_flat])
-        viol = candidate & (t - last + 1e-9 < p0sub)
-        if not bool(viol.any()):
-            return
-        # Ascending wave positions: the first violation per lane wins.
-        js = np.flatnonzero(viol) if hz_idx is None else hz_idx[viol]
-        cis = desc.cis
-        pis = desc.pis
-        kinds = desc.kinds
-        for j in js.tolist():
-            lane = int(lanes[j])
-            previous = cuts.get(lane)
-            if previous is not None and previous[0] <= j:
-                continue
-            ci = int(cis[j])
-            if int(kinds[j]) == K_NDROC:
-                dt = t - float(self.f0[lane, ci])
-                pin = "CLK"
-            elif int(pis[j]) == 0:
-                dt = t - float(self.f0[lane, ci])
-                pin = "d"
-            else:
-                dt = t - float(self.f1[lane, ci])
-                pin = "clk"
-            message = (f"{st.names[ci]}: {pin} pulses {dt:.2f} ps "
-                       f"apart (< {float(st.p0[ci])} ps)")
-            cuts[lane] = (j, "TimingViolationError", message, True)
-
-    def _apply_cuts(self, t: float, lanes: np.ndarray, packed: np.ndarray,
-                    cuts: Dict[int, Tuple[int, str, str, bool]]) -> None:
-        st = self.static
-        for lane, (stop, etype, message, traced) in cuts.items():
-            if traced:
-                # The raising delivery is traced (the compiled loop
-                # records the event before dispatching it) and advances
-                # the lane clock, but is not counted as delivered and is
-                # consumed from the queue.
-                trace = self.traces[lane]
-                if trace is not None:
-                    pk = int(packed[stop])
-                    ci = pk >> 8
-                    trace.append((t, st.names[ci], st.in_ports[ci][pk & 7]))
-                self.now[lane] = t
-            self._freeze(lane, etype, message)
-        for j in np.flatnonzero(
-                np.asarray([self.frozen[int(lane)] for lane in lanes])
-        ).tolist():
-            lane = int(lanes[j])
-            cut = cuts.get(lane)
-            if cut is None:
-                continue
-            stop, _etype, _message, traced = cut
-            if j < stop or (j == stop and traced):
-                continue
-            # The budget-stopping event and everything after the cut
-            # stay pending, exactly as the compiled queue retains them.
-            self.leftover[lane].append((t, int(packed[j])))
-
-    # -- vector kernels -------------------------------------------------
-
-    def _run_call(self, call: _Call, t: float,
-                  acc: List[Tuple[np.ndarray, np.ndarray,
-                                  np.ndarray, np.ndarray]]) -> None:
-        code = call[0]
-        prep = call[6]
-        if code == K_SPL or code == K_DELAY:
-            if prep is not None:
-                keys, lv, tg, dly, wd = prep
-                acc.append((keys, lv, tg, (t + dly) + wd))
-        elif code == K_PROBE:
-            g_lanes = call[1]
-            g_cis = call[2]
-            for j in range(g_lanes.size):
-                times = self.probes[int(g_lanes[j])].get(int(g_cis[j]))
-                if times is not None:
-                    times.append(t)
-            if prep is not None:
-                keys, lv, tg, wd = prep
-                acc.append((keys, lv, tg, t + wd))
-        elif code == K_SINK:
-            self.i0f[call[5]] += 1
-        elif code == K_DAND:
-            self._run_dand(call, t, acc)
-        elif code == K_MRG:
-            self._run_merger(call, t, acc)
-        elif code == K_NDROC:
-            self._run_ndroc(call, t, acc)
-        elif code == K_HCDRO:
-            self._run_hcdro(call, t, acc)
-        elif code == K_CNT:
-            self._run_counter(call, t, acc)
-        elif code == K_NDRO:
-            self._run_ndro(call, t, acc)
-        else:  # K_DRO
-            self._run_dro(call, t, acc)
-
-    def _emit_prep(self, t: float, emit: Any, fire: Optional[np.ndarray],
-                   acc: List[Tuple[np.ndarray, np.ndarray,
-                                   np.ndarray, np.ndarray]]) -> None:
-        """Append emissions through a pre-masked static prep.
-
-        ``fire`` (if given) is the kernel's dynamic output mask over the
-        *unfiltered* group; the prep's live index restricts it to the
-        wired columns.
-        """
-        if emit is None:
-            return
-        keys, lv, tg, dly, wd, live_idx = emit
-        if fire is not None:
-            if live_idx is not None:
-                fire = fire[live_idx]
-            if not fire.all():
-                if fire.any():
-                    acc.append((keys[fire], lv[fire], tg[fire],
-                                (t + dly[fire]) + wd[fire]))
-                return
-        acc.append((keys, lv, tg, (t + dly) + wd))
-
-    def _run_dand(self, call: _Call, t: float,
-                  acc: List[Tuple[np.ndarray, np.ndarray,
-                                  np.ndarray, np.ndarray]]) -> None:
-        flat = call[5]
-        p0v, pis0, pis1, emit = call[6]
-        f0 = self.f0f[flat]
-        f1 = self.f1f[flat]
-        other = np.where(pis0, f1, f0)
-        fire = (t - other) <= p0v
-        if fire.all():
-            self.f0f[flat] = _NEG_INF
-            self.f1f[flat] = _NEG_INF
-            self._emit_prep(t, emit, None, acc)
-            return
-        if not fire.any():
-            self.f0f[flat] = np.where(pis0, t, f0)
-            self.f1f[flat] = np.where(pis1, t, f1)
-            return
-        self.f0f[flat] = np.where(
-            fire, _NEG_INF, np.where(pis0, t, f0))
-        self.f1f[flat] = np.where(
-            fire, _NEG_INF, np.where(pis1, t, f1))
-        self._emit_prep(t, emit, fire, acc)
-
-    def _run_merger(self, call: _Call, t: float,
-                    acc: List[Tuple[np.ndarray, np.ndarray,
-                                    np.ndarray, np.ndarray]]) -> None:
-        flat = call[5]
-        pis = call[3]
-        p0v, p1v, pis0, emit = call[6]
-        f0 = self.f0f[flat]
-        delta = t - f0
-        # fire <=> not simultaneous (delta > p1) and past the dead time
-        # (delta >= p0); the common case is that every pulse fires.
-        fire = (delta > p1v) & (delta >= p0v)
-        if fire.all():
-            self.i0f[flat] = pis
-            self.f0f[flat] = t
-            self._emit_prep(t, emit, None, acc)
-            return
-        simultaneous = delta <= p1v
-        dead = ~simultaneous & (delta < p0v)
-        self.i2f[flat] += simultaneous
-        self.i1f[flat] += simultaneous | dead
-        i0 = self.i0f[flat]
-        self.i0f[flat] = np.where(
-            simultaneous & pis0, 0, np.where(fire, pis, i0))
-        self.f0f[flat] = np.where(fire, t, f0)
-        self._emit_prep(t, emit, fire, acc)
-
-    def _run_ndroc(self, call: _Call, t: float,
-                   acc: List[Tuple[np.ndarray, np.ndarray,
-                                   np.ndarray, np.ndarray]]) -> None:
-        st = self.static
-        flat = call[5]
-        lanes = call[1]
-        base, dlyv, keys0, pure, set_p, reset_p, clk, p0v, all_live = call[6]
-        stored = self.i0f[flat]
-        wire_tgt = st.wire_tgt
-        wire_delay = st.wire_delay
-        if pure is not None:
-            if pure == 2:  # pure clk wave (read-tree broadcast)
-                self.f0f[flat] = t
-                slots = base + (stored == 0)
-                tg = wire_tgt[slots]
-                ta = (t + dlyv) + wire_delay[slots]
-                if all_live:
-                    acc.append((keys0, lanes, tg, ta))
-                else:
-                    live = tg >= 0
-                    if live.all():
-                        acc.append((keys0, lanes, tg, ta))
-                    elif live.any():
-                        acc.append((keys0[live], lanes[live], tg[live],
-                                    ta[live]))
-            elif pure == 0:  # pure set wave
-                self.i1f[flat] += stored
-                self.i0f[flat] = 1
-            else:  # pure reset wave
-                self.i1f[flat] += stored == 0
-                self.i0f[flat] = 0
-            return
-        self.i1f[flat] += ((set_p & (stored != 0))
-                           | (reset_p & (stored == 0)))
-        new_stored = np.where(set_p & (stored == 0), 1,
-                              np.where(reset_p & (stored != 0), 0, stored))
-        if self.strict:
-            ok_clk = clk  # violations were cut in the prediction pass
-        else:
-            viol = clk & (t - self.f0f[flat] + 1e-9 < p0v)
-            self.i1f[flat] += viol
-            ok_clk = clk & ~viol
-        self.f0f[flat] = np.where(ok_clk, t, self.f0f[flat])
-        self.i0f[flat] = new_stored
-        slots = base + (stored == 0)
-        tg = wire_tgt[slots]
-        live = ok_clk if all_live else (tg >= 0) & ok_clk
-        if live.all():
-            acc.append((keys0, lanes, tg, (t + dlyv) + wire_delay[slots]))
-        elif live.any():
-            acc.append((keys0[live], lanes[live], tg[live],
-                        (t + dlyv[live]) + wire_delay[slots[live]]))
-
-    def _run_hcdro(self, call: _Call, t: float,
-                   acc: List[Tuple[np.ndarray, np.ndarray,
-                                   np.ndarray, np.ndarray]]) -> None:
-        flat = call[5]
-        p0v, p1v, pure, d_p, clk, emit = call[6]
-        fluxons = self.i0f[flat]
-        if pure is not None:
-            if pure == 0:  # pure d wave (write burst)
-                full = fluxons >= p1v
-                self.i1f[flat] += full
-                self.i0f[flat] = fluxons + ~full
-                self.f0f[flat] = t
-            else:  # pure clk wave (read burst)
-                pop = fluxons > 0
-                self.i0f[flat] = fluxons - pop
-                self.f1f[flat] = t
-                self._emit_prep(t, emit, pop, acc)
-            return
-        f0 = self.f0f[flat]
-        f1 = self.f1f[flat]
-        if self.strict:
-            ok_d = d_p
-            ok_clk = clk
-        else:
-            ok_d = d_p & (t - f0 + 1e-9 >= p0v)
-            ok_clk = clk & (t - f1 + 1e-9 >= p0v)
-            self.i1f[flat] += (d_p & ~ok_d) | (clk & ~ok_clk)
-        full = fluxons >= p1v
-        self.i1f[flat] += ok_d & full
-        pop = ok_clk & (fluxons > 0)
-        self.i0f[flat] = fluxons + (ok_d & ~full) - pop
-        self.f0f[flat] = np.where(d_p, t, f0)
-        self.f1f[flat] = np.where(clk, t, f1)
-        self._emit_prep(t, emit, pop, acc)
-
-    def _run_counter(self, call: _Call, t: float,
-                     acc: List[Tuple[np.ndarray, np.ndarray,
-                                     np.ndarray, np.ndarray]]) -> None:
-        st = self.static
-        flat = call[5]
-        lanes = call[1]
-        in_p, read_p, reset_p, p1v, base, dlyv, noutv, keys0, any_read = \
-            call[6]
-        count = self.i0f[flat]
-        bumped = count + in_p
-        wrap = in_p & (bumped >= p1v)
-        self.i1f[flat] += wrap
-        self.i0f[flat] = np.where(wrap | reset_p, 0, bumped)
-        if any_read:
-            out_t = t + dlyv
-            for bit in range(st.max_cnt_bits):
-                fire = (read_p & (bit < noutv)
-                        & (((count >> bit) & 1) == 1))
-                if fire.any():
-                    slots = base + bit
-                    tg = st.wire_tgt[slots]
-                    live = (tg >= 0) & fire
-                    if live.all():
-                        acc.append((keys0 + bit, lanes, tg,
-                                    out_t + st.wire_delay[slots]))
-                    elif live.any():
-                        acc.append((keys0[live] + bit, lanes[live],
-                                    tg[live],
-                                    out_t[live]
-                                    + st.wire_delay[slots[live]]))
-
-    def _run_ndro(self, call: _Call, t: float,
-                  acc: List[Tuple[np.ndarray, np.ndarray,
-                                  np.ndarray, np.ndarray]]) -> None:
-        flat = call[5]
-        set_p, reset_p, clk, emit = call[6]
-        stored = self.i0f[flat]
-        self.i1f[flat] += ((set_p & (stored != 0))
-                           | (reset_p & (stored == 0)))
-        self.i0f[flat] = np.where(
-            set_p & (stored == 0), 1,
-            np.where(reset_p & (stored != 0), 0, stored))
-        self._emit_prep(t, emit, clk & (stored != 0), acc)
-
-    def _run_dro(self, call: _Call, t: float,
-                 acc: List[Tuple[np.ndarray, np.ndarray,
-                                 np.ndarray, np.ndarray]]) -> None:
-        flat = call[5]
-        d_p, emit = call[6]
-        stored = self.i0f[flat]
-        fire = ~d_p & (stored != 0)
-        self.i1f[flat] += d_p & (stored != 0)
-        self.i0f[flat] = np.where(
-            d_p & (stored == 0), 1, np.where(fire, 0, stored))
-        self._emit_prep(t, emit, fire, acc)
-
-    # -- emission spill -------------------------------------------------
-
-    def _spill_emissions(self, t: float,
-                         acc: List[Tuple[np.ndarray, np.ndarray,
-                                         np.ndarray, np.ndarray]]
-                         ) -> Tuple[Sequence[int], Sequence[int]]:
-        """Route collected emissions: same-time to the next generation
-        (ordered by source event), future times to wheel buckets.
-
-        Returns the next generation's ``(lanes, targets)``.  Emission
-        times never precede ``t`` (delays are non-negative), so after
-        the time sort the ``ta == t`` run - if any - is the first one.
-        """
-        if not acc:
-            return (), ()
-        if len(acc) == 1:
-            # A single chunk is already in ascending key order (every
-            # producer emits event-major), so only the times may need
-            # sorting.
-            keys, lanes, tgs, tas = acc[0]
-            key_sorted = True
-        else:
-            keys = np.concatenate([entry[0] for entry in acc])
-            lanes = np.concatenate([entry[1] for entry in acc])
-            tgs = np.concatenate([entry[2] for entry in acc])
-            tas = np.concatenate([entry[3] for entry in acc])
-            key_sorted = False
-        ta0 = tas[0]
-        if bool((tas == ta0).all()):
-            # Dominant case: the whole wave's emissions land at one time.
-            if not key_sorted:
-                srt = np.argsort(keys)
-                lanes = lanes[srt]
-                tgs = tgs[srt]
-            ta = float(ta0)
-            if ta == t:
-                return lanes, tgs
-            bucket = self.buckets.get(ta)
-            if bucket is None:
-                self.buckets[ta] = ([lanes], [tgs])
-                heappush(self.heap, ta)
-            else:
-                bucket[0].append(lanes)
-                bucket[1].append(tgs)
-            return (), ()
-        srt = np.lexsort((keys, tas))
-        lanes = lanes[srt]
-        tgs = tgs[srt]
-        tas = tas[srt]
-        boundaries = np.flatnonzero(tas[1:] != tas[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [tas.size]))
-        next_lanes: Sequence[int] = ()
-        next_packed: Sequence[int] = ()
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            ta = float(tas[start])
-            if ta == t:
-                next_lanes = lanes[start:end]
-                next_packed = tgs[start:end]
-            else:
-                bucket = self.buckets.get(ta)
-                if bucket is None:
-                    self.buckets[ta] = ([lanes[start:end]],
-                                        [tgs[start:end]])
-                    heappush(self.heap, ta)
-                else:
-                    bucket[0].append(lanes[start:end])
-                    bucket[1].append(tgs[start:end])
-        return next_lanes, next_packed
-
-    # -- results --------------------------------------------------------
-
-    def _finish(self) -> List[LaneOutcome]:
-        self._flush_delivered()
-        st = self.static
-        outcomes: List[LaneOutcome] = []
-        for lane in range(self.lanes):
-            error = self.errors[lane]
-            now_ps = float(self.now[lane])
-            pending_raw = self.leftover[lane]
-            if error is None and not pending_raw:
-                # Whole queue drained: the final finite horizon advances
-                # the lane clock, matching Engine.run's drained-queue
-                # behaviour segment by segment.
-                last_event = (now_ps if int(self.delivered[lane]) > 0
-                              else _NEG_INF)
-                for until_ps, _max_events in reversed(self.segments[lane]):
-                    if until_ps == _INF:
-                        continue
-                    if until_ps >= last_event:
-                        now_ps = until_ps
-                    break
-            pending_events = sorted(
-                (time_ps, st.names[pk >> 8],
-                 st.in_ports[pk >> 8][pk & 7])
-                for time_ps, pk in pending_raw)
-            probes = {ci: times for ci, times in self.probes[lane].items()}
-            outcomes.append(LaneOutcome(
-                lane=lane, error=error,
-                delivered=int(self.delivered[lane]), now_ps=now_ps,
-                pending=len(pending_events), pending_events=pending_events,
-                trace=self.traces[lane],
-                i0=self.i0[lane], i1=self.i1[lane],
-                i2=self.i2[lane], f0=self.f0[lane],
-                f1=self.f1[lane], probes=probes, fallback={}))
-        return outcomes
-

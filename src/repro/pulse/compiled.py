@@ -327,48 +327,11 @@ class CompiledEngine:
 
     # -- writeback -----------------------------------------------------
 
-    def _writeback_one(self, ci: int) -> None:
-        obj: Any = self._comps[ci]
-        k = self._kind[ci]
-        if k == K_MRG:
-            obj._last_pulse_ps = self._f0[ci]
-            obj.winner_port = ("", "in0", "in1")[self._i0[ci] + 1]
-            obj.dissipated = self._i1[ci]
-            obj.simultaneous_arrivals = self._i2[ci]
-        elif k == K_HCDRO:
-            obj.fluxons = self._i0[ci]
-            obj.dissipated = self._i1[ci]
-            obj._last_d_ps = self._f0[ci]
-            obj._last_clk_ps = self._f1[ci]
-        elif k == K_NDROC:
-            obj.stored = bool(self._i0[ci])
-            obj.dissipated = self._i1[ci]
-            obj._last_clk_ps = self._f0[ci]
-        elif k == K_DAND:
-            obj._pending.clear()
-            if self._f0[ci] != _NEG_INF:
-                obj._pending["a"] = self._f0[ci]
-            if self._f1[ci] != _NEG_INF:
-                obj._pending["b"] = self._f1[ci]
-        elif k == K_DRO or k == K_NDRO:
-            obj.stored = bool(self._i0[ci])
-            obj.dissipated = self._i1[ci]
-        elif k == K_CNT:
-            obj.count = self._i0[ci]
-            obj.wrapped = self._i1[ci]
-        elif k == K_TFF:
-            obj.q_state = bool(self._i0[ci])
-        elif k == K_SINK:
-            obj.count = self._i0[ci]
-        else:  # clocked gates
-            obj._a = bool(self._i0[ci])
-            obj._b = bool(self._i1[ci])
-            obj.evaluations = self._i2[ci]
+    def _writeback(self, cis: List[int]) -> None:
+        """Synchronise the component objects ``cis`` from the arrays.
 
-    def _writeback_dirty(self) -> None:
-        # Body of _writeback_one inlined: a run touching one register row
-        # dirties hundreds of components, so the per-component method
-        # call is worth eliminating from the post-run path.
+        Every index must be a stateful kind; clears the dirty set.
+        """
         dirtyb = self._dirtyb
         comps = self._comps
         kindv = self._kind
@@ -377,7 +340,7 @@ class CompiledEngine:
         i2 = self._i2
         f0 = self._f0
         f1 = self._f1
-        for ci in self._dirtyl:
+        for ci in cis:
             dirtyb[ci] = 0
             obj: Any = comps[ci]
             k = kindv[ci]
@@ -422,10 +385,7 @@ class CompiledEngine:
 
     def writeback(self) -> None:
         """Synchronise every stateful component object from the arrays."""
-        for ci in self._stateful:
-            self._dirtyb[ci] = 0
-            self._writeback_one(ci)
-        self._dirtyl.clear()
+        self._writeback(self._stateful)
 
     # -- views ---------------------------------------------------------
 
@@ -545,8 +505,10 @@ class CompiledEngine:
         lim = ncur if ncur < stop_idx else stop_idx
         # `have` flags an in-hand event (the direct-dispatch fast path):
         # an emitted pulse already known to be the next event skips the
-        # queue round-trip entirely and is delivered on the next pass.
+        # queue round-trip entirely and is delivered at `have_t` on the
+        # next pass.
         have = 0
+        have_t = _NEG_INF
         packed = -1
         # One-entry bucket cache: broadcast waves emit many pulses into
         # the same future time, so remember the last bucket touched and
@@ -583,20 +545,18 @@ class CompiledEngine:
                 elif have:
                     have = 0
                     if dbase + (idx - bstart) + have_count >= max_events:
-                        # Put the undelivered in-hand event back first.
-                        if now == cur_time:
-                            cur.append(packed)
-                            ncur += 1
+                        # Put the undelivered in-hand event back first;
+                        # the clock stays at the last delivered event.
+                        b = bucket_get(have_t)
+                        if b is None:
+                            buckets[have_t] = [packed]
+                            heappush(heap, have_t)
                         else:
-                            b = bucket_get(now)
-                            if b is None:
-                                buckets[now] = [packed]
-                                heappush(heap, now)
-                            else:
-                                b.append(packed)
+                            b.append(packed)
                         raise SimulationError(
                             f"exceeded {max_events} events; "
                             "oscillating netlist?")
+                    now = have_t
                     have_count += 1
                     stop_idx -= 1
                     lim = ncur if ncur < stop_idx else stop_idx
@@ -690,7 +650,7 @@ class CompiledEngine:
                                     lim = ncur if ncur < stop_idx else stop_idx
                                 elif (idx >= ncur and ta <= until_ps
                                       and (not heap or ta < heap[0])):
-                                    now = ta
+                                    have_t = ta
                                     packed = tg
                                     have = 1
                                 else:
@@ -724,7 +684,7 @@ class CompiledEngine:
                                     lim = ncur if ncur < stop_idx else stop_idx
                                 elif (idx >= ncur and ta <= until_ps
                                       and (not heap or ta < heap[0])):
-                                    now = ta
+                                    have_t = ta
                                     packed = tg
                                     have = 1
                                 else:
@@ -769,7 +729,7 @@ class CompiledEngine:
                                     lim = ncur if ncur < stop_idx else stop_idx
                                 elif (idx >= ncur and ta <= until_ps
                                       and (not heap or ta < heap[0])):
-                                    now = ta
+                                    have_t = ta
                                     packed = tg
                                     have = 1
                                 else:
@@ -817,7 +777,7 @@ class CompiledEngine:
                                         lim = ncur if ncur < stop_idx else stop_idx
                                     elif (idx >= ncur and ta <= until_ps
                                           and (not heap or ta < heap[0])):
-                                        now = ta
+                                        have_t = ta
                                         packed = tg
                                         have = 1
                                     else:
@@ -870,7 +830,7 @@ class CompiledEngine:
                                         lim = ncur if ncur < stop_idx else stop_idx
                                     elif (idx >= ncur and ta <= until_ps
                                           and (not heap or ta < heap[0])):
-                                        now = ta
+                                        have_t = ta
                                         packed = tg
                                         have = 1
                                     else:
@@ -894,7 +854,7 @@ class CompiledEngine:
                                 lim = ncur if ncur < stop_idx else stop_idx
                             elif (idx >= ncur and ta <= until_ps
                                   and (not heap or ta < heap[0])):
-                                now = ta
+                                have_t = ta
                                 packed = tg
                                 have = 1
                             else:
@@ -963,7 +923,7 @@ class CompiledEngine:
                                     lim = ncur if ncur < stop_idx else stop_idx
                                 elif (idx >= ncur and ta <= until_ps
                                       and (not heap or ta < heap[0])):
-                                    now = ta
+                                    have_t = ta
                                     packed = tg
                                     have = 1
                                 else:
@@ -994,7 +954,7 @@ class CompiledEngine:
                                     lim = ncur if ncur < stop_idx else stop_idx
                                 elif (idx >= ncur and ta <= until_ps
                                       and (not heap or ta < heap[0])):
-                                    now = ta
+                                    have_t = ta
                                     packed = tg
                                     have = 1
                                 else:
@@ -1018,7 +978,7 @@ class CompiledEngine:
                                 lim = ncur if ncur < stop_idx else stop_idx
                             elif (idx >= ncur and ta <= until_ps
                                   and (not heap or ta < heap[0])):
-                                now = ta
+                                have_t = ta
                                 packed = tg
                                 have = 1
                             else:
@@ -1046,7 +1006,7 @@ class CompiledEngine:
                                         lim = ncur if ncur < stop_idx else stop_idx
                                     elif (idx >= ncur and ta <= until_ps
                                           and (not heap or ta < heap[0])):
-                                        now = ta
+                                        have_t = ta
                                         packed = tg
                                         have = 1
                                     else:
@@ -1070,7 +1030,7 @@ class CompiledEngine:
                                         lim = ncur if ncur < stop_idx else stop_idx
                                     elif (idx >= ncur and ta <= until_ps
                                           and (not heap or ta < heap[0])):
-                                        now = ta
+                                        have_t = ta
                                         packed = tg
                                         have = 1
                                     else:
@@ -1122,7 +1082,7 @@ class CompiledEngine:
                                         lim = ncur if ncur < stop_idx else stop_idx
                                     elif (idx >= ncur and ta <= until_ps
                                           and (not heap or ta < heap[0])):
-                                        now = ta
+                                        have_t = ta
                                         packed = tg
                                         have = 1
                                     else:
@@ -1161,7 +1121,7 @@ class CompiledEngine:
             eng._delivered += delivered
             eng.now_ps = now
             if dirtyl:
-                self._writeback_dirty()
+                self._writeback(dirtyl)
         return delivered
 
     # -- state management ----------------------------------------------

@@ -241,10 +241,10 @@ class Engine:
 
         Each :class:`~repro.pulse.batched.LaneStimulus` (usually recorded
         with :func:`~repro.pulse.batched.capture_stimulus`) is an
-        independent run from the engine's *current* state; the lane
-        count picks sequential compiled replay or one batched event
-        wheel (:func:`~repro.pulse.batched.run_lanes`).  The engine's
-        own state is untouched; use
+        independent run from the engine's *current* state, replayed lane
+        by lane on the compiled engine
+        (:func:`~repro.pulse.batched.run_lanes`).  The engine's own
+        state is untouched; use
         :func:`~repro.pulse.batched.install_lane` to load one lane's
         final state back for white-box inspection.
         """

@@ -16,10 +16,9 @@ the destructive-readout design that the paper's density win buys.
 Every fault is expressed as *stimulus only* - extra SET/RESET/data
 pulses scheduled on netlist pins, never a patched ``on_pulse`` - so a
 trial records cleanly with :func:`repro.pulse.capture_stimulus` and
-replays identically on the reference engine, sequential compiled
-replay and the batched wheel.
+replays identically on the reference engine and as a compiled lane.
 :func:`run_hiperrf_trials` dispatches a whole list of trials as one
-lane batch over a single cached build.
+lane set over a single cached build.
 """
 
 from __future__ import annotations
@@ -157,7 +156,7 @@ def run_hiperrf_trials(trials: Sequence[FaultTrial],
     The netlist is built (or fetched) once through the compiled-netlist
     cache; each trial is captured as a :class:`~repro.pulse.LaneStimulus`
     and the whole sweep replays in a single :meth:`Engine.run_lanes`
-    call, whose lane count picks sequential or batched replay.
+    call, one snapshot/restore replay per trial.
     """
     geom = geometry if geometry is not None else _DEFAULT_GEOMETRY
     rf = PulseHiPerRF.build_cached(geom, _HIPERRF_PERIOD_PS)

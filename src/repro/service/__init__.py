@@ -1,7 +1,8 @@
 """Coalescing simulation service: batch strangers' requests together.
 
-All three simulation stacks have compiled/batched fast tiers with
-on-disk caches, but every experiment run still pays its own dispatch -
+All three simulation stacks have compiled fast tiers (the RCSJ stack
+also a batched one) with on-disk caches, but every experiment run still
+pays its own dispatch -
 two users asking for overlapping Figure 14 sweeps or margin grids each
 rebuild op tapes and launch separate solver batches.  This package
 turns the experiment runners into a long-running asyncio job service

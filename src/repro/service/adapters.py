@@ -454,8 +454,8 @@ def _pulse_compute(payloads: Sequence[Any]) -> List[Dict[str, Any]]:
     Every payload in a group shares the build key, so the whole batch
     is one exclusive checkout: each item's program is captured as a
     stimulus lane and the group replays in a single
-    :meth:`~repro.pulse.engine.Engine.run_lanes` call (whose lane count
-    picks sequential or batched replay).  Per-item values decode
+    :meth:`~repro.pulse.engine.Engine.run_lanes` call, one
+    snapshot/restore replay per item.  Per-item values decode
     from the installed lane state and are identical whether the item
     dispatches alone or with strangers - the equivalence the service
     benchmark enforces.
@@ -495,7 +495,7 @@ def _pulse_compute(payloads: Sequence[Any]) -> List[Dict[str, Any]]:
 
 
 class _LaneMetrics:
-    """Thread-safe lane-occupancy record of batched pulse dispatches."""
+    """Thread-safe lane-occupancy record of lane-set dispatches."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

@@ -20,7 +20,10 @@ Each submitted job decomposes into unit work items
    for real misses, so the service also deduplicates against CLI
    sweeps running in the same process,
 4. computed values publish through the cache's atomic tmp+rename path,
-   then resolve every waiting job.
+   then resolve every waiting job.  A publish that raises (disk full,
+   read-only cache root) only costs the persistence: the value still
+   resolves its flight and its jobs, and ``stats()["cache"]
+   ["put_errors"]`` counts it.
 
 The engine is asyncio-native: construct it on a running loop (or use
 :class:`~repro.service.server.ServiceThread`, which hosts one in a
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
@@ -118,6 +122,10 @@ class CoalescingEngine:
         self.jobs_failed = 0
         self.item_totals = {"items": 0, "cache_hits": 0, "coalesced": 0,
                             "computed": 0}
+        #: Computed values the cache failed to store (counted on the
+        #: dispatch threads).
+        self.cache_put_errors = 0
+        self._put_errors_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -199,7 +207,8 @@ class CoalescingEngine:
             payload["cache"] = {"root": str(self.cache.root),
                                 "hits": self.cache.hits,
                                 "misses": self.cache.misses,
-                                "evictions": self.cache.evictions}
+                                "evictions": self.cache.evictions,
+                                "put_errors": self.cache_put_errors}
         return payload
 
     # -- job resolution ----------------------------------------------------
@@ -303,7 +312,9 @@ class CoalescingEngine:
         process never duplicates our work, and vice versa), compute all
         led misses in one batched dispatch, publish, resolve waiters.
         An item whose own dispatch raises fails alone: its flight and
-        its outcome carry the exception, and the rest publish.
+        its outcome carry the exception, and the rest publish.  A
+        publish that fails with an ``OSError`` (disk full, read-only
+        root) is counted and its flight still finishes with the value.
         """
         store = self.cache
         if store is None:
@@ -341,7 +352,11 @@ class CoalescingEngine:
                 resolved[index] = outcome
                 continue
             value = jsonable(outcome)
-            store.put(items[index].namespace, items[index].key, value)
+            try:
+                store.put(items[index].namespace, items[index].key, value)
+            except OSError:  # served uncached, not failed
+                with self._put_errors_lock:
+                    self.cache_put_errors += 1
             SINGLE_FLIGHT.finish(flight_key, flight, value=value)
             resolved[index] = (value, False)
         for index, flight in waiting:

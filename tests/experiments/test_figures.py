@@ -5,7 +5,6 @@ import pytest
 from repro.experiments import figure14, figure15, fullchip, josim_cells, \
     timing_figs
 from repro.experiments import paper_data
-from tests.experiments.test_lane_batching import run_both_paths
 
 
 class TestFigure14:
@@ -76,12 +75,10 @@ class TestFigure15:
         text = figure15.render()
         assert "Figure 15" in text and "loopbuffer_ndro" in text
 
-    def test_loopback_read_sweep_lanes(self, monkeypatch):
-        """The functional companion: N restoring reads keep the value,
-        and the batched wheel agrees with the sequential oracle."""
-        rows, sequential = run_both_paths(
-            monkeypatch, lambda: figure15.loopback_read_sweep([1, 2, 5]))
-        assert rows == sequential
+    def test_loopback_read_sweep_lanes(self):
+        """The functional companion: N restoring reads keep the value."""
+        rows = figure15.loopback_read_sweep([1, 2, 5])
+        assert [row["reads"] for row in rows] == [1, 2, 5]
         for row in rows:
             assert row["reads_ok"] == 1.0
             assert row["restored"] == 1.0

@@ -1,17 +1,16 @@
-"""Lane-batched sweeps elaborate their netlist exactly once.
+"""Lane-replayed sweeps elaborate their netlist exactly once.
 
 The skew and fault studies replay every trial as a stimulus lane over
 one cached build; the compiled-netlist cache's hit/miss counters are
-the build spy.  The sweeps must also be path-independent: moving the
-lane-count threshold so the other replay path runs gives the identical
-outcomes.
+the build spy.  Each lane must also give what the same trial gives run
+live on its own.
 """
 
 from __future__ import annotations
 
 from repro.experiments import fault_study, skew
-from repro.pulse import batched
 from repro.pulse.cache import DEFAULT_CACHE
+from repro.rf.faults import inject_hiperrf_fault
 from repro.rf.geometry import RFGeometry
 
 SMALL = RFGeometry(4, 8)  # 2 fault kinds x 4 registers x 4 columns
@@ -39,20 +38,15 @@ class TestSingleBuildPerSweep:
         assert DEFAULT_CACHE.stats()["misses"] == 1
 
 
-def run_both_paths(monkeypatch, sweep):
-    """``sweep()`` with every lane set batched, then all sequential."""
-    monkeypatch.setattr(batched, "BATCHED_MIN_LANES", 1)
-    wheel = sweep()
-    monkeypatch.setattr(batched, "BATCHED_MIN_LANES", 1 << 30)
-    return wheel, sweep()
-
-
-class TestSweepTierEquivalence:
-    def test_fault_sweep_tiers_agree(self, monkeypatch):
-        wheel, sequential = run_both_paths(
-            monkeypatch, lambda: fault_study.run_sweep(geometry=SMALL))
-        assert wheel == sequential
-        summary = fault_study.sweep_summary(wheel)
+class TestSweepMatchesLiveRuns:
+    def test_fault_sweep_matches_single_injections(self):
+        outcomes = fault_study.run_sweep(geometry=SMALL)
+        trials = fault_study.sweep_trials(SMALL)
+        assert outcomes == [
+            inject_hiperrf_fault(trial.fault, trial.register, trial.value,
+                                 trial.column)
+            for trial in trials]
+        summary = fault_study.sweep_summary(outcomes)
         assert summary["drop_loopback_pulse"]["trials"] == 16
         assert summary["extra_data_pulse"]["trials"] == 16
         # A dropped loopback pulse corrupts whenever the struck column
@@ -60,8 +54,9 @@ class TestSweepTierEquivalence:
         assert summary["drop_loopback_pulse"]["state_corrupted"] > 0
         assert summary["extra_data_pulse"]["state_corrupted"] == 0
 
-    def test_skew_tiers_agree(self, monkeypatch):
-        skews = [-4.0, 0.0, 8.0]
-        wheel, sequential = run_both_paths(monkeypatch,
-                                           lambda: skew.run(skews))
-        assert wheel == sequential
+    def test_skew_sweep_matches_restore_ok(self):
+        skews = [-16.0, -4.0, 0.0, 8.0]
+        rows = skew.run(skews)
+        assert [row["restored"] for row in rows] == [
+            float(skew.restore_ok(s)) for s in skews]
+        assert rows[0]["restored"] == 0.0 and rows[2]["restored"] == 1.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import threading
 
 import pytest
@@ -10,6 +11,7 @@ from repro.experiments.parallel import (
     SINGLE_FLIGHT,
     ResultCache,
     SingleFlight,
+    _flight_key,
     cached_call,
     cached_map,
 )
@@ -203,3 +205,31 @@ class TestCachedMapCollapse:
         result = cached_map("ns", fn, [9, 9, 9], workers=1, cache=cache)
         assert result == [10, 10, 10]
         assert calls == [9]
+
+
+class FullDiskCache(ResultCache):
+    """A cache whose every publish fails as on a full disk."""
+
+    def put(self, namespace, key, value):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestPublishFailure:
+    def test_failed_publish_finishes_every_led_flight(self, tmp_path):
+        cache = FullDiskCache(tmp_path)
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return x * 10
+
+        with pytest.raises(OSError, match="No space left"):
+            cached_map("ns", fn, [1, 2, 3], workers=1, cache=cache)
+        assert calls == [1, 2, 3]
+        assert SINGLE_FLIGHT.in_flight() == 0
+        # A later request for one of the keys leads a fresh flight
+        # instead of joining one that never resolves.
+        key = _flight_key(cache, "ns", 3)
+        leader, flight = SINGLE_FLIGHT.begin(key)
+        SINGLE_FLIGHT.finish(key, flight)
+        assert leader

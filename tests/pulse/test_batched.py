@@ -1,46 +1,59 @@
-"""Cross-path equivalence: reference vs sequential vs batched lanes.
+"""Lane replay vs the reference engine, lane by lane.
 
-Every scenario drives the *same* per-lane program three ways:
+Every scenario drives the *same* per-lane program two ways:
 
 * live on a fresh reference engine (one engine per lane - the ground
-  truth),
-* as captured stimulus lanes through ``run_lanes_sequential``
-  (snapshot/restore replay on the compiled engine),
-* as the same lanes through ``run_lanes_batched`` (one shared
-  vectorized event wheel).
+  truth, ``Component.on_pulse`` per event),
+* as captured stimulus lanes through ``run_lanes`` (snapshot/restore
+  replay on the compiled engine, whose inlined handlers are the one
+  fast definition of each cell).
 
-Both lane paths are called directly, so each is checked at every lane
-count whatever ``run_lanes`` would pick.  They must agree on
-*everything*, per lane: error type and text, delivered-event count,
-final clock, the full delivery trace (order, not just content), probe
-pulse times and component state.  Lane counts cover L in {1, 2, 7, 64},
-lanes retire unevenly, and strict-timing faults, same-instant pulse
-pairs and per-lane ``max_events`` exhaustion hit only some lanes of a
-batch.
+They must agree on *everything*, per lane: error type and text,
+delivered-event count, final clock, the full delivery trace (order, not
+just content), probe pulse times and component state.  Lane counts
+cover L in {1, 2, 7, 64}, lanes retire unevenly, and strict-timing
+faults, same-instant pulse pairs and per-lane ``max_events`` exhaustion
+hit only some lanes of a set.  A fixed-budget hypothesis test replays
+random stimuli over every scenario netlist the same way.
 """
 
 from __future__ import annotations
 
-import pytest
+import functools
 
-from repro.errors import SimulationError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import TimingViolationError
 from repro.pulse import (
+    DAND,
     DRO,
     Engine,
     HCDRO,
     JTL,
+    NDRO,
     NDROC,
     TFF,
+    LaneStimulus,
+    Merger,
     Probe,
+    PulseCounter,
+    Sink,
+    Splitter,
     SplitTree,
     capture_stimulus,
     install_lane,
     run_lanes,
 )
-from repro.pulse import batched
-from repro.pulse.batched import run_lanes_batched, run_lanes_sequential
+from repro.pulse.batched import resolve_lanes_tier
 from repro.pulse.demux import NdrocDemux
-from repro.pulse.logic import ClockedAnd
+from repro.pulse.logic import (
+    ClockedAnd,
+    ClockedBuffer,
+    ClockedNot,
+    ClockedOr,
+    ClockedXor,
+)
 from repro.rf.geometry import RFGeometry
 from repro.rf.netlist import PulseHiPerRF, PulseNdroRF
 
@@ -48,6 +61,14 @@ LANE_COUNTS = (1, 2, 7, 64)
 
 
 # -- harness ------------------------------------------------------------
+
+
+def component_state(engine) -> dict:
+    """Every component's attributes (probe times included) except its
+    wiring, keyed by component name."""
+    return {name: {key: value for key, value in vars(comp).items()
+                   if key not in ("engine", "_wires")}
+            for name, comp in engine._components.items()}
 
 
 def _reference_outcome(build, program, lane: int, strict: bool):
@@ -59,15 +80,12 @@ def _reference_outcome(build, program, lane: int, strict: bool):
         program(engine, handle, lane)
     except Exception as exc:  # noqa: BLE001 - compared, not hidden
         error = (type(exc).__name__, str(exc))
-    probes = {name: list(comp.times_ps)
-              for name, comp in engine._components.items()
-              if isinstance(comp, Probe)}
     return {
         "error": error,
         "trace": list(engine.trace),
         "delivered": engine.total_delivered,
         "now_ps": engine.now_ps,
-        "probes": probes,
+        "state": component_state(engine),
     }
 
 
@@ -80,9 +98,22 @@ def capture_lanes(engine, handle, program, lanes: int) -> list:
     return stimuli
 
 
+def assert_lanes_match(compiled, outcomes, references) -> None:
+    """``run_lanes`` outcomes vs per-lane reference runs, field by field."""
+    assert [outcome.lane for outcome in outcomes] == \
+        list(range(len(references)))
+    for reference, outcome in zip(references, outcomes):
+        assert outcome.error == reference["error"]
+        assert outcome.delivered == reference["delivered"]
+        assert outcome.now_ps == reference["now_ps"]
+        assert outcome.trace == reference["trace"]
+        install_lane(compiled, outcome)
+        assert component_state(compiled.engine) == reference["state"]
+
+
 def assert_tiers_match(build, program, lanes: int,
                        strict: bool = True) -> list:
-    """Run ``lanes`` lanes of one scenario three ways and compare."""
+    """Run ``lanes`` lanes of one scenario both ways and compare."""
     references = [_reference_outcome(build, program, lane, strict)
                   for lane in range(lanes)]
 
@@ -90,28 +121,15 @@ def assert_tiers_match(build, program, lanes: int,
     handle = build(engine)
     compiled = engine.compile()
     stimuli = capture_lanes(engine, handle, program, lanes)
+    pristine = compiled.snapshot()
 
-    sequential = run_lanes_sequential(compiled, stimuli, trace=True)
-    wheel = run_lanes_batched(compiled, stimuli, trace=True)
+    outcomes = run_lanes(compiled, stimuli, trace=True)
+    # run_lanes leaves the engine as it found it: a replay is identical.
+    assert compiled.snapshot() == pristine
+    assert run_lanes(compiled, stimuli, trace=True) == outcomes
 
-    # Batched vs sequential: full LaneOutcome equality (state columns,
-    # pending events, probes, traces, errors - everything).
-    assert wheel == sequential
-    # run_lanes picks one of the two by lane count; same answer.
-    assert run_lanes(compiled, stimuli, trace=True) == sequential
-
-    # Both lane paths vs the per-lane reference ground truth.
-    for reference, outcome in zip(references, wheel):
-        assert outcome.error == reference["error"]
-        assert outcome.delivered == reference["delivered"]
-        assert outcome.now_ps == reference["now_ps"]
-        assert outcome.trace == reference["trace"]
-        install_lane(compiled, outcome)
-        lane_probes = {name: list(comp.times_ps)
-                       for name, comp in engine._components.items()
-                       if isinstance(comp, Probe)}
-        assert lane_probes == reference["probes"]
-    return wheel
+    assert_lanes_match(compiled, outcomes, references)
+    return outcomes
 
 
 # -- netlist builders and per-lane programs -----------------------------
@@ -305,6 +323,66 @@ def program_same_instant(engine, handle, lane):
     engine.run()
 
 
+class _ObjectPathJTL(JTL):
+    """A JTL subclass: the compiler has no exact kind for it, so the
+    compiled engine dispatches it through ``on_pulse`` (the fallback)."""
+
+
+def build_logic_mix(engine):
+    """Every cell kind the register files leave out - merger, TFF,
+    counter, the five clocked gates, NDRO, sink - plus a DAND and an
+    object-path fallback cell."""
+    merger = engine.add(Merger("mx.merge"))
+    split = engine.add(Splitter("mx.split"))
+    tff = engine.add(TFF("mx.tff"))
+    counter = engine.add(PulseCounter("mx.count", bits=2))
+    gates = tuple(engine.add(cls(f"mx.{cls.__name__}")) for cls in (
+        ClockedAnd, ClockedOr, ClockedXor, ClockedNot, ClockedBuffer))
+    g_and, g_or, g_xor, g_not, g_buf = gates
+    dand = engine.add(DAND("mx.dand"))
+    ndro = engine.add(NDRO("mx.ndro"))
+    lag = engine.add(_ObjectPathJTL("mx.lag"))
+    merger.connect("out", split, "in", delay_ps=1.0)
+    split.connect("out0", tff, "t", delay_ps=0.5)
+    split.connect("out1", counter, "in", delay_ps=1.5)
+    tff.connect("carry", g_and, "a")
+    tff.connect("q", g_xor, "a", delay_ps=0.5)
+    counter.connect("b0", g_or, "a")
+    counter.connect("b1", dand, "a", delay_ps=1.0)
+    g_and.connect("out", engine.add(Probe("mx.p_and")), "in")
+    g_or.connect("out", ndro, "set", delay_ps=0.5)
+    g_xor.connect("out", lag, "in")
+    lag.connect("out", dand, "b", delay_ps=0.5)
+    dand.connect("out", engine.add(Probe("mx.p_dand")), "in")
+    ndro.connect("out", engine.add(Probe("mx.p_ndro")), "in")
+    g_not.connect("out", g_buf, "a", delay_ps=1.0)
+    g_buf.connect("out", engine.add(Sink("mx.sink")), "in")
+    return merger, tff, counter, gates, ndro
+
+
+def program_logic_mix(engine, handle, lane):
+    """Lane-dependent merger traffic, then reads, clocks and resets."""
+    merger, tff, counter, gates, ndro = handle
+    t = 10.0
+    for i in range(1 + lane % 6):
+        engine.schedule(merger, "in0" if (lane >> i) & 1 else "in1", t)
+        t += 20.0
+    if lane % 3 == 0:  # a same-instant tie and a dead-time hit
+        engine.schedule(merger, "in1", t - 20.0)
+        engine.schedule(merger, "in0", t - 18.0)
+    engine.schedule(tff, "read", t)
+    engine.schedule(counter, "read", t + 5.0)
+    if lane % 2:
+        engine.schedule(gates[0], "b", t + 1.0)
+        engine.schedule(gates[2], "b", t + 2.0)
+    for gate in gates:
+        engine.schedule(gate, "clk", t + 30.0)
+    engine.schedule(ndro, "clk", t + 40.0)
+    engine.schedule(counter, "reset", t + 50.0)
+    engine.schedule(tff, "reset", t + 50.0)
+    engine.run()
+
+
 SCENARIOS = {
     "jtl_chain": (build_jtl_chain, program_jtl, True),
     "dro_column": (build_dro_column, program_dro_column, True),
@@ -312,6 +390,7 @@ SCENARIOS = {
     "demux": (build_demux, program_demux, True),
     "hiperrf": (build_hiperrf, program_hiperrf, True),
     "ndro_rf": (build_ndrorf, program_ndrorf, True),
+    "logic_mix": (build_logic_mix, program_logic_mix, True),
 }
 
 
@@ -382,51 +461,96 @@ class TestStrictDuplicateSplit:
         assert all(outcome.error is None for outcome in outcomes)
 
 
-def build_unbatchable(engine):
-    """An HC-DRO plus a TFF and a clocked AND: no vector kernel."""
-    cell, probe = build_hcdro(engine)
-    engine.add(TFF("tff"))
-    engine.add(ClockedAnd("and"))
-    return cell, probe
-
-
 class TestTierSelection:
-    def test_lane_count_picks_path(self, monkeypatch):
-        """Sequential below BATCHED_MIN_LANES, the wheel at it, and
-        sequential at any lane count when a cell has no vector kernel."""
-        calls = []
-        for name in ("run_lanes_batched", "run_lanes_sequential"):
-            real = getattr(batched, name)
+    def test_reported_path_is_sequential(self):
+        assert resolve_lanes_tier(Engine().compile()) == ("sequential", None)
 
-            def spy(compiled, stimuli, trace=False, _real=real,
-                    _name=name):
-                calls.append((_name, len(stimuli)))
-                return _real(compiled, stimuli, trace)
-
-            monkeypatch.setattr(batched, name, spy)
-        threshold = batched.BATCHED_MIN_LANES
-        for build, lanes, expected in (
-                (build_hcdro, threshold - 1, "run_lanes_sequential"),
-                (build_hcdro, threshold, "run_lanes_batched"),
-                (build_unbatchable, threshold, "run_lanes_sequential"),
-                (build_unbatchable, 4 * threshold, "run_lanes_sequential")):
-            engine = Engine(strict_timing=True)
-            handle = build(engine)
-            compiled = engine.compile()
-            stimuli = capture_lanes(engine, handle, program_hcdro, lanes)
-            calls.clear()
-            outcomes = run_lanes(compiled, stimuli)
-            assert calls == [(expected, lanes)]
-            assert len(outcomes) == lanes
-        with pytest.raises(SimulationError, match="no vector kernel"):
-            run_lanes_batched(compiled, stimuli)
-
-    def test_on_error_raise_carries_lane_index(self, monkeypatch):
+    def test_on_error_raise_carries_lane_index(self):
         engine = Engine(strict_timing=True)
         handle = build_hcdro(engine)
         compiled = engine.compile()
         stimuli = capture_lanes(engine, handle, program_hcdro_faulty, 3)
-        for threshold in (1, len(stimuli) + 1):  # wheel, then sequential
-            monkeypatch.setattr(batched, "BATCHED_MIN_LANES", threshold)
-            with pytest.raises(Exception, match="lane 0:"):
-                run_lanes(compiled, stimuli, on_error="raise")
+        with pytest.raises(TimingViolationError, match="^lane 0:"):
+            run_lanes(compiled, stimuli, on_error="raise")
+
+
+# -- randomized differential replay ------------------------------------
+
+#: Pulse times and run horizons sit on a 0.5 ps grid, so same-instant
+#: ties between injected pulses (and their emissions) are common.
+_GRID_PS = st.integers(min_value=0, max_value=200).map(lambda k: 0.5 * k)
+
+@functools.lru_cache(maxsize=None)
+def built_scenario(name: str, strict: bool):
+    """One compiled build per (scenario, mode), its pristine snapshot and
+    every component input pin, shared across examples (each restores
+    the snapshot before use)."""
+    engine = Engine(strict_timing=strict)
+    SCENARIOS[name][0](engine)
+    compiled = engine.compile()
+    pins = [(comp.name, port) for comp in engine.components()
+            for port in comp.INPUTS]
+    return compiled, compiled.snapshot(), pins
+
+
+@st.composite
+def random_lane(draw, pins) -> LaneStimulus:
+    """0-12 pulses on any input pin, then 1-3 run segments with
+    non-decreasing horizons (the last one possibly infinite) and event
+    budgets from 1 (tiny) to 10,000."""
+    pulses = draw(st.lists(st.tuples(st.sampled_from(pins), _GRID_PS),
+                           max_size=12))
+    count = draw(st.integers(min_value=1, max_value=3))
+    horizons = sorted(draw(st.lists(_GRID_PS, min_size=count,
+                                    max_size=count)))
+    if draw(st.booleans()):
+        horizons[-1] = float("inf")
+    budgets = draw(st.lists(st.integers(min_value=1, max_value=8)
+                            | st.just(10_000),
+                            min_size=count, max_size=count))
+    return LaneStimulus(
+        tuple((name, port, t) for (name, port), t in pulses),
+        tuple(zip(horizons, budgets)))
+
+
+def replay_on_reference(name: str, strict: bool, stimulus: LaneStimulus):
+    def program(engine, handle, lane):
+        for comp_name, port, time_ps in stimulus.injections:
+            engine.schedule(engine.component(comp_name), port, time_ps)
+        for until_ps, max_events in stimulus.segments:
+            engine.run(until_ps=until_ps, max_events=max_events)
+
+    return _reference_outcome(SCENARIOS[name][0], program, 0, strict)
+
+
+class TestRandomStimuli:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(SCENARIOS)),
+           strict=st.booleans())
+    def test_random_lanes_match_reference(self, data, name, strict):
+        compiled, pristine, pins = built_scenario(name, strict)
+        stimuli = data.draw(st.lists(random_lane(pins), min_size=1,
+                                     max_size=3))
+        compiled.restore(pristine)
+        outcomes = run_lanes(compiled, stimuli, trace=True)
+        references = [replay_on_reference(name, strict, stimulus)
+                      for stimulus in stimuli]
+        assert_lanes_match(compiled, outcomes, references)
+
+    def test_budget_spent_on_an_in_hand_event_keeps_the_clock(self):
+        """Shrunk counterexample: j0's emission is provably the next
+        event, so the compiled loop takes it in hand instead of queueing
+        it.  With a one-event budget it must stay undelivered and the
+        clock must stay at the last delivered event (0 ps, as on the
+        reference engine), not move to the undelivered one (2 ps)."""
+        stimulus = LaneStimulus((("j0", "in", 0.0),), ((2.0, 1),))
+        compiled, pristine, _ = built_scenario("jtl_chain", False)
+        compiled.restore(pristine)
+        outcomes = run_lanes(compiled, [stimulus], trace=True)
+        assert outcomes[0].error == (
+            "SimulationError", "exceeded 1 events; oscillating netlist?")
+        assert outcomes[0].now_ps == 0.0
+        assert outcomes[0].pending_events == [(2.0, "j1", "in")]
+        assert_lanes_match(
+            compiled, outcomes,
+            [replay_on_reference("jtl_chain", False, stimulus)])

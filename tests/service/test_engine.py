@@ -7,10 +7,11 @@ import json
 
 import pytest
 
-from repro.experiments.parallel import ResultCache
-from repro.service.adapters import run_job_naive
+from repro.experiments.parallel import SINGLE_FLIGHT, ResultCache, _flight_key
+from repro.service.adapters import decompose, run_job_naive
 from repro.service.engine import CoalescingEngine
 from repro.service.jobs import JobStore
+from tests.experiments.test_singleflight import FullDiskCache
 from tests.service.test_adapters import CHEAP_MARGINS
 
 
@@ -203,6 +204,31 @@ class TestFailure:
         assert bad.state.value == "failed"
         assert "j2_bias_ua=10000000.0" in (bad.error or "")
         assert stats["jobs_done"] == stats["jobs_failed"] == 1
+
+    def test_failed_publish_serves_the_computed_value(self, tmp_path):
+        """A cache that cannot store (disk full) leaves the service
+        running uncached: the job completes with the naive artifact and
+        leaves no singleflight flight behind."""
+        params = {"scales": [0.95, 1.0], "write_counts": [1], "reads": 1}
+        cache = FullDiskCache(tmp_path)
+
+        async def main():
+            async with CoalescingEngine(cache=cache, window_ms=10) as eng:
+                job = await eng.run("margins", params)
+                return job, eng.stats()
+
+        job, stats = run(main())
+        assert job.state.value == "done", job.error
+        assert json.dumps(job.result, sort_keys=True) == json.dumps(
+            run_job_naive("margins", params), sort_keys=True)
+        assert job.computed == 2
+        assert stats["cache"]["put_errors"] == 2
+        assert SINGLE_FLIGHT.in_flight() == 0
+        item = decompose("margins", params).items[-1]
+        key = _flight_key(cache, item.namespace, item.key)
+        leader, flight = SINGLE_FLIGHT.begin(key)
+        SINGLE_FLIGHT.finish(key, flight)
+        assert leader
 
     def test_failed_job_reports_error_string(self, tmp_path):
         async def main():
