@@ -104,8 +104,8 @@ def test_batched_margin_grid_speedup(benchmark):
     lane is simulated.  The batched path groups the 75 configs into
     three 25-lane topology batches; the scalar path lifts the lane-count
     rule above 25 lanes, so the scalar testbench runs once per grid
-    config.  Verdicts must agree point-for-point - the scalar solver is
-    the equivalence oracle.
+    config.  Verdicts must agree point-for-point - the two tiers share
+    one formulation.
     """
     def grid():
         sweep.clear_run_cache()

@@ -309,11 +309,20 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.stem}-{os.getpid()}-"
                              f"{threading.get_ident()}.tmp")
-        with tmp.open("w") as handle:
-            json.dump({"key": json.loads(
-                json.dumps(key, default=_key_fallback)),
-                "value": value}, handle)
-        tmp.replace(path)  # atomic publish; readers never see partial JSON
+        try:
+            with tmp.open("w") as handle:
+                json.dump({"key": json.loads(
+                    json.dumps(key, default=_key_fallback)),
+                    "value": value}, handle)
+            tmp.replace(path)  # atomic publish; readers never see partial JSON
+        except BaseException:
+            # A failed publish (disk full) must not leave its partial
+            # file behind: nothing budgets or removes stray .tmp files.
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+            raise
         limit = self.max_bytes if self.max_bytes is not None \
             else cache_max_bytes()
         if limit > 0:
@@ -352,7 +361,8 @@ def cached_call(namespace: str, key: Any, fn: Callable[[], R],
 
     Concurrent same-key calls from other threads collapse through
     :data:`SINGLE_FLIGHT`: one computes (and publishes), the rest share
-    its result.
+    its result.  A publish that raises reaches the computing caller
+    alone; the waiters still receive the computed value.
     """
     store = _coerce_cache(cache)
     if store is None:
@@ -360,6 +370,7 @@ def cached_call(namespace: str, key: Any, fn: Callable[[], R],
     found = store.get(namespace, key)
     if found is not None:
         return found  # type: ignore[return-value]
+    publish_errors: List[Exception] = []
 
     def compute() -> R:
         # Re-check inside the flight: a previous leader may have
@@ -368,10 +379,16 @@ def cached_call(namespace: str, key: Any, fn: Callable[[], R],
         if cached is not None:
             return cached  # type: ignore[return-value]
         value = fn()
-        store.put(namespace, key, value)
+        try:
+            store.put(namespace, key, value)
+        except Exception as exc:
+            publish_errors.append(exc)
         return value
 
-    return SINGLE_FLIGHT.do(_flight_key(store, namespace, key), compute)
+    value = SINGLE_FLIGHT.do(_flight_key(store, namespace, key), compute)
+    if publish_errors:
+        raise publish_errors[0]
+    return value
 
 
 def cached_map(namespace: str, fn: Callable[[T], R], points: Sequence[T],
@@ -414,10 +431,18 @@ def cached_map(namespace: str, fn: Callable[[T], R], points: Sequence[T],
         local[digest] = index
         flight_key = _flight_key(store, namespace, key)
         leader, flight = SINGLE_FLIGHT.begin(flight_key)
-        if leader:
-            led[digest] = (index, flight_key, flight)
-        else:
+        if not leader:
             waiting.append((index, flight))
+            continue
+        # Re-check inside the flight, as cached_call does: a previous
+        # leader may have published and finished between our miss and
+        # our claim.
+        found = store.get(namespace, key)
+        if found is not None:
+            SINGLE_FLIGHT.finish(flight_key, flight, value=found)
+            results[index] = found
+        else:
+            led[digest] = (index, flight_key, flight)
     pending = [index for index, _, _ in led.values()]
     try:
         computed = parallel_map(fn, [items[i] for i in pending],

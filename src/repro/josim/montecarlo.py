@@ -23,8 +23,9 @@ chunked block-diagonal batched solver:
   :class:`YieldReport` (yield %, percentile margins, per-parameter
   sensitivity).
 * :func:`verify_against_scalar` replays randomly sampled lanes through
-  the scalar :class:`~repro.josim.solver.TransientSolver` oracle and
-  reports the worst phase deviation (the 1e-9 equivalence bar).
+  the scalar :class:`~repro.josim.solver.TransientSolver` and reports
+  the worst phase deviation.  The two tiers share one formulation, so
+  anything but 0.0 is a bug.
 
 CLI::
 
@@ -421,12 +422,13 @@ def run_yield_analysis(config: Optional[YieldConfig] = None,
 
 def verify_against_scalar(config: Optional[YieldConfig] = None,
                           lanes: int = 32) -> float:
-    """Replay sampled lanes through the scalar oracle; return max |dphi|.
+    """Replay sampled lanes through the scalar solver; return max |dphi|.
 
     Builds each picked lane's perturbed circuit twice from the same
     multiplier row — once for the batched tier, once for the scalar
     :class:`TransientSolver` — and compares full phase trajectories at
-    ``record_every=1``.  The acceptance bar is 1e-9.
+    ``record_every=1``.  The two tiers share one formulation, so the
+    result is exactly 0.0.
     """
     config = config or YieldConfig()
     specs = hcdro_parameter_specs(config.spreads)
@@ -535,7 +537,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--verify", type=int, default=0, metavar="LANES",
                         help="also replay LANES lanes through the scalar "
-                             "oracle and report max |dphi|")
+                             "solver and report max |dphi| (exactly 0.0: "
+                             "both tiers share one formulation)")
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
 

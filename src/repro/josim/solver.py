@@ -1,17 +1,8 @@
 """Trapezoidal transient solver with a Newton iteration per timestep.
 
-Three assembly tiers share one set of physics:
+Two compiled tiers share one formulation, and a reference tier checks
+both:
 
-* **compiled** (default): at construction the circuit is compiled into
-  per-class NumPy stamp structures — junction gather/scatter matrices,
-  parameter vectors, a precomputed source-current table, and the
-  constant linear part of the Jacobian (inductors, resistors,
-  capacitors and the JJ shunt/capacitance terms never change between
-  Newton iterations for a fixed timestep).  Each iteration is then a
-  handful of vectorized NumPy calls — one matvec for the linear
-  residual, one ``sin``/``cos`` pass over all junctions, two small
-  scatter matvecs, and a direct LAPACK ``gesv`` solve — instead of a
-  Python walk over the element list.
 * **batched** (:class:`BatchedTransientSolver`): B circuits sharing one
   :func:`topology_signature` are stacked into lane-major state arrays
   (``phi``/``v``/``a`` of shape ``(chunk, n)``).  The structural
@@ -29,17 +20,22 @@ Three assembly tiers share one set of physics:
   freezing (converged lanes drop out of further solves), one
   LAPACK-batched ``numpy.linalg.solve`` over the still-active
   sub-batch, and lane retirement for uneven stimulus durations.
-  Per-lane trajectories match the compiled scalar tier to ~1e-9.
   :meth:`BatchedTransientSolver.run_reduced` streams per-lane results
   through a reducer chunk by chunk so yield analyses over 10^4-10^5
   lanes never hold every trajectory at once.
+* **scalar** (:class:`TransientSolver`, default): the same structure and
+  stamps at one lane, driven by a Newton loop without the lane
+  bookkeeping — preallocated ``out=`` buffers and a direct LAPACK
+  ``gesv`` solve.  Every operation is the batched tier's at B=1, so a
+  scalar run is bitwise equal to the same circuit's lane in any batch.
 * **reference** (``reference=True``): the original per-element assembly,
-  kept as the independently-auditable ground truth.  The equivalence
-  tests drive all backends through the same decks and assert the
-  trajectories agree to ~1e-9.
+  kept as the independently-auditable oracle of both compiled tiers.
+  The equivalence tests drive them through the same decks and assert
+  the trajectories agree to ~1e-9.
 
-At one lane the batched tier is ~3x slower than the compiled one, so
-:func:`repro.josim.testbench.run_hcdro_batch` picks by lane count.
+At one lane the batched tier is ~3x slower than the scalar one, so
+:func:`repro.josim.testbench.run_hcdro_batch` picks by lane count; the
+choice moves speed only, never a result.
 """
 
 from __future__ import annotations
@@ -69,11 +65,11 @@ from repro.josim.elements import (
     Resistor,
 )
 
-#: Above this many table entries the per-step source fallback is used
-#: instead of precomputing the source-current table.  The scalar tier
-#: counts ``steps * nodes`` entries; the batched tier must additionally
-#: account for lanes (``steps * nodes * chunk``) or a mega-batch
-#: silently blows memory on the table alone.
+#: Above this many table entries (``steps * lanes * nodes``, one lane
+#: for the scalar tier, a chunk's lanes for the batched one) the
+#: per-step source fallback is used instead of precomputing the
+#: source-current table, so a mega-batch never blows memory on the
+#: table alone.
 _SOURCE_TABLE_LIMIT = 4_000_000
 
 #: Lanes per batched-solver chunk.  Peak memory of a batched run is
@@ -127,136 +123,16 @@ class TransientResult:
         return element.inv_l * self.element_delta_phase(name)
 
 
-class _CompiledStamps:
-    """Precomputed NumPy structures for one circuit at one timestep.
-
-    The trapezoidal derivative estimates are affine in the trial phases,
-    so every linear element contributes a constant Jacobian stamp.  The
-    KCL residual splits as::
-
-        F(phi) = J_lin @ phi + step_const + R_sin @ sin(D @ phi)
-
-    where ``J_lin = A_phi + (2/h) A_v + (4/h^2) A_a`` is assembled once,
-    ``step_const`` (history + source terms) is refreshed once per
-    timestep, ``D`` is the junction incidence matrix and ``R_sin``
-    carries the signed critical currents.  The Jacobian update is the
-    flat scatter matvec ``J.ravel() = J_lin.ravel() + JC @ cos(D@phi)``.
-    """
-
-    def __init__(self, circuit: Circuit, h: float) -> None:
-        n = circuit.num_nodes
-        self.n = n
-        dv = 2.0 / h
-        da = 4.0 / (h * h)
-        a_phi = np.zeros((n, n))   # d(residual)/d(phi) from inductors
-        a_v = np.zeros((n, n))     # d(residual)/d(v) from R + JJ shunts
-        a_a = np.zeros((n, n))     # d(residual)/d(a) from C + JJ caps
-
-        groups = circuit.partition()
-        junctions = groups.get(JosephsonJunction, [])
-        for element in junctions:
-            self._stamp(a_v, element.pos, element.neg,
-                        KAPPA * element.conductance)
-            self._stamp(a_a, element.pos, element.neg,
-                        KAPPA * element.capacitance)
-        for element in groups.get(Inductor, []):
-            self._stamp(a_phi, element.pos, element.neg, element.inv_l)
-        for element in groups.get(Resistor, []):
-            self._stamp(a_v, element.pos, element.neg,
-                        KAPPA * element.conductance)
-        for element in groups.get(Capacitor, []):
-            self._stamp(a_a, element.pos, element.neg,
-                        KAPPA * element.capacitance_ff)
-
-        self.a_v = a_v
-        self.a_a = a_a
-        self.j_lin = a_phi + dv * a_v + da * a_a
-        self.j_lin_flat = self.j_lin.ravel()
-
-        # Junction gather/scatter matrices.
-        k = len(junctions)
-        self.num_jj = k
-        incidence = np.zeros((k, n))       # dphi = incidence @ phi
-        r_sin = np.zeros((n, k))           # residual += r_sin @ sin(dphi)
-        jc = np.zeros((n * n, k))          # J.ravel() += jc @ cos(dphi)
-        for idx, element in enumerate(junctions):
-            p, q, ic = element.pos, element.neg, element.critical_current_ua
-            if p > 0:
-                incidence[idx, p - 1] = 1.0
-                r_sin[p - 1, idx] += ic
-                jc[(p - 1) * n + (p - 1), idx] += ic
-                if q > 0:
-                    jc[(p - 1) * n + (q - 1), idx] -= ic
-            if q > 0:
-                incidence[idx, q - 1] = -1.0
-                r_sin[q - 1, idx] -= ic
-                jc[(q - 1) * n + (q - 1), idx] += ic
-                if p > 0:
-                    jc[(q - 1) * n + (p - 1), idx] -= ic
-        self.incidence = incidence
-        self.r_sin = r_sin
-        self.jc = jc
-
-        # Sources: a source injected INTO pos appears as a negative
-        # outflow in the residual (matching the reference assembly), so
-        # the scatter matrix carries -1 at pos and +1 at neg.
-        biases = groups.get(BiasCurrent, [])
-        pulses = groups.get(PulseCurrent, [])
-        num_src = len(biases) + len(pulses)
-        scatter = np.zeros((n, num_src))
-        for idx, element in enumerate(biases + pulses):
-            if element.pos > 0:
-                scatter[element.pos - 1, idx] = -1.0
-            if element.neg > 0:
-                scatter[element.neg - 1, idx] = 1.0
-        self.src_scatter = scatter
-        self.bias_cur = np.asarray([b.current_ua for b in biases])
-        self.bias_ramp = np.asarray([b.ramp_ps for b in biases])
-        self.pulse_start = np.asarray([p.start_ps for p in pulses])
-        self.pulse_amp = np.asarray([p.amplitude_ua for p in pulses])
-        self.pulse_width = np.asarray([p.width_ps for p in pulses])
-
-    @staticmethod
-    def _stamp(matrix: np.ndarray, pos: int, neg: int, value: float) -> None:
-        if pos > 0:
-            matrix[pos - 1, pos - 1] += value
-            if neg > 0:
-                matrix[pos - 1, neg - 1] -= value
+def _stamp(matrix: np.ndarray, pos: int, neg: int, value: float) -> None:
+    """Stamp a two-terminal conductance-like derivative into a matrix."""
+    if pos > 0:
+        matrix[pos - 1, pos - 1] += value
         if neg > 0:
-            matrix[neg - 1, neg - 1] += value
-            if pos > 0:
-                matrix[neg - 1, pos - 1] -= value
-
-    def _source_values(self, t) -> np.ndarray:
-        """Per-source injected currents at time(s) ``t`` (vectorized)."""
-        t = np.asarray(t, dtype=float)
-        columns = []
-        if self.bias_cur.size:
-            ramp = self.bias_ramp
-            denom = np.where(ramp > 0, ramp, 1.0)
-            tt = t[..., None]
-            ramped = np.where(
-                (ramp <= 0) | (tt >= ramp),
-                self.bias_cur,
-                np.where(tt <= 0, 0.0, self.bias_cur * tt / denom))
-            columns.append(ramped)
-        if self.pulse_amp.size:
-            x = (t[..., None] - self.pulse_start) / self.pulse_width
-            columns.append(np.where(
-                (x >= 0.0) & (x <= 1.0),
-                self.pulse_amp * 0.5 * (1.0 - np.cos(2.0 * np.pi * x)),
-                0.0))
-        if not columns:
-            return np.zeros(t.shape + (0,))
-        return np.concatenate(columns, axis=-1)
-
-    def source_table(self, times: np.ndarray) -> np.ndarray:
-        """Signed residual source contribution for every step at once."""
-        return self._source_values(times) @ self.src_scatter.T
-
-    def source_vector(self, t: float) -> np.ndarray:
-        """Signed residual source contribution at one time point."""
-        return self.src_scatter @ self._source_values(t)
+            matrix[pos - 1, neg - 1] -= value
+    if neg > 0:
+        matrix[neg - 1, neg - 1] += value
+        if pos > 0:
+            matrix[neg - 1, pos - 1] -= value
 
 
 def _solve_dense(jacobian: np.ndarray, residual: np.ndarray) -> np.ndarray:
@@ -277,8 +153,10 @@ class TransientSolver:
     nonlinear KCL system with Newton's method; the Jacobian is dense
     (cells have a handful of nodes).
 
-    ``reference=True`` selects the per-element assembly path instead of
-    the compiled-stamp fast path; results agree to ~1e-9 in phase.
+    The compiled path runs on a one-lane :class:`_BatchedStamps`, so its
+    trajectories are bitwise equal to the circuit's lane in a
+    :class:`BatchedTransientSolver` batch.  ``reference=True`` selects
+    the per-element assembly instead; results agree to ~1e-9 in phase.
     """
 
     def __init__(self, circuit: Circuit, timestep_ps: float = 0.05,
@@ -293,20 +171,20 @@ class TransientSolver:
         self.max_iter = max_newton_iter
         self.reference = reference
         self._n = circuit.num_nodes  # non-ground nodes
-        self._stamps: _CompiledStamps | None = None
+        self._stamps: Optional[_BatchedStamps] = None
         self._compiled_element_count = -1
         if not reference:
             self._compile()
 
     def _compile(self) -> None:
-        self._stamps = _CompiledStamps(self.circuit, self.h)
+        # The structure is built per instance, not through
+        # _STRUCTURE_CACHE: that cache is unbounded, and ad-hoc scalar
+        # topologies would make it grow with the job history.
+        self._stamps = _BatchedStamps(
+            [self.circuit], self.h, _BatchedStructure(self.circuit))
         self._compiled_element_count = len(self.circuit.elements)
 
     # -- assembly helpers --------------------------------------------------
-
-    def _stamp(self, matrix: np.ndarray, pos: int, neg: int, value: float) -> None:
-        """Stamp a two-terminal conductance-like derivative into the Jacobian."""
-        _CompiledStamps._stamp(matrix, pos, neg, value)
 
     def _residual_and_jacobian(self, phi: np.ndarray, phi_prev: np.ndarray,
                                v_prev: np.ndarray, a_prev: np.ndarray,
@@ -344,20 +222,20 @@ class TransientSolver:
                 slope = (element.critical_current_ua * np.cos(dphi)
                          + KAPPA * element.conductance * dv
                          + KAPPA * element.capacitance * da)
-                self._stamp(jacobian, pos, neg, slope)
+                _stamp(jacobian, pos, neg, slope)
             elif isinstance(element, Inductor):
                 current = element.inv_l * delta(phi, pos, neg)
                 accumulate(pos, neg, current)
-                self._stamp(jacobian, pos, neg, element.inv_l)
+                _stamp(jacobian, pos, neg, element.inv_l)
             elif isinstance(element, Resistor):
                 current = KAPPA * element.conductance * delta(v, pos, neg)
                 accumulate(pos, neg, current)
-                self._stamp(jacobian, pos, neg, KAPPA * element.conductance * dv)
+                _stamp(jacobian, pos, neg, KAPPA * element.conductance * dv)
             elif isinstance(element, Capacitor):
                 current = KAPPA * element.capacitance_ff * delta(a, pos, neg)
                 accumulate(pos, neg, current)
-                self._stamp(jacobian, pos, neg,
-                            KAPPA * element.capacitance_ff * da)
+                _stamp(jacobian, pos, neg,
+                       KAPPA * element.capacitance_ff * da)
             elif isinstance(element, (BiasCurrent, PulseCurrent)):
                 injected = element.value_at(t)
                 # Injected INTO pos: appears as a negative outflow term.
@@ -411,7 +289,15 @@ class TransientSolver:
         return times, phases, velocities
 
     def _run_compiled(self, steps: int, record_every: int):
+        """Newton loop over the one-lane stamps.
+
+        Each operation is :meth:`BatchedTransientSolver._run_batched`'s
+        at one lane (``ic`` times ``sin``/``cos`` through the unit
+        scatters, ``J_lin`` added after the scatter, damping by
+        division), so the two tiers give the same bits.
+        """
         stamps = self._stamps
+        struct = stamps.struct
         n = self._n
         h = self.h
         tol = self.tol
@@ -425,50 +311,56 @@ class TransientSolver:
         times, phases, velocities = self._record_plan(steps, record_every)
         row = 1
 
-        j_lin = stamps.j_lin
-        j_lin_flat = stamps.j_lin_flat
-        a_v = stamps.a_v
-        a_a = stamps.a_a
-        incidence = stamps.incidence
-        r_sin = stamps.r_sin
-        jc = stamps.jc
-
-        # Source currents for the whole transient in one vectorized pass
-        # (falls back to per-step evaluation for very long runs).
-        if steps * max(n, 1) <= _SOURCE_TABLE_LIMIT:
-            source_rows = stamps.source_table(h * np.arange(1, steps + 1))
-        else:
-            source_rows = None
+        j_lin_flat = stamps.j_lin_flat[0]
+        j_lin = j_lin_flat.reshape(n, n)
+        a_v = stamps.a_v_flat[0].reshape(n, n)
+        a_a = stamps.a_a_flat[0].reshape(n, n)
+        ic = stamps.ic[0]
+        incidence = struct.incidence
+        r_sin_t = struct.r_sin_t
+        jc_t = struct.jc_t
+        source_rows = stamps.source_table(steps, h)
+        if source_rows is not None:
+            source_rows = source_rows[:, 0]
 
         residual = np.empty(n)
+        scattered = np.empty(n)
+        trig = np.empty(struct.num_jj)
         jac_flat = np.empty(n * n)
         jacobian = jac_flat.reshape(n, n)
         hist = np.empty(n)
         norm = 0.0
+        dot, sin, cos = np.dot, np.sin, np.cos  # hot-loop local lookups
 
         for step in range(1, steps + 1):
             t = step * h
             # History + source terms: constant across Newton iterations.
-            np.dot(a_v, c1 * phi + v, out=hist)
+            dot(a_v, c1 * phi + v, out=hist)
             step_const = -hist - a_a.dot(c2 * phi + c3 * v + a)
             if source_rows is not None:
                 step_const += source_rows[step - 1]
             else:
-                step_const += stamps.source_vector(t)
+                step_const += stamps.source_residual(t)[0]
             trial = phi.copy()  # previous solution is the predictor
             converged = False
             for _ in range(max_iter):
+                # At most two +-1 terms per junction: exact in any
+                # summation order, so this equals the batched phi @ D.T.
                 dphi = incidence.dot(trial)
-                np.dot(j_lin, trial, out=residual)
+                dot(j_lin, trial, out=residual)
                 residual += step_const
-                residual += r_sin.dot(np.sin(dphi))
+                sin(dphi, out=trig)
+                trig *= ic
+                residual += dot(trig, r_sin_t, out=scattered)
                 # Exact inf-norm; the tolist round-trip is ~4x cheaper
                 # than a NumPy reduction at this vector size.
                 norm = max(map(abs, residual.tolist()))
                 if norm < tol:
                     converged = True
                     break
-                np.dot(jc, np.cos(dphi), out=jac_flat)
+                cos(dphi, out=trig)
+                trig *= ic
+                dot(trig, jc_t, out=jac_flat)
                 jac_flat += j_lin_flat
                 try:
                     update = _solve_dense(jacobian, residual)
@@ -478,7 +370,7 @@ class TransientSolver:
                 # Damped Newton keeps 2pi phase slips stable.
                 max_step = max(map(abs, update.tolist()))
                 if max_step > 1.0:
-                    update *= 1.0 / max_step
+                    update /= max_step
                 trial -= update
             if not converged:
                 raise SimulationError(
@@ -486,8 +378,9 @@ class TransientSolver:
                     f"(residual {norm:.3e} uA)")
             # Converged derivatives come from the trapezoidal formulas
             # directly - no redundant assembly pass.
-            v_new = 2.0 / h * (trial - phi) - v
-            a_new = 4.0 / (h * h) * (trial - phi) - 4.0 / h * v - a
+            delta = trial - phi
+            v_new = c1 * delta - v
+            a_new = c2 * delta - c3 * v - a
             phi, v, a = trial, v_new, a_new
             if step % record_every == 0 or step == steps:
                 times[row] = t
@@ -592,8 +485,7 @@ class _BatchedStructure:
     """
 
     def __init__(self, circuit: Circuit) -> None:
-        n = circuit.num_nodes
-        self.n = n
+        self.n = circuit.num_nodes
         groups = circuit.partition()
         elements = circuit.elements
         index_of = {id(e): i for i, e in enumerate(elements)}
@@ -612,39 +504,14 @@ class _BatchedStructure:
 
         # Junction gather/scatter structure (values of +-1; the signed
         # per-lane critical currents multiply in at run time).
-        k = len(self.jj_idx)
-        self.num_jj = k
-        incidence = np.zeros((k, n))
-        r_sin = np.zeros((n, k))
-        jc = np.zeros((n * n, k))
-        for col, ei in enumerate(self.jj_idx):
-            p, q = self.nodes[ei]
-            if p > 0:
-                incidence[col, p - 1] = 1.0
-                r_sin[p - 1, col] += 1.0
-                jc[(p - 1) * n + (p - 1), col] += 1.0
-                if q > 0:
-                    jc[(p - 1) * n + (q - 1), col] -= 1.0
-            if q > 0:
-                incidence[col, q - 1] = -1.0
-                r_sin[q - 1, col] -= 1.0
-                jc[(q - 1) * n + (q - 1), col] += 1.0
-                if p > 0:
-                    jc[(q - 1) * n + (p - 1), col] -= 1.0
-        self.incidence_t = incidence.T.copy()       # (n, k): dphi = phi @ this
-        self.r_sin_t = r_sin.T.copy()               # (k, n)
-        self.jc_t = jc.T.copy()                     # (k, n*n)
-
+        self.num_jj = len(self.jj_idx)
+        self.incidence = self._incidence(self.jj_idx)  # (k, n)
+        self.incidence_t = self.incidence.T.copy()  # (n, k): dphi = phi @ this
+        self.r_sin_t = self.incidence               # (k, n)
+        self.jc_t = self._unit_stamps(self.jj_idx)  # (k, n*n)
         # Source scatter (injection INTO pos is a negative outflow).
-        src_idx = self.bias_idx + self.pulse_idx
-        scatter = np.zeros((n, len(src_idx)))
-        for col, ei in enumerate(src_idx):
-            p, q = self.nodes[ei]
-            if p > 0:
-                scatter[p - 1, col] = -1.0
-            if q > 0:
-                scatter[q - 1, col] = 1.0
-        self.src_scatter_t = scatter.T.copy()       # (num_src, n)
+        self.src_scatter_t = self._incidence(       # (num_src, n)
+            self.bias_idx + self.pulse_idx, sign=-1.0)
 
         # Linear elements grouped by which trapezoidal derivative they
         # differentiate against: phi (inductors), v (JJ shunts +
@@ -657,20 +524,24 @@ class _BatchedStructure:
         self.stamp_v = self._unit_stamps(self.v_idx)      # (m_v, n*n)
         self.stamp_a = self._unit_stamps(self.a_idx)      # (m_a, n*n)
 
+    def _incidence(self, element_idx: List[int],
+                   sign: float = 1.0) -> np.ndarray:
+        """Node incidence rows: ``sign`` at pos, ``-sign`` at neg."""
+        rows = np.zeros((len(element_idx), self.n))
+        for row, ei in enumerate(element_idx):
+            p, q = self.nodes[ei]
+            if p > 0:
+                rows[row, p - 1] = sign
+            if q > 0:
+                rows[row, q - 1] = -sign
+        return rows
+
     def _unit_stamps(self, element_idx: List[int]) -> np.ndarray:
         """Unit stamp rows: one flattened (n, n) +-1 pattern per element."""
         n = self.n
         stamps = np.zeros((len(element_idx), n * n))
         for row, ei in enumerate(element_idx):
-            p, q = self.nodes[ei]
-            if p > 0:
-                stamps[row, (p - 1) * n + (p - 1)] += 1.0
-                if q > 0:
-                    stamps[row, (p - 1) * n + (q - 1)] -= 1.0
-            if q > 0:
-                stamps[row, (q - 1) * n + (q - 1)] += 1.0
-                if p > 0:
-                    stamps[row, (q - 1) * n + (p - 1)] -= 1.0
+            _stamp(stamps[row].reshape(n, n), *self.nodes[ei], 1.0)
         return stamps
 
 
@@ -684,10 +555,17 @@ def _capacitance_value(element) -> float:
 class _BatchedStamps:
     """Per-chunk lane parameter arrays over a shared `_BatchedStructure`.
 
-    The same residual split as `_CompiledStamps`, lane-major::
+    The trapezoidal derivative estimates are affine in the trial phases,
+    so every linear element contributes a constant Jacobian stamp and
+    the KCL residual of lane ``b`` splits as::
 
         F_b(phi_b) = J_lin[b] @ phi_b + step_const_b
                      + ((Ic_b * sin(phi_b @ D.T)) @ R_struct)
+
+    where ``J_lin = A_phi + (2/h) A_v + (4/h^2) A_a`` is built once,
+    ``step_const`` (history + source terms) is refreshed once per
+    timestep and ``D`` is the junction incidence matrix.  A one-lane
+    instance is the scalar :class:`TransientSolver`'s compiled form.
 
     Per-lane storage is sparse: compact value vectors per element class
     (``1/L``, ``KAPPA*G``, ``KAPPA*C``, ``Ic``) scattered through the
@@ -767,6 +645,17 @@ class _BatchedStamps:
         """Signed residual source contribution: ``t.shape + (B, n)``."""
         return self._source_values(t) @ self.struct.src_scatter_t
 
+    def source_table(self, steps: int, h: float) -> Optional[np.ndarray]:
+        """Source rows of steps ``1..steps``, shape ``(steps, B, n)``.
+
+        ``None`` when the table would exceed :data:`_SOURCE_TABLE_LIMIT`
+        entries; the caller then evaluates :meth:`source_residual` once
+        per step, which gives the same rows.
+        """
+        if steps * self.batch * max(self.struct.n, 1) > _SOURCE_TABLE_LIMIT:
+            return None
+        return self.source_residual(h * np.arange(1, steps + 1))
+
 
 class BatchedTransientSolver:
     """Lane-parallel transient solver for same-topology circuit batches.
@@ -780,9 +669,10 @@ class BatchedTransientSolver:
     parameters live in compact value vectors scattered into flat
     block-diagonal Jacobian rows per chunk, so a mega-batch never
     materializes a ``(B, n, n)`` dense stack; the stacked lane solve is
-    NumPy's LAPACK-batched ``linalg.solve``.  Per-lane trajectories
-    match :class:`TransientSolver`'s compiled path to ~1e-9 — the
-    scalar tier is the equivalence oracle.
+    NumPy's LAPACK-batched ``linalg.solve``.  Each lane's trajectory is
+    bitwise equal to a :class:`TransientSolver` run of the same circuit,
+    which shares this formulation; the per-element reference assembly
+    (``TransientSolver(reference=True)``) is the oracle of both.
 
     ``labels`` names lanes in :class:`SimulationError` messages (e.g.
     the sweep layer passes the lane's ``HCDROConfig`` repr) so a failing
@@ -798,16 +688,8 @@ class BatchedTransientSolver:
             raise SimulationError("empty batch")
         if timestep_ps <= 0:
             raise SimulationError("timestep must be positive")
-        signatures = []
-        for lane, circuit in enumerate(circuits):
+        for circuit in circuits:
             circuit.validate()
-            signatures.append(topology_signature(circuit))
-            if signatures[lane] != signatures[0]:
-                raise SimulationError(
-                    f"lane {lane} does not share the batch topology "
-                    f"signature; group circuits with "
-                    f"repro.josim.solver.topology_signature before "
-                    f"batching")
         if labels is not None and len(labels) != len(circuits):
             raise SimulationError(
                 f"{len(labels)} labels for {len(circuits)} lanes")
@@ -817,12 +699,11 @@ class BatchedTransientSolver:
         self.h = timestep_ps
         self.tol = newton_tol_ua
         self.max_iter = max_newton_iter
-        self.signature = signatures[0]
         self._n = circuits[0].num_nodes
         self._compile()
 
     def _compile(self) -> None:
-        # Re-derive the signature: a circuit that grew since
+        # Derived here, not once in __init__: a circuit that grew since
         # construction (e.g. a stimulus deck stamped in later) has a
         # new topology, and every lane must still share it.
         signatures = [topology_signature(c) for c in self.circuits]
@@ -940,14 +821,7 @@ class BatchedTransientSolver:
         jc_t = stamps.struct.jc_t
 
         max_steps = int(steps.max())
-        # Per-chunk source table; the limit accounts for the chunk's
-        # lane count (steps * n * chunk entries), falling back to
-        # per-step evaluation for very long or very wide chunks.
-        if max_steps * batch * max(n, 1) <= _SOURCE_TABLE_LIMIT:
-            source_rows = stamps.source_residual(
-                h * np.arange(1, max_steps + 1))
-        else:
-            source_rows = None
+        source_rows = stamps.source_table(max_steps, h)
 
         all_lanes = np.arange(batch)
         min_steps = int(steps.min())

@@ -13,7 +13,9 @@ Two entry points share one stimulus-deck builder:
   lane count alone decides.  Below :data:`BATCHED_MIN_LANES` lanes each
   config runs through :meth:`HCDROTestbench.run`; from there on all of
   them run as lanes of one
-  :class:`~repro.josim.solver.BatchedTransientSolver` transient.  Lanes
+  :class:`~repro.josim.solver.BatchedTransientSolver` transient.  The
+  two solvers share one formulation, so the choice moves speed only:
+  either path gives bitwise the same trajectories.  Lanes
   may differ in drive amplitudes, bias, pulse timing and total
   duration (shorter programs retire early); they must agree on the
   write/read counts and the timestep so every lane shares the batch
@@ -193,7 +195,8 @@ def run_hcdro_batch(configs: Sequence["HCDROConfig"],
     data.  Below :data:`BATCHED_MIN_LANES` configs each runs alone on
     the scalar solver, in config order; from there on all of them run
     as lanes of one batched transient, where lanes whose stimulus
-    program ends earlier retire early.
+    program ends earlier retire early.  Both paths give bitwise the
+    same reports; the lane count picks the faster one.
 
     A lane that fails to converge (or produces a singular Jacobian)
     raises :class:`SimulationError` naming the lane index and its

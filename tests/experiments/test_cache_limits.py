@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import threading
 
 import numpy as np
+import pytest
 
 from repro.cpu.optape import OpTape, TraceCache
 from repro.experiments.parallel import (
@@ -153,6 +155,23 @@ class TestPublishRaces:
         entry = json.loads(cache._path("ns", {"k": "hot"}).read_text())
         assert entry["value"] in [{"v": index} for index in range(8)]
         assert not list(tmp_path.rglob("*.tmp"))  # no leaked tmp files
+
+    def test_failed_publish_leaves_no_tmp_file(self, tmp_path, monkeypatch):
+        """A disk that fills mid-write must not strand the partial file:
+        the budget counts only .json entries, so nothing else would
+        ever remove it."""
+        cache = ResultCache(tmp_path)
+
+        def dump_until_full(obj, handle):
+            handle.write('{"key": ')
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_until_full)
+        for index in range(3):
+            with pytest.raises(OSError, match="No space left"):
+                cache.put("ns", {"k": index}, {"v": index})
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not list(tmp_path.rglob("*.json"))
 
     def test_torn_json_entry_degrades_to_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

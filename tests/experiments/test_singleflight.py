@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import threading
+import time
 
 import pytest
 
@@ -194,6 +195,33 @@ class TestCachedMapCollapse:
         # the leader's exception reached both sweeps; nobody hung
         assert failures == ["bad 5", "bad 5"]
 
+    def test_entry_published_after_the_miss_is_not_recomputed(self,
+                                                              tmp_path):
+        """Another writer (a thread that just finished its flight, or a
+        process sharing the root) publishes each key between this call's
+        cache miss and its flight claim: the leader must find the entry
+        instead of computing the key again."""
+
+        class PublishedAfterMissCache(ResultCache):
+            def get(self, namespace, key):
+                found = super().get(namespace, key)
+                if found is None and key not in published:
+                    published.append(key)
+                    self.put(namespace, key, key * 10)
+                return found
+
+        published = []
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return x * 10
+
+        cache = PublishedAfterMissCache(tmp_path)
+        assert cached_map("ns", fn, [1, 2], workers=1, cache=cache) == [10, 20]
+        assert calls == []
+        assert SINGLE_FLIGHT.in_flight() == 0
+
     def test_in_call_duplicates_share_one_slot(self, tmp_path):
         cache = ResultCache(tmp_path)
         calls = []
@@ -214,7 +242,56 @@ class FullDiskCache(ResultCache):
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
+class FullOnceJoinedCache(ResultCache):
+    """A full-disk cache whose publish fails only once a second caller
+    has joined the flight, so the failure lands while someone waits."""
+
+    def __init__(self, root, waits_before):
+        super().__init__(root)
+        self.waits_before = waits_before
+
+    def put(self, namespace, key, value):
+        deadline = time.monotonic() + 10.0
+        while (SINGLE_FLIGHT.waits == self.waits_before
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
 class TestPublishFailure:
+    def test_cached_call_waiter_gets_value_leader_gets_error(self,
+                                                             tmp_path):
+        cache = FullOnceJoinedCache(tmp_path, SINGLE_FLIGHT.waits)
+        started = threading.Event()
+        calls = []
+        outcomes = {}
+
+        def fn():
+            calls.append(1)
+            started.set()
+            return 7
+
+        def call(role):
+            try:
+                outcomes[role] = cached_call("ns", {"k": "full"}, fn,
+                                             cache=cache)
+            except OSError as exc:
+                outcomes[role] = exc
+
+        leader = threading.Thread(target=call, args=("leader",))
+        leader.start()
+        assert started.wait(10)
+        waiter = threading.Thread(target=call, args=("waiter",))
+        waiter.start()
+        leader.join(20)
+        waiter.join(20)
+        assert not leader.is_alive() and not waiter.is_alive()
+        assert outcomes["waiter"] == 7
+        assert isinstance(outcomes["leader"], OSError)
+        assert outcomes["leader"].errno == errno.ENOSPC
+        assert calls == [1]
+        assert SINGLE_FLIGHT.in_flight() == 0
+
     def test_failed_publish_finishes_every_led_flight(self, tmp_path):
         cache = FullDiskCache(tmp_path)
         calls = []

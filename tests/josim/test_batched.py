@@ -1,18 +1,23 @@
-"""Batched lane-parallel solver vs the compiled scalar oracle.
+"""Batched lane-parallel solver vs the compiled scalar solver.
 
-The batched backend must be a pure optimisation: for same-topology
-lane batches of the JTL, DRO and HC-DRO decks every per-lane trajectory
-must agree with a scalar `TransientSolver` run of the identical circuit
-to 1e-9 in phase, with the same recording contract (uneven strides,
+The two compiled tiers share one formulation, so the lane count may
+only move speed: for same-topology lane batches of the JTL, DRO and
+HC-DRO decks every per-lane trajectory must be bitwise equal (times,
+phases and velocities) to a scalar `TransientSolver` run of the
+identical circuit, with the same recording contract (uneven strides,
 final-step recording, per-lane durations) and the same
 `SimulationError` behaviour — except that batched errors additionally
-name the failing lane and its label.
+name the failing lane and its label.  A fixed-budget hypothesis test
+draws random perturbed HC-DRO lanes and checks the same equality.  The
+per-element reference tier (tests/josim/test_equivalence.py) is the
+independent oracle of both.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.josim.solver as solver_mod
 from repro.errors import SimulationError
@@ -26,6 +31,7 @@ from repro.josim.cells import (
     build_jtl_stage,
 )
 from repro.josim.fluxon import junction_fluxons
+from repro.josim.montecarlo import YieldConfig, _build_lane, hcdro_parameter_specs
 from repro.josim.solver import topology_signature
 from repro.josim.sweep import HCDROConfig
 from repro.josim.testbench import HCDROTestbench, run_hcdro_batch
@@ -73,6 +79,17 @@ LANE_DECKS = {
 }
 
 
+def _assert_bitwise_equal(first, second, lane):
+    """Two runs of one lane agree in every recorded bit."""
+    for field in ("times_ps", "phases", "velocities"):
+        a, b = getattr(first, field), getattr(second, field)
+        assert a.shape == b.shape, (lane, field)
+        if not np.array_equal(a, b):
+            worst = float(np.max(np.abs(a - b)))
+            raise AssertionError(
+                f"lane {lane}: {field} differ by up to {worst:.3e}")
+
+
 def _assert_lanes_match_scalar(factory, lane_params, duration, junctions,
                                record_every=1, durations=None):
     circuits = [factory(*params) for params in lane_params]
@@ -84,12 +101,7 @@ def _assert_lanes_match_scalar(factory, lane_params, duration, junctions,
                          else duration)
         scalar = TransientSolver(factory(*params), timestep_ps=0.05).run(
             lane_duration, record_every=record_every)
-        assert batched[lane].times_ps.shape == scalar.times_ps.shape
-        np.testing.assert_allclose(batched[lane].times_ps,
-                                   scalar.times_ps)
-        max_dphi = float(np.max(np.abs(
-            batched[lane].phases - scalar.phases)))
-        assert max_dphi <= 1e-9, f"lane {lane}: max |dphi| = {max_dphi:.3e}"
+        _assert_bitwise_equal(batched[lane], scalar, lane)
         for jj in junctions:
             assert (junction_fluxons(batched[lane], jj)
                     == junction_fluxons(scalar, jj)), (lane, jj)
@@ -130,9 +142,7 @@ class TestBatchedEquivalence:
         fallback = BatchedTransientSolver(
             circuits, timestep_ps=0.05).run(60.0)
         for lane in range(2):
-            max_dphi = float(np.max(np.abs(
-                table[lane].phases - fallback[lane].phases)))
-            assert max_dphi <= 1e-12, f"lane {lane}: {max_dphi:.3e}"
+            _assert_bitwise_equal(table[lane], fallback[lane], lane)
 
 
 class TestChunkedExecution:
@@ -147,7 +157,7 @@ class TestChunkedExecution:
         assert get_backend().name == "numpy"
 
     def test_chunked_hcdro_matches_scalar(self, monkeypatch):
-        """A chunk smaller than the batch leaves the 1e-9 bar intact."""
+        """A chunk smaller than the batch keeps every lane bitwise equal."""
         monkeypatch.setattr(solver_mod, "CHUNK_LANES", 2)
         factory, lane_params, duration, junctions = LANE_DECKS["hcdro"]
         _assert_lanes_match_scalar(factory, lane_params, duration,
@@ -163,9 +173,7 @@ class TestChunkedExecution:
             [factory(*p) for p in lane_params], timestep_ps=0.05,
         ).run(duration)
         for lane in range(len(lane_params)):
-            max_dphi = float(np.max(np.abs(
-                whole[lane].phases - chunked[lane].phases)))
-            assert max_dphi <= 1e-12, f"lane {lane}: {max_dphi:.3e}"
+            _assert_bitwise_equal(whole[lane], chunked[lane], lane)
 
     def test_stamps_built_per_chunk(self, monkeypatch):
         """Peak stamp width is the chunk size, not the batch size."""
@@ -223,9 +231,7 @@ class TestChunkedExecution:
         assert len(calls) > 100, "expected per-step source evaluation"
         assert max(calls) == 1, "fallback must evaluate one step at a time"
         for lane in range(3):
-            max_dphi = float(np.max(np.abs(
-                table[lane].phases - fallback[lane].phases)))
-            assert max_dphi <= 1e-12, f"lane {lane}: {max_dphi:.3e}"
+            _assert_bitwise_equal(table[lane], fallback[lane], lane)
 
 
 class TestTopologySignature:
@@ -320,9 +326,7 @@ class TestBatchedTestbench:
             assert report.stored_after_writes == scalar.stored_after_writes
             assert report.stored_at_end == scalar.stored_at_end
             assert report.output_pulses == scalar.output_pulses
-            max_dphi = float(np.max(np.abs(
-                report.result.phases - scalar.result.phases)))
-            assert max_dphi <= 1e-9
+            _assert_bitwise_equal(report.result, scalar.result, config)
 
     def test_empty_batch_is_empty(self):
         assert run_hcdro_batch([]) == []
@@ -379,10 +383,8 @@ class TestBatchedTestbench:
         assert built == {"batched": [], "scalar": 3}
         batched = run_hcdro_batch(configs)
         assert built == {"batched": [4], "scalar": 3}
-        for alone, lane in zip(scalar, batched):
-            max_dphi = float(np.max(np.abs(
-                alone.result.phases - lane.result.phases)))
-            assert max_dphi <= 1e-9
+        for lane, (alone, batch_lane) in enumerate(zip(scalar, batched)):
+            _assert_bitwise_equal(alone.result, batch_lane.result, lane)
 
     def test_uneven_settle_times_share_a_batch(self, monkeypatch):
         """settle/spacing are lane data: lanes with different durations
@@ -399,6 +401,46 @@ class TestBatchedTestbench:
         for report in reports:
             assert report.stored_after_writes == 1
             assert report.output_pulses == 1
+
+
+# -- randomized differential runs ---------------------------------------
+
+#: Perturbed HC-DRO parameters, one multiplier column each.
+_SPECS = hcdro_parameter_specs()
+
+
+@st.composite
+def random_hcdro_lane(draw, writes, reads):
+    """One perturbed HC-DRO program: a multiplier row over every
+    parameter in [0.85, 1.15], a read scale in [0.9, 1.1] and a settle
+    time of its own, so lanes of one batch retire at different steps."""
+    row = draw(st.lists(st.floats(0.85, 1.15), min_size=len(_SPECS),
+                        max_size=len(_SPECS)))
+    scale = draw(st.floats(0.9, 1.1))
+    settle = draw(st.integers(10, 60).map(lambda k: 0.5 * k))
+    config = YieldConfig(samples=1, writes=writes, reads=reads,
+                         settle_ps=settle)
+    handles, _, end = _build_lane(config, _SPECS, np.asarray(row), scale)
+    return handles.circuit, end
+
+
+class TestRandomLanes:
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data(), writes=st.integers(0, 2),
+           reads=st.integers(0, 2), record_every=st.integers(1, 7))
+    def test_random_hcdro_lanes_match_scalar(self, data, writes, reads,
+                                             record_every):
+        """1-3 lanes sharing one topology: one batched run equals the
+        per-lane scalar runs bit for bit."""
+        lanes = data.draw(st.lists(random_hcdro_lane(writes, reads),
+                                   min_size=1, max_size=3))
+        batched = BatchedTransientSolver(
+            [circuit for circuit, _ in lanes], timestep_ps=0.05).run(
+                [end for _, end in lanes], record_every=record_every)
+        for lane, (circuit, end) in enumerate(lanes):
+            scalar = TransientSolver(circuit, timestep_ps=0.05).run(
+                end, record_every=record_every)
+            _assert_bitwise_equal(batched[lane], scalar, lane)
 
 
 def test_batched_phase_physics_sane():

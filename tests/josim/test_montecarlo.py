@@ -3,8 +3,8 @@
 The contract under test: the same ``(spreads, samples, seed)`` triple
 produces bitwise-identical parameter multipliers and identical yield
 numbers no matter how the lanes are sharded, chunked or spread across
-workers — and every batched lane remains a faithful stand-in for the
-scalar solver (1e-9 phase bar).
+workers — and every batched lane is bitwise equal to a scalar solver
+run of the same perturbed circuit.
 """
 
 import json
@@ -129,11 +129,19 @@ class TestSchedulingInvariance:
 
 class TestScalarOracle:
     def test_batched_lanes_match_scalar_oracle(self):
-        """Acceptance bar: >= 32 sampled lanes, max |dphi| <= 1e-9."""
+        """32 sampled lanes, bitwise equal to the scalar solver."""
         config = YieldConfig(samples=11, seed=13,
                              read_scales=(0.95, 1.0, 1.05))
         deviation = verify_against_scalar(config, lanes=32)
-        assert deviation <= 1e-9, f"max |dphi| = {deviation:.3e}"
+        assert deviation == 0.0, f"max |dphi| = {deviation:.3e}"
+
+    def test_near_threshold_lanes_match_exactly(self):
+        """Study 1014052714 picks lanes whose junctions swing near their
+        switching threshold; two formulations of the same physics once
+        drifted 3.0e-9 apart on them."""
+        config = YieldConfig(samples=96, seed=1014052714)
+        deviation = verify_against_scalar(config, lanes=3)
+        assert deviation == 0.0, f"max |dphi| = {deviation:.3e}"
 
 
 class TestRollups:

@@ -179,7 +179,7 @@ class TestBatchedDispatch:
 
     def test_batched_matches_scalar_summaries(self, monkeypatch):
         """The batched dispatch path and the scalar path must agree on
-        every summary — the scalar solver is the equivalence oracle."""
+        every summary — the two solvers share one formulation."""
         configs = [HCDROConfig(writes=1, reads=2),
                    HCDROConfig(writes=1, reads=2, j2_bias_ua=73.0),
                    HCDROConfig(writes=0, reads=2),
