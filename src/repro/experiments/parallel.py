@@ -355,6 +355,28 @@ def _flight_key(store: ResultCache, namespace: str, key: Any) -> Tuple[str, str,
     return (str(store.root), namespace, stable_key(key))
 
 
+def claim_miss(store: ResultCache, namespace: str, key: Any
+               ) -> Tuple[Optional[Any], bool, Hashable, _Flight]:
+    """Claim the :data:`SINGLE_FLIGHT` flight of a cache miss, then look
+    again.
+
+    A previous leader may have published and finished between the
+    caller's miss and this claim.  Returns ``(found, leader, flight_key,
+    flight)``.  ``found`` is that published value, its flight already
+    finished.  When it is ``None``, a leader computes the key and must
+    :meth:`~SingleFlight.finish` the flight; any other caller waits for
+    it with :meth:`~SingleFlight.wait`.
+    """
+    flight_key = _flight_key(store, namespace, key)
+    leader, flight = SINGLE_FLIGHT.begin(flight_key)
+    if leader:
+        found = store.get(namespace, key)
+        if found is not None:
+            SINGLE_FLIGHT.finish(flight_key, flight, value=found)
+            return found, False, flight_key, flight
+    return None, leader, flight_key, flight
+
+
 def cached_call(namespace: str, key: Any, fn: Callable[[], R],
                 cache: CacheLike = None) -> R:
     """Return ``fn()``, memoised on disk when a cache is available.
@@ -429,20 +451,13 @@ def cached_map(namespace: str, fn: Callable[[T], R], points: Sequence[T],
         if digest in local:
             continue  # duplicate of a slot this call already leads/waits
         local[digest] = index
-        flight_key = _flight_key(store, namespace, key)
-        leader, flight = SINGLE_FLIGHT.begin(flight_key)
-        if not leader:
-            waiting.append((index, flight))
-            continue
-        # Re-check inside the flight, as cached_call does: a previous
-        # leader may have published and finished between our miss and
-        # our claim.
-        found = store.get(namespace, key)
+        found, leader, flight_key, flight = claim_miss(store, namespace, key)
         if found is not None:
-            SINGLE_FLIGHT.finish(flight_key, flight, value=found)
             results[index] = found
-        else:
+        elif leader:
             led[digest] = (index, flight_key, flight)
+        else:
+            waiting.append((index, flight))
     pending = [index for index, _, _ in led.values()]
     try:
         computed = parallel_map(fn, [items[i] for i in pending],

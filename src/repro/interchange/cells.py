@@ -1,25 +1,36 @@
-"""The interchange cell table and cell-name mapper.
+"""The interchange view of the cell table, and the cell-name mapper.
 
-Both emitters (Verilog / SPICE) and both parsers share one vocabulary:
-a :class:`CellSpec` per graph ``kind`` naming the canonical interchange
-cell, its port list in declaration order, and which parameters travel
-with an instance.  Foreign netlists rarely use our canonical names, so
-a :class:`CellMap` resolves external cell names (RSFQlib-style
-``SPLITT``, ``DFFT``, ``NDROT``, ...) onto the same specs; anything it
-cannot resolve surfaces as rule SFQ018 (unmapped-foreign-cell).
+Both emitters (Verilog / SPICE) and both parsers share one vocabulary,
+the :data:`repro.lint.graph.CELL_SPECS` table that lint lowering also
+reads: per graph ``kind`` the canonical interchange cell, its port list
+in declaration order, and which parameters travel with an instance.
+Foreign netlists rarely use our canonical names, so a :class:`CellMap`
+resolves external cell names (RSFQlib-style ``SPLITT``, ``DFFT``,
+``NDROT``, ...) onto the same rows; anything it cannot resolve surfaces
+as rule SFQ018 (unmapped-foreign-cell).
 
 Round-trip fidelity contract: for any node lowered by
 :func:`repro.lint.graph.graph_from_engine`,
-``build_node(spec, node.name, node_params(node))`` reproduces the node
-exactly (same arcs, port classes and params), which is what makes
-emit -> parse -> LVS a zero-mismatch identity on the built designs.
+``build_node(node.kind, node.name, node_params(node))`` reproduces the
+node exactly (same arcs, port classes and params).  Lowering itself
+calls :func:`~repro.lint.graph.build_node` on the parameters it reads
+off the component, which is what makes emit -> parse -> LVS a
+zero-mismatch identity on the built designs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.lint.graph import Arc, CircuitGraph, GraphNode, NodeClass
+from repro.lint.graph import (
+    CELL_SPECS,
+    SPECS_BY_KIND,
+    CellSpec,
+    CircuitGraph,
+    GraphNode,
+    NodeClass,
+)
+from repro.lint.graph import build_node as build_node  # re-export
 
 
 class InterchangeError(Exception):
@@ -51,88 +62,6 @@ def parse_value(text: str) -> float | int:
             raise InterchangeError(f"bad parameter value {text!r}") from None
 
 
-@dataclass(frozen=True)
-class CellSpec:
-    """One graph ``kind`` as seen by the interchange formats."""
-
-    kind: str
-    cell_name: str
-    node_class: NodeClass
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    clock_ports: frozenset[str]
-    data_ports: frozenset[str]
-    #: Name of the parameter carrying the (uniform) internal arc delay,
-    #: or ``None`` for kinds with no delay parameter (probe, sink).
-    delay_param: str | None
-    #: ``node.params`` keys that travel with an instance.
-    float_params: tuple[str, ...] = ()
-    #: Structural integer parameters (``bits``, ``arity``).
-    int_params: tuple[str, ...] = ()
-
-    def ports(self, params: dict[str, float | int]) -> tuple[tuple[str, ...],
-                                                             tuple[str, ...]]:
-        """Declaration-order ``(inputs, outputs)`` for one instance."""
-        if self.kind == "counter":
-            bits = int(params.get("bits", 2))
-            return self.inputs, tuple(f"b{i}" for i in range(bits))
-        return self.inputs, self.outputs
-
-
-_SPECS: tuple[CellSpec, ...] = (
-    CellSpec("splitter", "SFQ_SPLITTER", NodeClass.INTERCONNECT,
-             ("in",), ("out0", "out1"),
-             frozenset(), frozenset(), "delay_ps"),
-    CellSpec("merger", "SFQ_MERGER", NodeClass.INTERCONNECT,
-             ("in0", "in1"), ("out",),
-             frozenset(), frozenset(), "delay_ps",
-             float_params=("dead_time_ps",)),
-    CellSpec("jtl", "SFQ_JTL", NodeClass.INTERCONNECT,
-             ("in",), ("out",),
-             frozenset(), frozenset(), "delay_ps"),
-    CellSpec("ptl", "SFQ_PTL", NodeClass.INTERCONNECT,
-             ("in",), ("out",),
-             frozenset(), frozenset(), "delay_ps"),
-    CellSpec("probe", "SFQ_PROBE", NodeClass.INTERCONNECT,
-             ("in",), ("out",),
-             frozenset(), frozenset(), None),
-    CellSpec("sink", "SFQ_SINK", NodeClass.SINK,
-             ("in",), (),
-             frozenset(), frozenset(), None),
-    CellSpec("dand", "SFQ_DAND", NodeClass.LOGIC,
-             ("a", "b"), ("out",),
-             frozenset(), frozenset({"a", "b"}), "delay_ps",
-             float_params=("hold_window_ps",)),
-    CellSpec("clocked_gate", "SFQ_CLOCKED_GATE", NodeClass.LOGIC,
-             ("a", "b", "clk"), ("out",),
-             frozenset({"clk"}), frozenset({"a", "b"}), "delay_ps",
-             int_params=("arity",)),
-    CellSpec("dro", "SFQ_DRO", NodeClass.STORAGE,
-             ("d", "clk"), ("q",),
-             frozenset({"clk"}), frozenset({"d"}), "clk_to_q_ps"),
-    CellSpec("hcdro", "SFQ_HCDRO", NodeClass.STORAGE,
-             ("d", "clk"), ("q",),
-             frozenset({"clk"}), frozenset({"d"}), "clk_to_q_ps",
-             float_params=("min_spacing_ps",)),
-    CellSpec("ndro", "SFQ_NDRO", NodeClass.STORAGE,
-             ("set", "reset", "clk"), ("out",),
-             frozenset({"clk"}), frozenset({"set", "reset"}), "clk_to_q_ps"),
-    CellSpec("ndroc", "SFQ_NDROC", NodeClass.STORAGE,
-             ("set", "reset", "clk"), ("out0", "out1"),
-             frozenset({"clk"}), frozenset({"set", "reset"}),
-             "propagation_ps", float_params=("min_separation_ps",)),
-    CellSpec("tff", "SFQ_TFF", NodeClass.STORAGE,
-             ("t", "read", "reset"), ("carry", "q"),
-             frozenset({"read"}), frozenset({"t", "reset"}), "delay_ps"),
-    CellSpec("counter", "SFQ_COUNTER", NodeClass.STORAGE,
-             ("in", "read", "reset"), (),
-             frozenset({"read"}), frozenset({"in", "reset"}), "delay_ps",
-             int_params=("bits",)),
-)
-
-SPECS_BY_KIND: dict[str, CellSpec] = {s.kind: s for s in _SPECS}
-
-
 def cell_spec(kind: str) -> CellSpec:
     try:
         return SPECS_BY_KIND[kind]
@@ -159,93 +88,13 @@ def node_params(node: GraphNode) -> dict[str, float | int]:
                 f"{node.name}: non-uniform arc delays {sorted(delays)} "
                 "cannot be expressed as one interchange parameter")
         params[spec.delay_param] = delays.pop() if delays else 0.0
-    for key in spec.float_params:
+    for key, _attr in spec.float_params:
         params[key] = float(node.params.get(key, 0.0))
     if node.kind == "counter":
         params["bits"] = len(node.outputs)
     elif node.kind == "clocked_gate":
         params["arity"] = len(node.data_ports)
     return params
-
-
-def build_node(kind: str, name: str,
-               params: dict[str, float | int]) -> GraphNode:
-    """Rebuild a graph node from an interchange instance.
-
-    Mirrors :func:`repro.lint.graph._lower_component` exactly, so the
-    SFQ001-SFQ016 catalog sees parsed netlists the same way it sees
-    engine-lowered ones.
-    """
-    spec = cell_spec(kind)
-    inputs, outputs = spec.ports(params)
-    delay = float(params.get(spec.delay_param, 0.0)) \
-        if spec.delay_param is not None else 0.0
-
-    def fparam(key: str) -> float:
-        return float(params.get(key, 0.0))
-
-    if kind == "splitter":
-        return GraphNode(name, kind, spec.node_class, inputs, outputs,
-                         arcs=(Arc("in", "out0", delay),
-                               Arc("in", "out1", delay)))
-    if kind == "merger":
-        return GraphNode(name, kind, spec.node_class, inputs, outputs,
-                         arcs=(Arc("in0", "out", delay),
-                               Arc("in1", "out", delay)),
-                         params={"dead_time_ps": fparam("dead_time_ps")})
-    if kind in ("jtl", "ptl"):
-        return GraphNode(name, kind, spec.node_class, inputs, outputs,
-                         arcs=(Arc("in", "out", delay),))
-    if kind == "probe":
-        return GraphNode(name, kind, spec.node_class, inputs, outputs,
-                         arcs=(Arc("in", "out", 0.0),))
-    if kind == "sink":
-        return GraphNode(name, kind, spec.node_class, inputs, outputs)
-    if kind == "dand":
-        return GraphNode(name, kind, spec.node_class, inputs, outputs,
-                         arcs=(Arc("a", "out", delay),
-                               Arc("b", "out", delay)),
-                         data_ports=spec.data_ports,
-                         params={"hold_window_ps": fparam("hold_window_ps")})
-    if kind == "clocked_gate":
-        arity = int(params.get("arity", 2))
-        data = frozenset({"a", "b"} if arity == 2 else {"a"})
-        return GraphNode(name, kind, spec.node_class, inputs, outputs,
-                         arcs=(Arc("clk", "out", delay),),
-                         clock_ports=spec.clock_ports, data_ports=data)
-    if kind in ("dro", "hcdro"):
-        extra = ({"min_spacing_ps": fparam("min_spacing_ps")}
-                 if kind == "hcdro" else {})
-        return GraphNode(name, kind, spec.node_class, inputs, outputs,
-                         arcs=(Arc("clk", "q", delay),),
-                         clock_ports=spec.clock_ports,
-                         data_ports=spec.data_ports, params=extra)
-    if kind == "ndroc":
-        return GraphNode(name, kind, spec.node_class, inputs, outputs,
-                         arcs=(Arc("clk", "out0", delay),
-                               Arc("clk", "out1", delay)),
-                         clock_ports=spec.clock_ports,
-                         data_ports=spec.data_ports,
-                         params={"min_separation_ps":
-                                 fparam("min_separation_ps"),
-                                 "exclusive_routing": True})
-    if kind == "ndro":
-        return GraphNode(name, kind, spec.node_class, inputs, outputs,
-                         arcs=(Arc("clk", "out", delay),),
-                         clock_ports=spec.clock_ports,
-                         data_ports=spec.data_ports)
-    if kind == "tff":
-        return GraphNode(name, kind, spec.node_class, inputs, outputs,
-                         arcs=(Arc("t", "carry", delay),
-                               Arc("read", "q", delay)),
-                         clock_ports=spec.clock_ports,
-                         data_ports=spec.data_ports)
-    if kind == "counter":
-        arcs = tuple(Arc("read", out, delay) for out in outputs)
-        return GraphNode(name, kind, spec.node_class, inputs, outputs,
-                         arcs=arcs, clock_ports=spec.clock_ports,
-                         data_ports=spec.data_ports)
-    raise InterchangeError(f"unhandled kind {kind!r}")  # pragma: no cover
 
 
 def foreign_node(name: str, cell_name: str,
@@ -289,7 +138,7 @@ class CellMap:
     def __init__(self, aliases: dict[str, str] | None = None, *,
                  include_defaults: bool = True) -> None:
         self._table: dict[str, str] = {}
-        for spec in _SPECS:
+        for spec in CELL_SPECS:
             self._table[spec.cell_name.upper()] = spec.kind
         if include_defaults:
             for alias, kind in DEFAULT_ALIASES.items():

@@ -50,12 +50,6 @@ from repro.josim.sweep import (
     sweep_map,
     topology_key,
 )
-from repro.josim.montecarlo import (
-    SpreadSpec,
-    YieldConfig,
-    YieldReport,
-    run_yield_analysis,
-)
 
 __all__ = [
     "BatchedTransientSolver",
@@ -68,18 +62,14 @@ __all__ = [
     "JosephsonJunction",
     "PulseCurrent",
     "Resistor",
-    "SpreadSpec",
     "TransientResult",
     "TransientSolver",
-    "YieldConfig",
-    "YieldReport",
     "build_dro_cell",
     "build_hcdro_cell",
     "build_jtl_stage",
     "junction_fluxons",
     "loop_fluxons",
     "run_configs",
-    "run_yield_analysis",
     "simulate_hcdro",
     "simulate_hcdro_batch",
     "sweep_map",

@@ -8,7 +8,7 @@ both:
   (``phi``/``v``/``a`` of shape ``(chunk, n)``).  The structural
   matrices (incidence, unit-valued sin/cos scatter patterns, linear
   stamp scatter, source scatter) depend only on the topology and are
-  compiled once per signature; per-lane parameters (``Ic``, ``1/L``,
+  compiled once per solver; per-lane parameters (``Ic``, ``1/L``,
   conductances, bias, pulse amplitudes) are stored as compact per-lane
   *value vectors* and scattered into flat block-diagonal ``(chunk,
   n*n)`` Jacobian blocks one chunk at a time — a mega-batch of 10^5
@@ -41,7 +41,7 @@ choice moves speed only, never a result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -177,9 +177,6 @@ class TransientSolver:
             self._compile()
 
     def _compile(self) -> None:
-        # The structure is built per instance, not through
-        # _STRUCTURE_CACHE: that cache is unbounded, and ad-hoc scalar
-        # topologies would make it grow with the job history.
         self._stamps = _BatchedStamps(
             [self.circuit], self.h, _BatchedStructure(self.circuit))
         self._compiled_element_count = len(self.circuit.elements)
@@ -439,11 +436,6 @@ class TransientSolver:
 # Batched lane-parallel backend
 # ---------------------------------------------------------------------------
 
-#: Topology signature -> shared structural matrices; topologies are few
-#: (one per cell family), so the cache is left unbounded.
-_STRUCTURE_CACHE: Dict[tuple, "_BatchedStructure"] = {}
-
-
 def topology_signature(circuit: Circuit) -> tuple:
     """Hashable description of a circuit's *topology*.
 
@@ -459,11 +451,6 @@ def topology_signature(circuit: Circuit) -> tuple:
                   for element in circuit.elements))
 
 
-def clear_structure_cache() -> None:
-    """Drop the per-topology structural matrices (mainly for tests)."""
-    _STRUCTURE_CACHE.clear()
-
-
 class _BatchedStructure:
     """Structural (parameter-free) matrices for one topology signature.
 
@@ -473,8 +460,8 @@ class _BatchedStructure:
     the unit-valued linear stamp scatter matrices (per-lane
     conductances/inverse-inductances/capacitances multiply in at run
     time), the source scatter matrix, and the element index lists used
-    to gather per-lane parameter vectors — so one instance is compiled
-    per signature and shared by every batch (and every timestep).
+    to gather per-lane parameter vectors — so each solver compiles one
+    instance and shares it across its lanes, chunks and timesteps.
 
     The linear stamp matrices are the sparse/block-diagonal seam: a
     two-terminal element between nodes ``(p, q)`` contributes the fixed
@@ -715,11 +702,7 @@ class BatchedTransientSolver:
                     f"repro.josim.solver.topology_signature before "
                     f"batching")
         self.signature = signatures[0]
-        structure = _STRUCTURE_CACHE.get(self.signature)
-        if structure is None:
-            structure = _BatchedStructure(self.circuits[0])
-            _STRUCTURE_CACHE[self.signature] = structure
-        self._structure = structure
+        self._structure = _BatchedStructure(self.circuits[0])
         self._compiled_element_counts = [
             len(c.elements) for c in self.circuits]
 

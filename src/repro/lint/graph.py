@@ -5,14 +5,23 @@ it first lowers them into a :class:`CircuitGraph` - named nodes with typed
 ports, directed edges carrying wire delay, internal propagation *arcs*
 (which input pin forwards a pulse to which output pin, and how late), and
 a set of *external* ports where test-bench stimulus enters.  Structural
-and timing rules run over this IR, so future front-ends (e.g. a Verilog
-or JoSIM-deck importer) only need an adapter, not new rules.
+and timing rules run over this IR, so other front-ends (the Verilog and
+SPICE parsers of :mod:`repro.interchange`) only need an adapter, not new
+rules.
+
+Every cell kind is one :class:`CellSpec` row in :data:`CELL_SPECS`: its
+pulse class (which declares the pins), interchange cell name, node
+class, arcs, clock and data ports, delay attribute and parameters.
+:func:`build_node` builds every graph node from its row, both for a
+lowered engine component and for a parsed interchange instance, so a
+new kind needs its pulse class and one row to be linted, emitted,
+parsed and LVS-checked.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.pulse.counters import TFF, PulseCounter
@@ -134,93 +143,134 @@ class CircuitGraph:
 
 
 # ---------------------------------------------------------------------------
-# Pulse-engine adapter
+# The cell table and the pulse-engine adapter
 # ---------------------------------------------------------------------------
 
 
-def _delay(comp: Component, attr: str = "delay_ps") -> float:
-    return float(getattr(comp, attr, 0.0))
+@dataclass(frozen=True)
+class CellSpec:
+    """One SFQ cell kind, as lint lowers it and the interchange formats
+    emit and parse it.  Pins come from the pulse class."""
+
+    component: type[Component]
+    kind: str
+    #: Canonical interchange cell name.
+    cell_name: str
+    node_class: NodeClass
+    #: ``(in_pin, out_pin)`` propagation arcs, all with the cell's delay.
+    arcs: tuple[tuple[str, str], ...] = ()
+    clock_ports: tuple[str, ...] = ()
+    data_ports: tuple[str, ...] = ()
+    #: Component attribute holding the arc delay, which is also its
+    #: interchange parameter; ``None`` gives zero-delay arcs.
+    delay_param: str | None = "delay_ps"
+    #: ``(graph key, component attribute)`` of each float parameter.
+    float_params: tuple[tuple[str, str], ...] = ()
+    #: ``(graph key, component attribute)`` of each structural integer.
+    int_params: tuple[tuple[str, str], ...] = ()
+    #: One clock pulse exits one output, never both, so paths through
+    #: different outputs cannot race: the timing pass re-originates
+    #: arrival windows at each output instead of forwarding the origin.
+    exclusive_routing: bool = False
+
+    def ports(self, params: Mapping[str, float | int]
+              ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Declaration-order ``(inputs, outputs)`` for one instance."""
+        outputs = self.component.OUTPUTS
+        if self.kind == "counter":
+            outputs = tuple(f"b{i}" for i in range(int(params.get("bits", 2))))
+        return self.component.INPUTS, outputs
+
+
+#: Every known cell kind; a component lowers by its first matching row.
+CELL_SPECS: tuple[CellSpec, ...] = (
+    CellSpec(Splitter, "splitter", "SFQ_SPLITTER", NodeClass.INTERCONNECT,
+             arcs=(("in", "out0"), ("in", "out1"))),
+    CellSpec(Merger, "merger", "SFQ_MERGER", NodeClass.INTERCONNECT,
+             arcs=(("in0", "out"), ("in1", "out")),
+             float_params=(("dead_time_ps", "dead_time_ps"),)),
+    CellSpec(JTL, "jtl", "SFQ_JTL", NodeClass.INTERCONNECT,
+             arcs=(("in", "out"),)),
+    CellSpec(PTL, "ptl", "SFQ_PTL", NodeClass.INTERCONNECT,
+             arcs=(("in", "out"),)),
+    CellSpec(Probe, "probe", "SFQ_PROBE", NodeClass.INTERCONNECT,
+             arcs=(("in", "out"),), delay_param=None),
+    CellSpec(Sink, "sink", "SFQ_SINK", NodeClass.SINK, delay_param=None),
+    CellSpec(DAND, "dand", "SFQ_DAND", NodeClass.LOGIC,
+             arcs=(("a", "out"), ("b", "out")), data_ports=("a", "b"),
+             float_params=(("hold_window_ps", "hold_window_ps"),)),
+    CellSpec(ClockedGate, "clocked_gate", "SFQ_CLOCKED_GATE", NodeClass.LOGIC,
+             arcs=(("clk", "out"),), clock_ports=("clk",),
+             data_ports=("a", "b"), int_params=(("arity", "ARITY"),)),
+    CellSpec(DRO, "dro", "SFQ_DRO", NodeClass.STORAGE,
+             arcs=(("clk", "q"),), clock_ports=("clk",), data_ports=("d",),
+             delay_param="clk_to_q_ps"),
+    CellSpec(HCDRO, "hcdro", "SFQ_HCDRO", NodeClass.STORAGE,
+             arcs=(("clk", "q"),), clock_ports=("clk",), data_ports=("d",),
+             delay_param="clk_to_q_ps",
+             float_params=(("min_spacing_ps", "min_pulse_spacing_ps"),)),
+    CellSpec(NDROC, "ndroc", "SFQ_NDROC", NodeClass.STORAGE,
+             arcs=(("clk", "out0"), ("clk", "out1")), clock_ports=("clk",),
+             data_ports=("set", "reset"), delay_param="propagation_ps",
+             float_params=(("min_separation_ps", "min_clk_separation_ps"),),
+             exclusive_routing=True),
+    CellSpec(NDRO, "ndro", "SFQ_NDRO", NodeClass.STORAGE,
+             arcs=(("clk", "out"),), clock_ports=("clk",),
+             data_ports=("set", "reset"), delay_param="clk_to_q_ps"),
+    CellSpec(TFF, "tff", "SFQ_TFF", NodeClass.STORAGE,
+             arcs=(("t", "carry"), ("read", "q")), clock_ports=("read",),
+             data_ports=("t", "reset")),
+    # Arcs from ``read`` to each of the ``bits`` outputs b0, b1, ...
+    CellSpec(PulseCounter, "counter", "SFQ_COUNTER", NodeClass.STORAGE,
+             clock_ports=("read",), data_ports=("in", "reset"),
+             int_params=(("bits", "bits"),)),
+)
+
+SPECS_BY_KIND: dict[str, CellSpec] = {spec.kind: spec for spec in CELL_SPECS}
+
+
+def build_node(kind: str, name: str,
+               params: Mapping[str, float | int]) -> GraphNode:
+    """One graph node of ``kind`` from its instance parameters.
+
+    Lowered engine components and parsed interchange instances both go
+    through here, so the SFQ001-SFQ016 catalog sees them identically.
+    """
+    spec = SPECS_BY_KIND[kind]
+    inputs, outputs = spec.ports(params)
+    delay = float(params.get(spec.delay_param, 0.0)) \
+        if spec.delay_param is not None else 0.0
+    arcs, data = spec.arcs, spec.data_ports
+    if kind == "counter":
+        arcs = tuple(("read", out) for out in outputs)
+    elif kind == "clocked_gate":
+        data = data[:int(params.get("arity", len(data)))]
+    constraints: dict[str, float | bool] = {
+        key: float(params.get(key, 0.0)) for key, _attr in spec.float_params}
+    if spec.exclusive_routing:
+        constraints["exclusive_routing"] = True
+    return GraphNode(name, kind, spec.node_class, inputs, outputs,
+                     arcs=tuple(Arc(i, o, delay) for i, o in arcs),
+                     clock_ports=frozenset(spec.clock_ports),
+                     data_ports=frozenset(data), params=constraints)
 
 
 def _lower_component(comp: Component) -> GraphNode:
     """Classify one pulse component into the IR vocabulary."""
-    name = comp.name
+    for spec in CELL_SPECS:
+        if isinstance(comp, spec.component):
+            attrs = spec.float_params + spec.int_params
+            if spec.delay_param is not None:
+                attrs += ((spec.delay_param, spec.delay_param),)
+            return build_node(spec.kind, comp.name,
+                              {key: getattr(comp, attr) for key, attr in attrs})
+    # Unknown component type: all-to-all propagation, clock pin by name.
     inputs = tuple(comp.INPUTS)
     outputs = tuple(comp.OUTPUTS)
-    if isinstance(comp, Splitter):
-        return GraphNode(name, "splitter", NodeClass.INTERCONNECT, inputs, outputs,
-                         arcs=(Arc("in", "out0", comp.delay_ps),
-                               Arc("in", "out1", comp.delay_ps)))
-    if isinstance(comp, Merger):
-        return GraphNode(name, "merger", NodeClass.INTERCONNECT, inputs, outputs,
-                         arcs=(Arc("in0", "out", comp.delay_ps),
-                               Arc("in1", "out", comp.delay_ps)),
-                         params={"dead_time_ps": comp.dead_time_ps})
-    if isinstance(comp, (JTL, PTL)):
-        return GraphNode(name, type(comp).__name__.lower(),
-                         NodeClass.INTERCONNECT, inputs, outputs,
-                         arcs=(Arc("in", "out", comp.delay_ps),))
-    if isinstance(comp, Probe):
-        return GraphNode(name, "probe", NodeClass.INTERCONNECT, inputs, outputs,
-                         arcs=(Arc("in", "out", 0.0),))
-    if isinstance(comp, Sink):
-        return GraphNode(name, "sink", NodeClass.SINK, inputs, outputs)
-    if isinstance(comp, DAND):
-        return GraphNode(name, "dand", NodeClass.LOGIC, inputs, outputs,
-                         arcs=(Arc("a", "out", comp.delay_ps),
-                               Arc("b", "out", comp.delay_ps)),
-                         data_ports=frozenset({"a", "b"}),
-                         params={"hold_window_ps": comp.hold_window_ps})
-    if isinstance(comp, ClockedGate):
-        data = frozenset({"a", "b"} if comp.ARITY == 2 else {"a"})
-        return GraphNode(name, "clocked_gate", NodeClass.LOGIC, inputs, outputs,
-                         arcs=(Arc("clk", "out", comp.delay_ps),),
-                         clock_ports=frozenset({"clk"}), data_ports=data)
-    if isinstance(comp, DRO):
-        return GraphNode(name, "dro", NodeClass.STORAGE, inputs, outputs,
-                         arcs=(Arc("clk", "q", comp.clk_to_q_ps),),
-                         clock_ports=frozenset({"clk"}),
-                         data_ports=frozenset({"d"}))
-    if isinstance(comp, HCDRO):
-        return GraphNode(name, "hcdro", NodeClass.STORAGE, inputs, outputs,
-                         arcs=(Arc("clk", "q", comp.clk_to_q_ps),),
-                         clock_ports=frozenset({"clk"}),
-                         data_ports=frozenset({"d"}),
-                         params={"min_spacing_ps": comp.min_pulse_spacing_ps})
-    if isinstance(comp, NDROC):
-        # ``exclusive_routing``: one CLK pulse exits out0 *or* out1, never
-        # both, so downstream paths through different outputs can never
-        # race each other.  The timing pass re-originates arrival windows
-        # at each output instead of forwarding the common origin.
-        return GraphNode(name, "ndroc", NodeClass.STORAGE, inputs, outputs,
-                         arcs=(Arc("clk", "out0", comp.propagation_ps),
-                               Arc("clk", "out1", comp.propagation_ps)),
-                         clock_ports=frozenset({"clk"}),
-                         data_ports=frozenset({"set", "reset"}),
-                         params={"min_separation_ps": comp.min_clk_separation_ps,
-                                 "exclusive_routing": True})
-    if isinstance(comp, NDRO):
-        return GraphNode(name, "ndro", NodeClass.STORAGE, inputs, outputs,
-                         arcs=(Arc("clk", "out", comp.clk_to_q_ps),),
-                         clock_ports=frozenset({"clk"}),
-                         data_ports=frozenset({"set", "reset"}))
-    if isinstance(comp, TFF):
-        return GraphNode(name, "tff", NodeClass.STORAGE, inputs, outputs,
-                         arcs=(Arc("t", "carry", comp.delay_ps),
-                               Arc("read", "q", comp.delay_ps)),
-                         clock_ports=frozenset({"read"}),
-                         data_ports=frozenset({"t", "reset"}))
-    if isinstance(comp, PulseCounter):
-        arcs = tuple(Arc("read", f"b{i}", comp.delay_ps)
-                     for i in range(comp.bits))
-        return GraphNode(name, "counter", NodeClass.STORAGE, inputs, outputs,
-                         arcs=arcs,
-                         clock_ports=frozenset({"read"}),
-                         data_ports=frozenset({"in", "reset"}))
-    # Unknown component type: all-to-all propagation, clock pin by name.
-    arcs = tuple(Arc(i, o, _delay(comp)) for i in inputs for o in outputs)
+    delay = float(getattr(comp, "delay_ps", 0.0))
+    arcs = tuple(Arc(i, o, delay) for i in inputs for o in outputs)
     clock = frozenset({p for p in inputs if p in ("clk", "read")})
-    return GraphNode(name, type(comp).__name__.lower(), NodeClass.OTHER,
+    return GraphNode(comp.name, type(comp).__name__.lower(), NodeClass.OTHER,
                      inputs, outputs, arcs=arcs, clock_ports=clock,
                      data_ports=frozenset(inputs) - clock)
 

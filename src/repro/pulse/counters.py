@@ -54,12 +54,13 @@ class PulseCounter(Component):
     whose count bit is set, then a ``reset`` pulse clears the count.
     """
 
+    INPUTS = ("in", "read", "reset")
+
     def __init__(self, name: str, bits: int = 2,
                  delay_ps: float = params.DELAY_PS["hc_read_settle"]) -> None:
         if bits < 1:
             raise ValueError(f"{name}: bits must be >= 1")
         self.bits = bits
-        self.INPUTS = ("in", "read", "reset")
         self.OUTPUTS = tuple(f"b{i}" for i in range(bits))
         super().__init__(name)
         self.delay_ps = delay_ps

@@ -42,7 +42,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
 from repro.experiments.parallel import (
     SINGLE_FLIGHT,
     ResultCache,
-    _flight_key,
+    claim_miss,
 )
 from repro.service.adapters import (
     WorkItem,
@@ -308,9 +308,10 @@ class CoalescingEngine:
         """One coalesced group, on a worker thread.
 
         Per item: consult the shared cache, claim the process-global
-        singleflight for true misses (so a concurrent CLI sweep in this
-        process never duplicates our work, and vice versa), compute all
-        led misses in one batched dispatch, publish, resolve waiters.
+        singleflight for true misses and look again (so a concurrent CLI
+        sweep in this process never duplicates our work, and vice
+        versa), compute all led misses in one batched dispatch, publish,
+        resolve waiters.
         An item whose own dispatch raises fails alone: its flight and
         its outcome carry the exception, and the rest publish.  A
         publish that fails with an ``OSError`` (disk full, read-only
@@ -327,12 +328,12 @@ class CoalescingEngine:
         waiting: List[Tuple[int, Any]] = []
         for index, item in enumerate(items):
             found = store.get(item.namespace, item.key)
+            if found is None:
+                found, leader, flight_key, flight = claim_miss(
+                    store, item.namespace, item.key)
             if found is not None:
                 resolved[index] = (found, True)
-                continue
-            flight_key = _flight_key(store, item.namespace, item.key)
-            leader, flight = SINGLE_FLIGHT.begin(flight_key)
-            if leader:
+            elif leader:
                 led.append((index, flight_key, flight))
             else:
                 waiting.append((index, flight))

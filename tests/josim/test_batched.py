@@ -243,13 +243,6 @@ class TestTopologySignature:
         assert (topology_signature(_jtl_deck())
                 != topology_signature(_dro_deck()))
 
-    def test_structure_compiled_once_per_signature(self):
-        solver_mod.clear_structure_cache()
-        first = BatchedTransientSolver([_jtl_deck(0.6), _jtl_deck(0.7)])
-        second = BatchedTransientSolver([_jtl_deck(0.75)])
-        assert first._structure is second._structure
-        assert len(solver_mod._STRUCTURE_CACHE) == 1
-
 
 class TestBatchedValidation:
     def test_empty_batch_rejected(self):

@@ -8,10 +8,15 @@ run of the same perturbed circuit.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.josim.montecarlo as mc
 import repro.josim.solver as solver_mod
 from repro.errors import ConfigError
@@ -193,6 +198,17 @@ class TestCLI:
     def test_bad_scales_exits_nonzero(self, capsys):
         assert main(["--scales", "abc"]) == 2
         assert "bad --scales" in capsys.readouterr().err
+
+    def test_module_runs_without_a_double_import_warning(self):
+        """``python -m repro.josim.montecarlo`` must not find the module
+        already imported by its package (runpy's RuntimeWarning)."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.josim.montecarlo", "--help"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestLintCleanliness:

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.experiments.parallel import SINGLE_FLIGHT, ResultCache, _flight_key
-from repro.service.adapters import decompose, run_job_naive
+from repro.service.adapters import compute_item, decompose, jsonable, run_job_naive
 from repro.service.engine import CoalescingEngine
 from repro.service.jobs import JobStore
 from tests.experiments.test_singleflight import FullDiskCache
@@ -141,6 +141,35 @@ class TestCoalescing:
         assert stats["items"] == stats["dispatched_items"] == 8
         assert stats["item_computed"] == 8
         assert stats["item_cache_hits"] == stats["item_coalesced"] == 0
+
+    def test_item_published_after_its_miss_is_served_not_recomputed(
+            self, tmp_path):
+        """An item another worker publishes between this dispatch's
+        cache miss and its flight claim is a cache hit."""
+        params = {"scales": [1.0], "write_counts": [1], "reads": 1}
+        (item,) = decompose("margins", params).items
+        value = jsonable(compute_item(item))
+
+        class PublishedAfterMissCache(ResultCache):
+            published = False
+
+            def get(self, namespace, key):
+                found = super().get(namespace, key)
+                if found is None and not self.published:
+                    self.published = True
+                    self.put(namespace, key, value)
+                return found
+
+        async def main():
+            async with CoalescingEngine(cache=PublishedAfterMissCache(tmp_path),
+                                        window_ms=0) as eng:
+                return await eng.run("margins", params)
+
+        job = run(main())
+        assert job.state.value == "done", job.error
+        assert job.computed == 0 and job.cache_hits == 1
+        assert json.dumps(job.result, sort_keys=True) == json.dumps(
+            run_job_naive("margins", params), sort_keys=True)
 
     def test_engine_without_cache_still_coalesces(self):
         async def main():
