@@ -1,22 +1,33 @@
-"""Benchmark the compiled op-tape CPU replay against the reference pipeline.
+"""Benchmark the CPU tier: cold tape builds and the compiled replay.
 
-The headline measurement is the multi-design Figure 14 sweep - every
-workload across every register file design in one process - run two
-ways (``make bench-cpu`` writes BENCH_cpu.json):
+Two summaries (``make bench-cpu`` writes BENCH_cpu.json):
 
-* **reference**: one functional pass per workload, then
-  :class:`~repro.cpu.pipeline.GateLevelPipeline` fed op-by-op for each
-  design (:func:`repro.cpu.compiled.replay_tape_reference`),
-* **compiled warm**: op tapes served from a warm on-disk
-  :class:`~repro.cpu.TraceCache` (no functional pass) and replayed
-  through :func:`repro.cpu.replay_tape`'s table-driven loop
-  (``simulate_program``).
+* **cold tapes**: the 12 Figure 14 op tapes (scale 1.0, cap 400,000)
+  built by the oracle - the functional :class:`~repro.isa.Executor`'s
+  ``ExecutedOp`` stream lowered by :meth:`~repro.cpu.OpTape.from_ops` -
+  and by :meth:`~repro.cpu.OpTape.from_program`'s pre-decoded
+  interpreter.  ``test_cold_tape_speedup_summary`` asserts the tapes are
+  equal (arrays, dtypes, fingerprint, exit code, halt reason) and records
+  ``oracle_s``, ``fast_s`` and ``speedup``.
+* **replay**: the multi-design Figure 14 sweep - every workload across
+  every register file design in one process - run two ways:
 
-``test_cpu_sweep_speedup_summary`` asserts the >= 3x acceptance bar and
-that both sides return integer-identical reports.  The CI smoke job
-relaxes the floor (shared runners are noisy) via
+  * **reference**: one tape per workload, then
+    :class:`~repro.cpu.pipeline.GateLevelPipeline` fed op-by-op for each
+    design (:func:`repro.cpu.compiled.replay_tape_reference`),
+  * **compiled warm**: op tapes served from a warm on-disk
+    :class:`~repro.cpu.TraceCache` (no functional pass) and replayed
+    through :func:`repro.cpu.replay_tape`'s table-driven loop
+    (``simulate_program``).
+
+  ``test_cpu_sweep_speedup_summary`` asserts that both sides return
+  integer-identical reports.
+
+Both summaries hold their speedup to the >= 3x acceptance bar.  The CI
+smoke job relaxes that floor (shared runners are noisy) via
 ``REPRO_BENCH_CPU_MIN_SPEEDUP`` and runs one timing rep
-(``REPRO_BENCH_REPS=1``).
+(``REPRO_BENCH_REPS=1``); the tape-equality checks run at full scale
+either way.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ import pytest
 
 from repro.cpu import (
     CoreConfig,
+    OpTape,
     RFTimingModel,
     TraceCache,
     simulate_program,
@@ -37,7 +49,7 @@ from repro.cpu.compiled import replay_tape_reference
 from repro.cpu.rf_model import RF_DESIGN_NAMES
 from repro.cpu.stats import CpiReport
 from repro.experiments.figure14 import FIGURE14_WORKLOADS
-from repro.isa import assemble
+from repro.isa import Executor, assemble
 from repro.workloads import get_workload
 
 SCALE = 1.0
@@ -83,6 +95,37 @@ def _sweep_key(reports):
                             r.stall_cycles, r.exit_code)
                    for design, r in designs.items()}
             for name, designs in reports.items()}
+
+
+def _tapes_oracle(programs):
+    """Cold tapes the oracle's way: ``ExecutedOp`` stream + ``from_ops``."""
+    tapes = {}
+    for name, program in programs.items():
+        executor = Executor(program)
+        tape = OpTape.from_ops(
+            executor.trace(max_instructions=MAX_INSTRUCTIONS),
+            max_instructions=MAX_INSTRUCTIONS)
+        tape.exit_code = executor.exit_code
+        tape.halt_reason = (executor.halt_reason.name
+                            if executor.halt_reason is not None else None)
+        tapes[name] = tape
+    return tapes
+
+
+def _tapes_fast(programs):
+    return {name: OpTape.from_program(program,
+                                      max_instructions=MAX_INSTRUCTIONS)
+            for name, program in programs.items()}
+
+
+def _tape_key(tape):
+    """Everything two equal tapes share: arrays with dtypes, metadata."""
+    arrays = tuple((arr.dtype.str, arr.shape, arr.tobytes())
+                   for arr in (tape.sig, tape.flags, tape.mem_addr,
+                               tape.sig_srcs, tape.sig_dest))
+    return (arrays, tape.exit_code, tape.halt_reason,
+            tape.max_instructions, tape.num_registers,
+            tape.content_fingerprint())
 
 
 def _best_of(fn, reps: int = TIMING_REPS) -> float:
@@ -133,4 +176,26 @@ def test_cpu_sweep_speedup_summary(benchmark, programs, tmp_path):
     benchmark.extra_info["speedup"] = speedup
     assert speedup >= MIN_CPU_SPEEDUP, (
         f"compiled CPU sweep speedup {speedup:.2f}x < {MIN_CPU_SPEEDUP:g}x")
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+def test_cold_tape_speedup_summary(benchmark, programs):
+    """Record (and enforce) the cold tape-build speedup over the oracle."""
+    oracle = _tapes_oracle(programs)
+    fast = _tapes_fast(programs)
+    for name in programs:
+        assert _tape_key(fast[name]) == _tape_key(oracle[name]), name
+
+    t_oracle = _best_of(lambda: _tapes_oracle(programs))
+    t_fast = _best_of(lambda: _tapes_fast(programs))
+    speedup = t_oracle / t_fast
+
+    benchmark.extra_info["workloads"] = len(programs)
+    benchmark.extra_info["instructions"] = sum(
+        tape.instructions for tape in fast.values())
+    benchmark.extra_info["oracle_s"] = t_oracle
+    benchmark.extra_info["fast_s"] = t_fast
+    benchmark.extra_info["speedup"] = speedup
+    assert speedup >= MIN_CPU_SPEEDUP, (
+        f"cold tape build speedup {speedup:.2f}x < {MIN_CPU_SPEEDUP:g}x")
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

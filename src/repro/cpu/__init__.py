@@ -14,7 +14,9 @@ stages deep and each register file port operation spans two gate cycles
   functional executor's retirement stream (and the equivalence oracle
   for the compiled replay),
 * :class:`OpTape` / :mod:`repro.cpu.compiled` - the retirement stream
-  lowered once into packed arrays and replayed per design with
+  written once into packed arrays by a pre-decoded interpreter
+  (:meth:`OpTape.from_program`, checked against the functional executor
+  lowered by :meth:`OpTape.from_ops`) and replayed per design with
   precomputed timing tables,
 * :class:`Lane` / :mod:`repro.cpu.batched` - one tape replayed across a
   design set, one compiled replay per lane in lane order,

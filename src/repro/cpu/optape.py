@@ -2,12 +2,9 @@
 
 The functional executor is deterministic for an in-order core: one
 ``(program, instruction cap)`` pair always produces the same retirement
-stream, no matter which register file design later replays it.  The CPI
-sweeps exploit only half of that today - :func:`repro.cpu.simulate_program`
-shares one functional pass across designs, but still pays a pure-Python
-``ExecutedOp`` per instruction per replay.  This module lowers the stream
-*once* into flat arrays the compiled replay tier (:mod:`repro.cpu.compiled`)
-walks with plain integer indexing:
+stream, no matter which register file design later replays it.  A tape
+holds that stream *once*, as flat arrays the compiled replay tier
+(:mod:`repro.cpu.compiled`) walks with plain integer indexing:
 
 * per-op columns: a *signature* index, packed flag bits and the memory
   address (``-1`` when the op touches no memory),
@@ -16,6 +13,16 @@ walks with plain integer indexing:
   timing engine needs per instruction (issue gap, operand-path latency)
   depends only on that combination, so the compiled tier evaluates the
   timing model once per signature instead of twice per op.
+
+Tapes are built two ways.  :meth:`OpTape.from_ops` lowers the
+:class:`~repro.isa.executor.Executor`'s ``ExecutedOp`` stream; with the
+executor it is the oracle.  :meth:`OpTape.from_program`, which every sweep
+uses, runs a pre-decoded RV32I interpreter that writes the columns
+directly: each static instruction is decoded once, on its first fetch,
+into an integer op code and its operands, so a retired instruction costs
+a dict lookup, an integer if-chain and three list appends instead of an
+``ExecutedOp``.  The two produce equal tapes and raise the same
+errors at the same retirement; the differential tests hold them to that.
 
 Tapes are design-independent, so :class:`TraceCache` persists them on disk
 keyed by a digest of the assembled program image plus the instruction cap
@@ -43,7 +50,14 @@ from repro.experiments.parallel import (
     enforce_cache_limit,
 )
 from repro.isa.assembler import Program
-from repro.isa.executor import ExecutedOp, Executor, HaltReason
+from repro.isa.encoding import MASK32, to_s32
+from repro.isa.executor import (
+    SYSCALL_EXIT,
+    SYSCALL_WRITE_CHAR,
+    ExecutedOp,
+    HaltReason,
+)
+from repro.isa.instructions import decode
 
 #: Flag bits packed into the per-op ``flags`` column.
 FLAG_LOAD = 1
@@ -195,16 +209,27 @@ class OpTape:
     def from_program(cls, program: Program,
                      max_instructions: int = 2_000_000,
                      num_registers: int = 32) -> "OpTape":
-        """Run the functional executor once and lower its stream."""
-        executor = Executor(program)
-        tape = cls.from_ops(
-            executor.trace(max_instructions=max_instructions),
+        """Execute ``program`` straight into a tape.
+
+        Equal, array for array, to
+        ``from_ops(Executor(program).trace(max_instructions), ...)`` with
+        the executor's exit code and halt reason, and raises what that
+        pair raises at the same retirement (see :func:`_execute`).
+        """
+        sigs, flags, addrs, sig_rows, exit_code, halt = _execute(
+            program, max_instructions, num_registers)
+        rows = np.asarray(sig_rows, dtype=np.int16).reshape(-1, 3)
+        return cls(
+            sig=np.asarray(sigs, dtype=np.int32),
+            flags=np.asarray(flags, dtype=np.uint8),
+            mem_addr=np.asarray(addrs, dtype=np.int64),
+            sig_srcs=rows[:, :2],
+            sig_dest=rows[:, 2],
+            max_instructions=max_instructions,
             num_registers=num_registers,
-            max_instructions=max_instructions)
-        tape.exit_code = executor.exit_code
-        tape.halt_reason = (executor.halt_reason.name
-                            if executor.halt_reason is not None else None)
-        return tape
+            exit_code=exit_code,
+            halt_reason=halt.name,
+        )
 
     # -- replay back into ExecutedOps --------------------------------------
 
@@ -253,6 +278,335 @@ class OpTape:
             dest = int(self.sig_dest[s])
             out.append((sources, None if dest < 0 else dest))
         return out
+
+
+# -- the pre-decoded interpreter behind OpTape.from_program ------------------
+
+#: Interpreter op codes, numbered in if-chain order: most frequent first on
+#: the Figure 14 mix (shifts, ``beq``/``bne``, ``andi``/``addi``/``add``
+#: make up 85% of its retirements).  ``lui`` and ``auipc`` share
+#: ``_CONST``: both write a value known at decode.
+(_SLLI, _BEQ, _BNE, _SRLI, _ANDI, _ADDI, _ADD, _LW, _JAL, _SW, _LBU, _BLT,
+ _BGE, _AND, _JALR, _CONST, _SB, _XOR, _OR, _SUB, _SLL, _SRL, _SRA, _SLT,
+ _SLTU, _SLTI, _SLTIU, _XORI, _ORI, _SRAI, _BLTU, _BGEU, _LB, _LH, _LHU,
+ _SH, _ECALL, _EBREAK, _FENCE) = range(39)
+
+_OP_CODES = {
+    "slli": _SLLI, "beq": _BEQ, "bne": _BNE, "srli": _SRLI, "andi": _ANDI,
+    "addi": _ADDI, "add": _ADD, "lw": _LW, "jal": _JAL, "sw": _SW,
+    "lbu": _LBU, "blt": _BLT, "bge": _BGE, "and": _AND, "jalr": _JALR,
+    "lui": _CONST, "auipc": _CONST, "sb": _SB, "xor": _XOR, "or": _OR,
+    "sub": _SUB, "sll": _SLL, "srl": _SRL, "sra": _SRA, "slt": _SLT,
+    "sltu": _SLTU, "slti": _SLTI, "sltiu": _SLTIU, "xori": _XORI,
+    "ori": _ORI, "srai": _SRAI, "bltu": _BLTU, "bgeu": _BGEU, "lb": _LB,
+    "lh": _LH, "lhu": _LHU, "sh": _SH, "ecall": _ECALL, "ebreak": _EBREAK,
+    "fence": _FENCE,
+}
+
+#: The :class:`~repro.isa.executor.Executor`'s default ``stack_top``:
+#: ``sp`` starts here on both paths.
+_STACK_TOP = 0x0080_0000
+
+#: Register slot that absorbs writes to x0, so no op tests ``rd != 0``.
+_SINK = 32
+
+_PAGE_BITS = 12     # the oracle's sparse 4 KiB pages
+_PAGE_SIZE = 1 << _PAGE_BITS
+_PAGE_MASK = _PAGE_SIZE - 1
+
+#: ``(op, rd, rs1, rs2, imm, sig, flags, next_pc)`` of one static
+#: instruction.  ``imm`` holds the target for branches and ``jal`` and the
+#: written value for ``lui``/``auipc``.
+_Decoded = Tuple[int, int, int, int, int, int, int, int]
+
+
+def _predecode(pages: Dict[int, bytearray], pc: int,
+               sig_index: Dict[Tuple[Tuple[int, ...], int], int],
+               sig_rows: List[Tuple[int, int, int]],
+               num_registers: int) -> Tuple[_Decoded, Optional[str]]:
+    """Fetch and decode the instruction at ``pc`` on its first fetch.
+
+    Raises what the executor's fetch raises (misaligned pc, all-zero word,
+    :class:`~repro.errors.DecodeError`).  Returns the decoded entry and,
+    when the op addresses a register outside the file, the message
+    :meth:`OpTape.from_ops` raises after the op's first retirement.  The
+    signature index is assigned here, so in first-retirement order.
+    """
+    if pc & 3:
+        raise ExecutionError(f"misaligned 4-byte load at {pc:#010x}")
+    page = pages.get(pc >> _PAGE_BITS)
+    offset = pc & _PAGE_MASK
+    word = (int.from_bytes(page[offset:offset + 4], "little")
+            if page is not None else 0)
+    if word == 0:
+        raise ExecutionError(
+            f"fetched all-zero word at {pc:#010x}; fell off the program?")
+    instr = decode(word)
+    op = _OP_CODES[instr.mnemonic]
+    imm = instr.imm or 0
+    if instr.is_branch or instr.mnemonic in ("jal", "auipc"):
+        imm = (pc + imm) & MASK32
+    elif op == _SLTIU:
+        imm &= MASK32
+    sources = tuple(dict.fromkeys(instr.source_registers()))  # RAR dedup
+    rd = instr.rd or 0
+    dest = rd if rd else -1  # writes to x0 do not count
+    bad = None
+    for reg in sources + ((dest,) if dest >= 0 else ()):
+        if not 0 <= reg < num_registers:
+            bad = (f"op at pc={pc:#x} addresses register {reg}, "
+                   f"outside the {num_registers}-register file")
+            break
+    key = (sources, dest)
+    sig = sig_index.get(key)
+    if sig is None:
+        sig = sig_index[key] = len(sig_rows)
+        sig_rows.append((sources[0] if len(sources) > 0 else -1,
+                         sources[1] if len(sources) > 1 else -1, dest))
+    flags = ((FLAG_LOAD if instr.is_load else 0)
+             | (FLAG_STORE if instr.is_store else 0)
+             | (FLAG_BRANCH if instr.is_branch else 0)
+             | (FLAG_TAKEN if instr.is_jump else 0))
+    entry = (op, rd or _SINK, instr.rs1 or 0, instr.rs2 or 0, imm, sig,
+             flags, (pc + 4) & MASK32)
+    return entry, bad
+
+
+def _execute(program: Program, max_instructions: int, num_registers: int
+             ) -> Tuple[List[int], List[int], List[int],
+                        List[Tuple[int, int, int]], Optional[int],
+                        HaltReason]:
+    """Run ``program`` and return the tape's columns and halt metadata.
+
+    Semantics are the :class:`~repro.isa.executor.Executor`'s: sparse
+    4 KiB pages (unwritten bytes read 0), ``sp`` at the default stack top,
+    32-bit wrapping registers, a per-pc decode cache (so a store into an
+    instruction already fetched is not seen, and one into an instruction
+    not yet fetched is), and the same errors with the same messages.
+    Returns ``(sig, flags, mem_addr, signature rows, exit code, halt)``.
+    """
+    pages: Dict[int, bytearray] = {}
+    for address, byte in program.image.items():
+        address &= MASK32
+        page = pages.get(address >> _PAGE_BITS)
+        if page is None:
+            page = pages[address >> _PAGE_BITS] = bytearray(_PAGE_SIZE)
+        page[address & _PAGE_MASK] = byte & 0xFF
+    regs = [0] * (_SINK + 1)
+    regs[2] = _STACK_TOP
+    pc = program.entry & MASK32
+    decoded: Dict[int, _Decoded] = {}
+    sig_index: Dict[Tuple[Tuple[int, ...], int], int] = {}
+    sig_rows: List[Tuple[int, int, int]] = []
+    sigs: List[int] = []
+    flag_col: List[int] = []
+    addrs: List[int] = []
+    put_sig, put_flags, put_addr = sigs.append, flag_col.append, addrs.append
+    exit_code: Optional[int] = None
+    halt = HaltReason.INSTRUCTION_LIMIT
+    bad: Optional[str] = None
+    limit = max_instructions
+    n = 0
+    while n < limit:
+        d = decoded.get(pc)
+        if d is None:
+            d, bad = _predecode(pages, pc, sig_index, sig_rows,
+                                num_registers)
+            decoded[pc] = d
+            if bad is not None:
+                limit = n + 1  # from_ops rejects the op once it retires
+        op, rd, rs1, rs2, imm, sig, flags, next_pc = d
+        n += 1
+        put_sig(sig)
+        if op == _SLLI:
+            regs[rd] = (regs[rs1] << imm) & MASK32
+        elif op == _BEQ:
+            if regs[rs1] == regs[rs2]:
+                put_flags(flags | FLAG_TAKEN)
+                put_addr(-1)
+                pc = imm
+                continue
+        elif op == _BNE:
+            if regs[rs1] != regs[rs2]:
+                put_flags(flags | FLAG_TAKEN)
+                put_addr(-1)
+                pc = imm
+                continue
+        elif op == _SRLI:
+            regs[rd] = regs[rs1] >> imm
+        elif op == _ANDI:
+            regs[rd] = regs[rs1] & imm
+        elif op == _ADDI:
+            regs[rd] = (regs[rs1] + imm) & MASK32
+        elif op == _ADD:
+            regs[rd] = (regs[rs1] + regs[rs2]) & MASK32
+        elif op == _LW:
+            address = (regs[rs1] + imm) & MASK32
+            if address & 3:
+                raise ExecutionError(
+                    f"misaligned 4-byte load at {address:#010x}")
+            page = pages.get(address >> _PAGE_BITS)
+            offset = address & _PAGE_MASK
+            regs[rd] = (int.from_bytes(page[offset:offset + 4], "little")
+                        if page is not None else 0)
+            put_flags(flags)
+            put_addr(address)
+            pc = next_pc
+            continue
+        elif op == _JAL:
+            regs[rd] = next_pc
+            put_flags(flags)
+            put_addr(-1)
+            pc = imm
+            continue
+        elif op == _SW:
+            address = (regs[rs1] + imm) & MASK32
+            if address & 3:
+                raise ExecutionError(
+                    f"misaligned 4-byte store at {address:#010x}")
+            page = pages.get(address >> _PAGE_BITS)
+            if page is None:
+                page = pages[address >> _PAGE_BITS] = bytearray(_PAGE_SIZE)
+            offset = address & _PAGE_MASK
+            page[offset:offset + 4] = regs[rs2].to_bytes(4, "little")
+            put_flags(flags)
+            put_addr(address)
+            pc = next_pc
+            continue
+        elif op == _LBU:
+            address = (regs[rs1] + imm) & MASK32
+            page = pages.get(address >> _PAGE_BITS)
+            regs[rd] = page[address & _PAGE_MASK] if page is not None else 0
+            put_flags(flags)
+            put_addr(address)
+            pc = next_pc
+            continue
+        elif op == _BLT:
+            if to_s32(regs[rs1]) < to_s32(regs[rs2]):
+                put_flags(flags | FLAG_TAKEN)
+                put_addr(-1)
+                pc = imm
+                continue
+        elif op == _BGE:
+            if to_s32(regs[rs1]) >= to_s32(regs[rs2]):
+                put_flags(flags | FLAG_TAKEN)
+                put_addr(-1)
+                pc = imm
+                continue
+        elif op == _AND:
+            regs[rd] = regs[rs1] & regs[rs2]
+        elif op == _JALR:
+            target = (regs[rs1] + imm) & MASK32 & ~1  # read before rd's write
+            regs[rd] = next_pc
+            put_flags(flags)
+            put_addr(-1)
+            pc = target
+            continue
+        elif op == _CONST:
+            regs[rd] = imm
+        elif op == _SB:
+            address = (regs[rs1] + imm) & MASK32
+            page = pages.get(address >> _PAGE_BITS)
+            if page is None:
+                page = pages[address >> _PAGE_BITS] = bytearray(_PAGE_SIZE)
+            page[address & _PAGE_MASK] = regs[rs2] & 0xFF
+            put_flags(flags)
+            put_addr(address)
+            pc = next_pc
+            continue
+        elif op == _XOR:
+            regs[rd] = regs[rs1] ^ regs[rs2]
+        elif op == _OR:
+            regs[rd] = regs[rs1] | regs[rs2]
+        elif op == _SUB:
+            regs[rd] = (regs[rs1] - regs[rs2]) & MASK32
+        elif op == _SLL:
+            regs[rd] = (regs[rs1] << (regs[rs2] & 31)) & MASK32
+        elif op == _SRL:
+            regs[rd] = regs[rs1] >> (regs[rs2] & 31)
+        elif op == _SRA:
+            regs[rd] = (to_s32(regs[rs1]) >> (regs[rs2] & 31)) & MASK32
+        elif op == _SLT:
+            regs[rd] = 1 if to_s32(regs[rs1]) < to_s32(regs[rs2]) else 0
+        elif op == _SLTU:
+            regs[rd] = 1 if regs[rs1] < regs[rs2] else 0
+        elif op == _SLTI:
+            regs[rd] = 1 if to_s32(regs[rs1]) < imm else 0
+        elif op == _SLTIU:
+            regs[rd] = 1 if regs[rs1] < imm else 0
+        elif op == _XORI:
+            regs[rd] = (regs[rs1] ^ imm) & MASK32
+        elif op == _ORI:
+            regs[rd] = (regs[rs1] | imm) & MASK32
+        elif op == _SRAI:
+            regs[rd] = (to_s32(regs[rs1]) >> imm) & MASK32
+        elif op == _BLTU:
+            if regs[rs1] < regs[rs2]:
+                put_flags(flags | FLAG_TAKEN)
+                put_addr(-1)
+                pc = imm
+                continue
+        elif op == _BGEU:
+            if regs[rs1] >= regs[rs2]:
+                put_flags(flags | FLAG_TAKEN)
+                put_addr(-1)
+                pc = imm
+                continue
+        elif op == _LB or op == _LH or op == _LHU:
+            address = (regs[rs1] + imm) & MASK32
+            size = 1 if op == _LB else 2
+            if address & (size - 1):
+                raise ExecutionError(
+                    f"misaligned {size}-byte load at {address:#010x}")
+            page = pages.get(address >> _PAGE_BITS)
+            offset = address & _PAGE_MASK
+            value = (int.from_bytes(page[offset:offset + size], "little")
+                     if page is not None else 0)
+            if op != _LHU and value >> (8 * size - 1):
+                value |= MASK32 ^ ((1 << 8 * size) - 1)  # sign-extend
+            regs[rd] = value
+            put_flags(flags)
+            put_addr(address)
+            pc = next_pc
+            continue
+        elif op == _SH:
+            address = (regs[rs1] + imm) & MASK32
+            if address & 1:
+                raise ExecutionError(
+                    f"misaligned 2-byte store at {address:#010x}")
+            page = pages.get(address >> _PAGE_BITS)
+            if page is None:
+                page = pages[address >> _PAGE_BITS] = bytearray(_PAGE_SIZE)
+            offset = address & _PAGE_MASK
+            page[offset:offset + 2] = (regs[rs2] & 0xFFFF).to_bytes(
+                2, "little")
+            put_flags(flags)
+            put_addr(address)
+            pc = next_pc
+            continue
+        elif op == _ECALL:
+            number = regs[17]  # a7
+            if number == SYSCALL_EXIT:
+                exit_code = to_s32(regs[10])  # a0
+                halt = HaltReason.EXIT_SYSCALL
+                put_flags(flags)
+                put_addr(-1)
+                break
+            if number != SYSCALL_WRITE_CHAR:
+                raise ExecutionError(f"unsupported syscall {number}")
+        elif op == _EBREAK:
+            halt = HaltReason.EBREAK
+            put_flags(flags)
+            put_addr(-1)
+            break
+        # ALU ops, untaken branches, fence and write-char fall through
+        put_flags(flags)
+        put_addr(-1)
+        pc = next_pc
+    else:
+        if bad is not None:
+            raise ExecutionError(bad)
+    return sigs, flag_col, addrs, sig_rows, exit_code, halt
 
 
 def program_digest(program: Program, max_instructions: int,

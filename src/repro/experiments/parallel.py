@@ -286,18 +286,28 @@ class ResultCache:
         return self.root / namespace / f"{stable_key(key)}.json"
 
     def get(self, namespace: str, key: Any) -> Optional[Any]:
+        value = self._read(namespace, key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def _read(self, namespace: str, key: Any) -> Optional[Any]:
+        """:meth:`get` without the hit/miss counters.
+
+        The singleflight re-checks after a claim read through this, so
+        a lookup that missed counts one miss however often it re-looks.
+        """
         path = self._path(namespace, key)
         try:
             with path.open() as handle:
                 entry = json.load(handle)
         except (OSError, ValueError):
-            self.misses += 1
             return None
         if entry.get("key") != json.loads(
                 json.dumps(key, default=_key_fallback)):
-            self.misses += 1  # digest collision: recompute
-            return None
-        self.hits += 1
+            return None  # digest collision: recompute
         try:
             os.utime(path)  # refresh LRU recency
         except OSError:
@@ -361,16 +371,17 @@ def claim_miss(store: ResultCache, namespace: str, key: Any
     again.
 
     A previous leader may have published and finished between the
-    caller's miss and this claim.  Returns ``(found, leader, flight_key,
-    flight)``.  ``found`` is that published value, its flight already
-    finished.  When it is ``None``, a leader computes the key and must
-    :meth:`~SingleFlight.finish` the flight; any other caller waits for
-    it with :meth:`~SingleFlight.wait`.
+    caller's miss and this claim.  The second look counts neither hit
+    nor miss: the caller's lookup already counted its miss.  Returns
+    ``(found, leader, flight_key, flight)``.  ``found`` is that
+    published value, its flight already finished.  When it is ``None``,
+    a leader computes the key and must :meth:`~SingleFlight.finish` the
+    flight; any other caller waits for it with :meth:`~SingleFlight.wait`.
     """
     flight_key = _flight_key(store, namespace, key)
     leader, flight = SINGLE_FLIGHT.begin(flight_key)
     if leader:
-        found = store.get(namespace, key)
+        found = store._read(namespace, key)
         if found is not None:
             SINGLE_FLIGHT.finish(flight_key, flight, value=found)
             return found, False, flight_key, flight
@@ -397,7 +408,7 @@ def cached_call(namespace: str, key: Any, fn: Callable[[], R],
     def compute() -> R:
         # Re-check inside the flight: a previous leader may have
         # published between our miss and our claim.
-        cached = store.get(namespace, key)
+        cached = store._read(namespace, key)
         if cached is not None:
             return cached  # type: ignore[return-value]
         value = fn()

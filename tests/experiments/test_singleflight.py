@@ -235,6 +235,30 @@ class TestCachedMapCollapse:
         assert calls == [9]
 
 
+class TestMissCounting:
+    """A lookup that missed counts one miss, however often it re-looks
+    inside its flight."""
+
+    def test_computed_cached_call_counts_one_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cached_call("ns", "k", lambda: 7, cache=cache) == 7
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_cached_map_counts_one_miss_per_point(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cached_map("ns", lambda x: x + 1, [1, 2], workers=1,
+                          cache=cache) == [2, 3]
+        assert (cache.hits, cache.misses) == (0, 2)
+
+    def test_warm_lookups_count_hits_only(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cached_map("ns", lambda x: x + 1, [1, 2], workers=1, cache=cache)
+        assert cached_call("ns", 1, lambda: -1, cache=cache) == 2
+        assert cached_map("ns", lambda x: -1, [1, 2], workers=1,
+                          cache=cache) == [2, 3]
+        assert (cache.hits, cache.misses) == (3, 2)
+
+
 class FullDiskCache(ResultCache):
     """A cache whose every publish fails as on a full disk."""
 

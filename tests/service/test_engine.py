@@ -171,6 +171,20 @@ class TestCoalescing:
         assert json.dumps(job.result, sort_keys=True) == json.dumps(
             run_job_naive("margins", params), sort_keys=True)
 
+    def test_computed_item_counts_one_cache_miss(self, tmp_path):
+        params = {"scales": [1.0], "write_counts": [1], "reads": 1}
+
+        async def main():
+            async with CoalescingEngine(cache=ResultCache(tmp_path),
+                                        window_ms=0) as eng:
+                job = await eng.run("margins", params)
+                return job, eng.stats()["cache"]
+
+        job, cache = run(main())
+        assert job.state.value == "done", job.error
+        assert job.computed == 1
+        assert (cache["hits"], cache["misses"]) == (0, 1)
+
     def test_engine_without_cache_still_coalesces(self):
         async def main():
             async with CoalescingEngine(cache=None, window_ms=10) as eng:
