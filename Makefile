@@ -39,8 +39,9 @@ bench-pulse:
 # Tracks the CPU tier on the Figure 14 programs: the cold tape build
 # (OpTape.from_program against the Executor + OpTape.from_ops oracle,
 # tapes asserted equal) and the compiled op-tape replay against the
-# reference pipeline on the multi-design sweep (trace cache warm):
-# writes BENCH_cpu.json, including both enforced >= 3x speedups.
+# reference pipeline on the multi-design sweep (tapes warm in the
+# result cache): writes BENCH_cpu.json, including both enforced >= 3x
+# speedups.
 bench-cpu:
 	PYTHONPATH=src pytest benchmarks/bench_cpu.py --benchmark-only \
 		--benchmark-json=BENCH_cpu.json

@@ -16,9 +16,9 @@ Two summaries (``make bench-cpu`` writes BENCH_cpu.json):
     :class:`~repro.cpu.pipeline.GateLevelPipeline` fed op-by-op for each
     design (:func:`repro.cpu.compiled.replay_tape_reference`),
   * **compiled warm**: op tapes served from a warm on-disk
-    :class:`~repro.cpu.TraceCache` (no functional pass) and replayed
-    through :func:`repro.cpu.replay_tape`'s table-driven loop
-    (``simulate_program``).
+    :class:`~repro.experiments.parallel.ResultCache` (no functional
+    pass) and replayed through :func:`repro.cpu.replay_tape`'s
+    table-driven loop (``simulate_program``).
 
   ``test_cpu_sweep_speedup_summary`` asserts that both sides return
   integer-identical reports.
@@ -41,7 +41,6 @@ from repro.cpu import (
     CoreConfig,
     OpTape,
     RFTimingModel,
-    TraceCache,
     simulate_program,
     tape_for_program,
 )
@@ -49,6 +48,7 @@ from repro.cpu.compiled import replay_tape_reference
 from repro.cpu.rf_model import RF_DESIGN_NAMES
 from repro.cpu.stats import CpiReport
 from repro.experiments.figure14 import FIGURE14_WORKLOADS
+from repro.experiments.parallel import ResultCache
 from repro.isa import Executor, assemble
 from repro.workloads import get_workload
 
@@ -146,7 +146,7 @@ def test_figure14_sweep_reference(benchmark, programs):
 
 
 def test_figure14_sweep_compiled_warm(benchmark, programs, tmp_path):
-    cache = TraceCache(tmp_path)
+    cache = ResultCache(tmp_path)
     _sweep(programs, cache)  # warm the tapes
     reports = benchmark.pedantic(
         lambda: _sweep(programs, cache),
@@ -158,7 +158,7 @@ def test_figure14_sweep_compiled_warm(benchmark, programs, tmp_path):
 
 def test_cpu_sweep_speedup_summary(benchmark, programs, tmp_path):
     """Record (and enforce) the warm-cache compiled sweep speedup."""
-    cache = TraceCache(tmp_path)
+    cache = ResultCache(tmp_path)
     compiled_reports = _sweep(programs, cache)
     reference_reports = _sweep_reference(programs)
     assert _sweep_key(compiled_reports) == _sweep_key(reference_reports)

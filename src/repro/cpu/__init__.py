@@ -20,15 +20,16 @@ stages deep and each register file port operation spans two gate cycles
   precomputed timing tables,
 * :class:`Lane` / :mod:`repro.cpu.batched` - one tape replayed across a
   design set, one compiled replay per lane in lane order,
-* :class:`TraceCache` - on-disk tape store keyed by program digest, so
-  reruns of the CPI sweeps skip the functional pass,
+* :func:`tape_for_program` - one tape per program digest, persisted as
+  an entry of the experiments' result cache, so reruns of the CPI
+  sweeps skip the functional pass,
 * :class:`CpuSimulator` - program in, :class:`CpiReport` out.
 """
 
 from repro.cpu.config import CoreConfig
 from repro.cpu.rf_model import RF_DESIGN_NAMES, RFTimingModel
 from repro.cpu.pipeline import GateLevelPipeline, StallBreakdown
-from repro.cpu.optape import OpTape, TraceCache, tape_for_program
+from repro.cpu.optape import OpTape, tape_for_program
 from repro.cpu.compiled import replay_tape
 from repro.cpu.batched import (
     Lane,
@@ -49,7 +50,6 @@ __all__ = [
     "RFTimingModel",
     "RF_DESIGN_NAMES",
     "StallBreakdown",
-    "TraceCache",
     "lanes_for_designs",
     "replay_lanes",
     "replay_tape",

@@ -24,31 +24,27 @@ a dict lookup, an integer if-chain and three list appends instead of an
 ``ExecutedOp``.  The two produce equal tapes and raise the same
 errors at the same retirement; the differential tests hold them to that.
 
-Tapes are design-independent, so :class:`TraceCache` persists them on disk
-keyed by a digest of the assembled program image plus the instruction cap
-(namespace-versioned like :class:`repro.experiments.parallel.ResultCache`):
-a rerun of the Figure 14 sweep - or the same sweep over *more* designs -
+Tapes are design-independent, so :func:`tape_for_program` persists them
+as ordinary :class:`repro.experiments.parallel.ResultCache` entries in the
+:data:`TAPE_NAMESPACE` namespace, keyed by a digest of the assembled
+program image plus the instruction cap.  Each entry holds the halt
+metadata and the five columns as base64 of their little-endian bytes, so
+tapes share the result cache's root, atomic publish and byte budget: a
+rerun of the Figure 14 sweep - or the same sweep over *more* designs -
 skips the functional pass entirely.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
-import os
-import tempfile
-import zipfile
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.experiments.parallel import (
-    CACHE_ENV_VAR,
-    cache_max_bytes,
-    enforce_cache_limit,
-)
+from repro.experiments.parallel import CacheLike, coerce_cache
 from repro.isa.assembler import Program
 from repro.isa.encoding import MASK32, to_s32
 from repro.isa.executor import (
@@ -106,9 +102,9 @@ class OpTape:
     exit_code: Optional[int] = None
     halt_reason: Optional[str] = None
     #: Content fingerprint (the cache digest when known).  Set by
-    #: :class:`TraceCache` and :func:`tape_for_program`; computed lazily
-    #: from the arrays otherwise.  Keyed on by the per-design timing
-    #: table memo in :mod:`repro.cpu.compiled`.
+    #: :func:`tape_for_program`; computed lazily from the arrays
+    #: otherwise.  Keyed on by the per-design timing table memo in
+    #: :mod:`repro.cpu.compiled`.
     fingerprint: Optional[str] = None
 
     @property
@@ -126,11 +122,10 @@ class OpTape:
     def content_fingerprint(self) -> str:
         """A stable content hash of this tape, computed at most once.
 
-        Tapes loaded through :class:`TraceCache` or built by
-        :func:`tape_for_program` inherit the program digest for free;
-        hand-built tapes hash their arrays on first use.  Memoization
-        keys (the compiled tier's per-design timing tables) use this
-        instead of re-hashing per call.
+        Tapes built or loaded by :func:`tape_for_program` inherit the
+        program digest for free; hand-built tapes hash their arrays on
+        first use.  Memoization keys (the compiled tier's per-design
+        timing tables) use this instead of re-hashing per call.
         """
         if self.fingerprint is None:
             h = hashlib.sha256()
@@ -620,156 +615,91 @@ def program_digest(program: Program, max_instructions: int,
     return h.hexdigest()
 
 
-class TraceCache:
-    """On-disk op-tape store: one ``.npz`` per program digest.
+#: Result-cache namespace of stored op tapes.  Bump it when the entry
+#: layout or the lowering semantics change; that is the invalidation
+#: mechanism.
+TAPE_NAMESPACE = "cpu-tape-v2"
 
-    Layout: ``<root>/<NAMESPACE>/<digest>.npz``.  The namespace carries
-    the tape-format version - bump it when the array layout or lowering
-    semantics change; that is the invalidation mechanism (mirroring
-    :class:`repro.experiments.parallel.ResultCache`).  The digest itself
-    already encodes every input that shapes the tape (program image,
-    entry point, instruction cap, register count), and is re-verified
-    against the stored copy on load.  Corrupt or mismatched entries are
-    treated as misses and overwritten.
+#: Stored columns: an entry holds each one's little-endian bytes at these
+#: dtypes, base64-encoded.
+_COLUMNS = {name: np.dtype(code) for name, code in (
+    ("sig", "<i4"), ("flags", "u1"), ("mem_addr", "<i8"),
+    ("sig_srcs", "<i2"), ("sig_dest", "<i2"))}
 
-    ``max_bytes`` bounds the store with least-recently-used eviction
-    (hits refresh entry mtime); ``None`` follows
-    ``REPRO_CACHE_MAX_BYTES`` and ``0`` means unlimited.  The budget
-    covers this cache's own ``.npz`` tapes - JSON results sharing the
-    root are governed by
-    :class:`repro.experiments.parallel.ResultCache`'s identical limit.
+#: Stored scalar fields and the types each may hold.
+_META: Dict[str, Tuple[type, ...]] = {
+    "max_instructions": (int,), "num_registers": (int,),
+    "exit_code": (int, type(None)), "halt_reason": (str, type(None))}
+
+
+def _tape_entry(tape: OpTape) -> Dict[str, Any]:
+    """The JSON cache value of ``tape``."""
+    entry: Dict[str, Any] = {
+        name: base64.b64encode(
+            np.asarray(getattr(tape, name), dtype).tobytes()).decode()
+        for name, dtype in _COLUMNS.items()}
+    entry.update((name, getattr(tape, name)) for name in _META)
+    return entry
+
+
+def _tape_from_entry(entry: Any) -> OpTape:
+    """Decode a cache value written by :func:`_tape_entry`.
+
+    Raises ``KeyError``, ``TypeError`` or ``ValueError`` on anything
+    else: a missing field, a wrong type, a column whose bytes do not fit
+    its dtype or length.  The arrays are native-endian writable copies.
     """
-
-    NAMESPACE = "cpu-tape-v1"
-
-    def __init__(self, root: Union[str, Path],
-                 max_bytes: Optional[int] = None) -> None:
-        self.root = Path(root)
-        self.max_bytes = max_bytes
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @classmethod
-    def from_env(cls) -> Optional["TraceCache"]:
-        """The default cache, or ``None`` when ``REPRO_CACHE_DIR`` is unset."""
-        root = os.environ.get(CACHE_ENV_VAR)
-        return cls(root) if root else None
-
-    def _path(self, digest: str) -> Path:
-        return self.root / self.NAMESPACE / f"{digest}.npz"
-
-    def get(self, digest: str) -> Optional[OpTape]:
-        path = self._path(digest)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                if str(data["digest"]) != digest:
-                    raise ValueError("digest mismatch")
-                meta = data["meta"]
-                halt = str(data["halt"])
-                tape = OpTape(
-                    sig=np.array(data["sig"], dtype=np.int32),
-                    flags=np.array(data["flags"], dtype=np.uint8),
-                    mem_addr=np.array(data["mem_addr"], dtype=np.int64),
-                    sig_srcs=np.array(data["sig_srcs"],
-                                      dtype=np.int16).reshape(-1, 2),
-                    sig_dest=np.array(data["sig_dest"], dtype=np.int16),
-                    max_instructions=int(meta[0]),
-                    num_registers=int(meta[1]),
-                    exit_code=int(meta[3]) if int(meta[2]) else None,
-                    halt_reason=halt or None,
-                )
-        except (OSError, ValueError, KeyError, IndexError, EOFError,
-                zipfile.BadZipFile):
-            # a torn or truncated publish reads as a miss, never a crash
-            self.misses += 1
-            return None
-        tape.fingerprint = digest
-        self.hits += 1
-        try:
-            os.utime(path)  # refresh LRU recency
-        except OSError:
-            pass
-        return tape
-
-    def put(self, digest: str, tape: OpTape) -> None:
-        tape.fingerprint = digest
-        path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        has_exit = tape.exit_code is not None
-        meta = np.asarray([tape.max_instructions, tape.num_registers,
-                           1 if has_exit else 0,
-                           tape.exit_code if has_exit else 0],
-                          dtype=np.int64)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle,
-                         digest=np.asarray(digest),
-                         sig=tape.sig,
-                         flags=tape.flags,
-                         mem_addr=tape.mem_addr,
-                         sig_srcs=tape.sig_srcs,
-                         sig_dest=tape.sig_dest,
-                         meta=meta,
-                         halt=np.asarray(tape.halt_reason or ""))
-            os.replace(tmp_name, path)  # atomic publish
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        limit = self.max_bytes if self.max_bytes is not None \
-            else cache_max_bytes()
-        if limit > 0:
-            self.evictions += enforce_cache_limit(
-                self.root / self.NAMESPACE, ".npz", limit)
-
-    def size_bytes(self) -> int:
-        """Total size of the stored tapes (the eviction budget)."""
-        namespace = self.root / self.NAMESPACE
-        return sum(path.stat().st_size
-                   for path in namespace.rglob("*.npz") if path.is_file())
-
-
-TraceCacheLike = Optional[Union[TraceCache, str, Path]]
-
-
-def _coerce_cache(cache: TraceCacheLike) -> Optional[TraceCache]:
-    if cache is None:
-        return TraceCache.from_env()
-    if isinstance(cache, TraceCache):
-        return cache
-    return TraceCache(cache)
+    columns = {name: np.frombuffer(
+        base64.b64decode(entry[name], validate=True), dtype
+    ).astype(dtype.newbyteorder("=")) for name, dtype in _COLUMNS.items()}
+    columns["sig_srcs"] = columns["sig_srcs"].reshape(-1, 2)
+    if not (len(columns["sig"]) == len(columns["flags"])
+            == len(columns["mem_addr"])
+            and len(columns["sig_srcs"]) == len(columns["sig_dest"])):
+        raise ValueError("tape columns disagree in length")
+    meta = {name: entry[name] for name in _META}
+    if not all(isinstance(meta[name], kind) for name, kind in _META.items()):
+        raise TypeError(f"malformed tape metadata {meta!r}")
+    return OpTape(sig=columns["sig"], flags=columns["flags"],
+                  mem_addr=columns["mem_addr"], sig_srcs=columns["sig_srcs"],
+                  sig_dest=columns["sig_dest"], **meta)
 
 
 def tape_for_program(program: Program,
                      max_instructions: int = 2_000_000,
                      num_registers: int = 32,
-                     cache: TraceCacheLike = None,
+                     cache: CacheLike = None,
                      workload_name: str = "program",
                      strict: bool = True) -> OpTape:
     """One tape per ``(program, instruction cap)``, cached on disk.
 
-    ``cache`` accepts a :class:`TraceCache`, a directory path, or ``None``
-    (use ``REPRO_CACHE_DIR`` when set, else compute every time).  With
-    ``strict`` (the default) a stream truncated by the instruction cap
-    raises :class:`~repro.errors.ExecutionError`, matching
+    ``cache`` accepts a :class:`~repro.experiments.parallel.ResultCache`,
+    a directory path, or ``None`` (use ``REPRO_CACHE_DIR`` when set, else
+    compute every time).  The tape is the :data:`TAPE_NAMESPACE` entry
+    keyed by :func:`program_digest`; an entry that does not decode is
+    rebuilt and overwritten.  With ``strict`` (the default) a stream
+    truncated by the instruction cap raises
+    :class:`~repro.errors.ExecutionError`, matching
     :meth:`repro.cpu.CpuSimulator.run_program`; the capped tape is still
     cached first, so a rerun fails fast without redoing the functional
     pass.  ``strict=False`` returns the truncated tape (the sensitivity
     studies replay fixed-length prefixes).
     """
-    store = _coerce_cache(cache)
+    store = coerce_cache(cache)
     digest = program_digest(program, max_instructions, num_registers)
-    tape = store.get(digest) if store is not None else None
+    tape: Optional[OpTape] = None
+    entry = store.get(TAPE_NAMESPACE, digest) if store is not None else None
+    if entry is not None:
+        try:
+            tape = _tape_from_entry(entry)
+        except (KeyError, TypeError, ValueError):
+            pass  # malformed: rebuilt, and the put below overwrites it
     if tape is None:
         tape = OpTape.from_program(program, max_instructions=max_instructions,
                                    num_registers=num_registers)
-        tape.fingerprint = digest
         if store is not None:
-            store.put(digest, tape)
+            store.put(TAPE_NAMESPACE, digest, _tape_entry(tape))
+    tape.fingerprint = digest
     if strict and tape.hit_instruction_limit:
         raise ExecutionError(
             f"{workload_name}: hit the {max_instructions}-instruction limit")

@@ -7,11 +7,12 @@ from typing import Dict, Iterable, Optional, Sequence
 from repro.cpu.batched import lanes_for_designs, replay_lanes
 from repro.cpu.compiled import replay_tape
 from repro.cpu.config import CoreConfig
-from repro.cpu.optape import OpTape, TraceCacheLike, tape_for_program
+from repro.cpu.optape import OpTape, tape_for_program
 from repro.cpu.pipeline import GateLevelPipeline
 from repro.cpu.rf_model import RF_DESIGN_NAMES, RFTimingModel
 from repro.cpu.stats import CpiReport
 from repro.errors import ExecutionError
+from repro.experiments.parallel import CacheLike
 from repro.isa.assembler import Program, assemble
 from repro.isa.executor import ExecutedOp, Executor, HaltReason
 
@@ -91,7 +92,7 @@ def simulate_program(program: Program, designs: Sequence[str] = RF_DESIGN_NAMES,
                      workload_name: str = "program",
                      config: Optional[CoreConfig] = None,
                      max_instructions: int = 2_000_000,
-                     trace_cache: TraceCacheLike = None
+                     trace_cache: CacheLike = None
                      ) -> Dict[str, CpiReport]:
     """Run one program across several designs, reusing one op tape.
 
@@ -99,10 +100,11 @@ def simulate_program(program: Program, designs: Sequence[str] = RF_DESIGN_NAMES,
     :class:`~repro.cpu.optape.OpTape`; the design set then replays as
     one lane set through :func:`repro.cpu.batched.replay_lanes` - only
     the per-design timing tables change between lanes.  ``trace_cache``
-    (a :class:`~repro.cpu.optape.TraceCache`, a directory path, or
-    ``None`` for ``REPRO_CACHE_DIR``) persists the tape, so a rerun - or
-    the same sweep over additional designs - skips the functional pass
-    entirely.
+    (a :class:`~repro.experiments.parallel.ResultCache`, a directory
+    path, or ``None`` for ``REPRO_CACHE_DIR``) persists the tape as a
+    result-cache entry (:func:`~repro.cpu.optape.tape_for_program`), so
+    a rerun - or the same sweep over additional designs - skips the
+    functional pass entirely.
     """
     config = config or CoreConfig()
     tape = tape_for_program(program, max_instructions=max_instructions,

@@ -10,8 +10,8 @@ Workloads are independent, so they fan out over a process pool
 disk when a :class:`~repro.experiments.parallel.ResultCache` is
 available, so a rerun after an interrupted sweep only simulates what is
 missing.  Each worker also persists its functional pass as an op tape
-(:class:`repro.cpu.TraceCache`, same cache root), so re-sweeping with
-more designs or a changed result-cache namespace replays cached tapes
+in the same cache (:func:`repro.cpu.tape_for_program`), so re-sweeping
+with more designs or a changed result namespace replays cached tapes
 through the compiled tier instead of re-executing the programs.
 """
 
@@ -25,7 +25,7 @@ from repro.cpu import CoreConfig, simulate_program
 from repro.cpu.rf_model import RF_DESIGN_NAMES
 from repro.errors import ExecutionError
 from repro.experiments import paper_data
-from repro.experiments.parallel import CacheLike, ResultCache, cached_map
+from repro.experiments.parallel import CacheLike, cached_map
 from repro.isa import assemble
 from repro.workloads import PASS_EXIT_CODE, get_workload
 
@@ -56,30 +56,17 @@ class Figure14Result:
 
 
 _Point = Tuple[str, float, Tuple[str, ...], Optional[CoreConfig], int,
-               Optional[str]]
-
-
-def _trace_root(cache: CacheLike) -> Optional[str]:
-    """Directory for the worker's op-tape cache (shared with results).
-
-    ``None`` lets the worker fall back to ``REPRO_CACHE_DIR``, matching
-    :class:`~repro.experiments.parallel.ResultCache` resolution.
-    """
-    if cache is None:
-        return None
-    if isinstance(cache, ResultCache):
-        return str(cache.root)
-    return str(cache)
+               CacheLike]
 
 
 def _run_workload(point: _Point) -> Dict[str, object]:
     """One workload's CPI study: runs in a worker process."""
-    name, scale, designs, config, max_instructions, trace_root = point
+    name, scale, designs, config, max_instructions, cache = point
     workload = get_workload(name)
     program = assemble(workload.build(scale))
     reports = simulate_program(program, designs, name, config=config,
                                max_instructions=max_instructions,
-                               trace_cache=trace_root)
+                               trace_cache=cache)
     baseline = reports["ndro_rf"]
     if baseline.exit_code != PASS_EXIT_CODE:
         raise ExecutionError(
@@ -102,8 +89,7 @@ def run(scale: float = 1.0, designs: Sequence[str] = RF_DESIGN_NAMES,
     designs = tuple(designs)
     result = Figure14Result(
         overhead_percent={d: {} for d in designs if d != "ndro_rf"})
-    points: list = [(name, scale, designs, config, max_instructions,
-                     _trace_root(cache))
+    points: list = [(name, scale, designs, config, max_instructions, cache)
                     for name in FIGURE14_WORKLOADS]
     keys = [(name, scale, list(designs), config or CoreConfig(),
              max_instructions) for name in FIGURE14_WORKLOADS]

@@ -15,6 +15,9 @@ module generalises that machinery so every experiment shares it:
   its result-format version* (bump the suffix when the semantics of a
   result change - that is the invalidation mechanism); the key encodes
   every input that can change the result.
+* :func:`cached_batch` - the one cache-miss protocol, which
+  :func:`cached_call`, :func:`cached_map` and the service's dispatch
+  thread share, each keeping only its own error policy.
 * :func:`cached_call` - memoise one expensive call through a cache.
 * :func:`cached_map` - the combination: look up each point, fan the
   misses out over a process pool, store what came back, and return
@@ -24,20 +27,20 @@ module generalises that machinery so every experiment shares it:
   threaded callers (the long-running simulation service): when several
   threads ask for the same key at once, one computes and the rest wait
   for (and share) its result; an exception propagates to every waiter.
-  ``cached_call`` and ``cached_map`` route their miss computations
-  through a process-global flight, so concurrent overlapping sweeps in
-  one process never duplicate a key's work.
+  Every miss goes through a process-global flight, so concurrent
+  overlapping sweeps in one process never duplicate a key's work.
 
 Caching is opt-in: with no cache instance and no ``REPRO_CACHE_DIR``
 environment variable, every call computes.  Results must be JSON
-serialisable (the experiments return dicts/lists of primitives).
+serialisable (the experiments return dicts/lists of primitives; op
+tapes store base64 columns).
 
 Long-running processes can bound the on-disk store: when
 ``REPRO_CACHE_MAX_BYTES`` is set to a positive integer, every
-:meth:`ResultCache.put` enforces a least-recently-used byte budget over
-the cache's own entries (hits refresh recency; ``0``/unset keeps the
-historical unlimited behaviour).  :class:`repro.cpu.optape.TraceCache`
-applies the same budget to its ``.npz`` tapes.
+:meth:`ResultCache.put` enforces one least-recently-used byte budget
+over every entry under the root, results and op tapes alike (hits
+refresh recency; ``0``/unset keeps the historical unlimited
+behaviour).
 """
 
 from __future__ import annotations
@@ -56,8 +59,7 @@ WORKERS_ENV_VAR = "REPRO_SWEEP_WORKERS"
 #: Environment variable enabling the default on-disk result cache.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 #: Environment variable bounding on-disk cache size (bytes; 0/unset =
-#: unlimited).  Enforced per cache family: a ``ResultCache`` evicts its
-#: own JSON entries, a ``TraceCache`` its own npz tapes.
+#: unlimited): one budget over every entry under the cache root.
 MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"
 
 T = TypeVar("T")
@@ -121,15 +123,11 @@ class SingleFlight:
     """Key-indexed in-flight deduplication (``golang.org/x/sync``'s
     ``singleflight``, for threads).
 
-    The first caller of :meth:`do` for a key becomes the *leader* and
-    computes; concurrent callers with the same key wait for the leader
-    and share its result.  A leader's exception propagates to every
-    waiter.  Keys unregister on completion, so later calls compute
-    fresh - pair with an on-disk cache for persistence.
-
-    The lower-level :meth:`begin` / :meth:`finish` / :meth:`wait` split
-    supports batch leaders (``cached_map`` claims many keys, computes
-    them in one pool dispatch, then resolves each).
+    The first caller to :meth:`begin` a key becomes its *leader* and
+    computes; concurrent callers with the same key :meth:`wait` for the
+    leader's :meth:`finish` and share its result.  A leader's exception
+    propagates to every waiter.  Keys unregister on completion, so later
+    calls compute fresh - pair with an on-disk cache for persistence.
     """
 
     def __init__(self) -> None:
@@ -169,26 +167,13 @@ class SingleFlight:
             raise flight.exception
         return flight.value
 
-    def do(self, key: Hashable, fn: Callable[[], R]) -> R:
-        """``fn()``, deduplicated: concurrent same-key calls run once."""
-        leader, flight = self.begin(key)
-        if not leader:
-            return self.wait(flight)  # type: ignore[no-any-return]
-        try:
-            value = fn()
-        except BaseException as exc:
-            self.finish(key, flight, exception=exc)
-            raise
-        self.finish(key, flight, value=value)
-        return value
-
     def in_flight(self) -> int:
         with self._lock:
             return len(self._flights)
 
 
-#: Process-global flight shared by ``cached_call``/``cached_map`` (and,
-#: through them, every experiment runner the service dispatches).
+#: Process-global flight every :func:`cached_batch` claims misses on:
+#: ``cached_call``, ``cached_map`` and the service's dispatch threads.
 SINGLE_FLIGHT = SingleFlight()
 
 
@@ -207,8 +192,8 @@ def enforce_cache_limit(root: Path, suffix: str, max_bytes: int) -> int:
     """Evict least-recently-used ``suffix`` files under ``root`` until
     their total size fits ``max_bytes``; returns the eviction count.
 
-    Recency is file mtime: :meth:`ResultCache.get`/:meth:`TraceCache.get`
-    touch entries on every hit, so a hot key survives a cold sweep.
+    Recency is file mtime: :meth:`ResultCache.get` touches entries on
+    every hit, so a hot key survives a cold sweep.
     Concurrent eviction is safe - a racing unlink is simply skipped.
     """
     if max_bytes <= 0:
@@ -258,14 +243,15 @@ class ResultCache:
 
     Layout: ``<root>/<namespace>/<digest>.json`` holding ``{"key": ...,
     "value": ...}``.  The recorded key guards against digest collisions
-    and makes the cache inspectable.  Corrupt or unreadable entries are
-    treated as misses and overwritten.
+    and makes the cache inspectable.  Corrupt or unreadable entries, and
+    any that is not a JSON object with a matching ``key`` and a
+    ``value``, are treated as misses and overwritten.
 
     ``max_bytes`` bounds the store with least-recently-used eviction
     (hits refresh recency); ``None`` follows ``REPRO_CACHE_MAX_BYTES``
-    and ``0`` means unlimited.  The budget covers this cache's own
-    ``.json`` entries - npz tapes sharing the root are governed by
-    :class:`repro.cpu.optape.TraceCache`'s identical limit.
+    and ``0`` means unlimited.  The budget covers every ``.json`` entry
+    under the root, whatever its namespace: experiment results and the
+    op tapes of :func:`repro.cpu.optape.tape_for_program` share it.
     """
 
     def __init__(self, root: Union[str, Path],
@@ -305,8 +291,10 @@ class ResultCache:
                 entry = json.load(handle)
         except (OSError, ValueError):
             return None
-        if entry.get("key") != json.loads(
-                json.dumps(key, default=_key_fallback)):
+        if not (isinstance(entry, dict) and "key" in entry
+                and "value" in entry):
+            return None  # not an entry this cache wrote: recompute
+        if entry["key"] != json.loads(json.dumps(key, default=_key_fallback)):
             return None  # digest collision: recompute
         try:
             os.utime(path)  # refresh LRU recency
@@ -347,7 +335,10 @@ class ResultCache:
 CacheLike = Optional[Union[ResultCache, str, Path]]
 
 
-def _coerce_cache(cache: CacheLike) -> Optional[ResultCache]:
+def coerce_cache(cache: CacheLike) -> Optional[ResultCache]:
+    """The store a ``cache=`` argument names: the instance itself, a
+    :class:`ResultCache` over a path, or for ``None`` the
+    ``REPRO_CACHE_DIR`` default (``None`` when that is unset)."""
     if cache is None:
         return ResultCache.from_env()
     if isinstance(cache, ResultCache):
@@ -365,27 +356,80 @@ def _flight_key(store: ResultCache, namespace: str, key: Any) -> Tuple[str, str,
     return (str(store.root), namespace, stable_key(key))
 
 
-def claim_miss(store: ResultCache, namespace: str, key: Any
-               ) -> Tuple[Optional[Any], bool, Hashable, _Flight]:
-    """Claim the :data:`SINGLE_FLIGHT` flight of a cache miss, then look
-    again.
+#: ``(value, served_from_cache)`` of one resolved entry.  A value another
+#: thread's flight computed counts as served from the cache.
+Resolved = Tuple[Any, bool]
 
-    A previous leader may have published and finished between the
-    caller's miss and this claim.  The second look counts neither hit
-    nor miss: the caller's lookup already counted its miss.  Returns
-    ``(found, leader, flight_key, flight)``.  ``found`` is that
-    published value, its flight already finished.  When it is ``None``,
-    a leader computes the key and must :meth:`~SingleFlight.finish` the
-    flight; any other caller waits for it with :meth:`~SingleFlight.wait`.
+#: One entry's outcome: its :data:`Resolved` pair, or the exception it
+#: fails with.
+Outcome = Union[Resolved, BaseException]
+
+
+def cached_batch(store: ResultCache, entries: Sequence[Tuple[str, Any]],
+                 compute: Callable[[List[int]], Sequence[Any]]
+                 ) -> Tuple[List[Outcome], List[Exception]]:
+    """Resolve ``(namespace, key)`` entries through ``store`` and
+    :data:`SINGLE_FLIGHT`; returns ``(outcomes, publish_errors)``.
+
+    One counted lookup per entry; a miss claims its flight and looks
+    again uncounted (a previous leader may have published in between).
+    ``compute(led)`` gets the indices this call leads and returns one
+    value, or the exception that entry fails with, per index.  Each
+    value is published, a publish's ``Exception`` is collected rather
+    than raised, and every led flight finishes with its value or its
+    exception.  Flights other threads lead are waited for last.  If
+    ``compute`` raises, every led flight finishes with that exception,
+    which then propagates.
     """
-    flight_key = _flight_key(store, namespace, key)
-    leader, flight = SINGLE_FLIGHT.begin(flight_key)
-    if leader:
-        found = store._read(namespace, key)
-        if found is not None:
+    outcomes: List[Optional[Outcome]] = [None] * len(entries)
+    led: List[Tuple[int, Hashable, _Flight]] = []
+    waiting: List[Tuple[int, _Flight]] = []
+    for index, (namespace, key) in enumerate(entries):
+        found = store.get(namespace, key)
+        if found is None:
+            flight_key = _flight_key(store, namespace, key)
+            leader, flight = SINGLE_FLIGHT.begin(flight_key)
+            if not leader:
+                waiting.append((index, flight))
+                continue
+            found = store._read(namespace, key)
+            if found is None:
+                led.append((index, flight_key, flight))
+                continue
             SINGLE_FLIGHT.finish(flight_key, flight, value=found)
-            return found, False, flight_key, flight
-    return None, leader, flight_key, flight
+        outcomes[index] = (found, True)
+    try:
+        values = compute([index for index, _, _ in led]) if led else []
+    except BaseException as exc:
+        for _, flight_key, flight in led:
+            SINGLE_FLIGHT.finish(flight_key, flight, exception=exc)
+        raise
+    publish_errors: List[Exception] = []
+    for (index, flight_key, flight), value in zip(led, values):
+        if isinstance(value, BaseException):
+            SINGLE_FLIGHT.finish(flight_key, flight, exception=value)
+            outcomes[index] = value
+            continue
+        namespace, key = entries[index]
+        try:
+            store.put(namespace, key, value)
+        except Exception as exc:  # served uncached; the caller decides
+            publish_errors.append(exc)
+        SINGLE_FLIGHT.finish(flight_key, flight, value=value)
+        outcomes[index] = (value, False)
+    for index, flight in waiting:
+        try:
+            outcomes[index] = (SINGLE_FLIGHT.wait(flight), True)
+        except Exception as exc:
+            outcomes[index] = exc
+    return outcomes, publish_errors  # type: ignore[return-value]
+
+
+def _value(outcome: Outcome) -> Any:
+    """An outcome's value; raises the exception it failed with."""
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome[0]
 
 
 def cached_call(namespace: str, key: Any, fn: Callable[[], R],
@@ -397,31 +441,14 @@ def cached_call(namespace: str, key: Any, fn: Callable[[], R],
     its result.  A publish that raises reaches the computing caller
     alone; the waiters still receive the computed value.
     """
-    store = _coerce_cache(cache)
+    store = coerce_cache(cache)
     if store is None:
         return fn()
-    found = store.get(namespace, key)
-    if found is not None:
-        return found  # type: ignore[return-value]
-    publish_errors: List[Exception] = []
-
-    def compute() -> R:
-        # Re-check inside the flight: a previous leader may have
-        # published between our miss and our claim.
-        cached = store._read(namespace, key)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        value = fn()
-        try:
-            store.put(namespace, key, value)
-        except Exception as exc:
-            publish_errors.append(exc)
-        return value
-
-    value = SINGLE_FLIGHT.do(_flight_key(store, namespace, key), compute)
+    (outcome,), publish_errors = cached_batch(
+        store, [(namespace, key)], lambda led: [fn()])
     if publish_errors:
         raise publish_errors[0]
-    return value
+    return _value(outcome)  # type: ignore[no-any-return]
 
 
 def cached_map(namespace: str, fn: Callable[[T], R], points: Sequence[T],
@@ -431,70 +458,35 @@ def cached_map(namespace: str, fn: Callable[[T], R], points: Sequence[T],
     """Fan ``fn`` out over the uncached points; return results in order.
 
     ``keys`` supplies the cache key per point (defaults to the point
-    itself, which must then be JSON-serialisable).  Already-cached
-    points never reach the pool, duplicates are computed once, and the
-    returned list matches ``points`` element-for-element.
+    itself, which must then be JSON-serialisable).  Duplicate keys are
+    looked up and computed once, already-cached points never reach the
+    pool, and the returned list matches ``points`` element-for-element.
 
-    Misses are claimed through :data:`SINGLE_FLIGHT` before dispatch:
-    this call leads the keys nobody else is computing (one pool fan-out
-    for all of them) and *waits* for keys another thread's overlapping
-    sweep already has in flight, so concurrent callers sharing a cache
-    never duplicate a point's work.  A publish that raises is re-raised
-    only once every flight this call leads has its computed value.
+    Misses are claimed through :func:`cached_batch`: this call leads the
+    keys nobody else is computing (one pool fan-out for all of them) and
+    *waits* for keys another thread's overlapping sweep already has in
+    flight, so concurrent callers sharing a cache never duplicate a
+    point's work.  A publish that raises is re-raised only once every
+    flight this call leads has its computed value.
     """
     items = list(points)
     key_list = list(keys) if keys is not None else items
     if len(key_list) != len(items):
         raise ValueError(f"{len(key_list)} keys for {len(items)} points")
-    store = _coerce_cache(cache)
+    store = coerce_cache(cache)
     if store is None:
         return parallel_map(fn, items, workers=workers)
-    results: List[Optional[R]] = [None] * len(items)
-    led: Dict[str, Tuple[int, Hashable, _Flight]] = {}
-    waiting: List[Tuple[int, _Flight]] = []
-    local: Dict[str, int] = {}  # digest -> leading index (in-call dups)
-    for index, key in enumerate(key_list):
-        found = store.get(namespace, key)
-        if found is not None:
-            results[index] = found
-            continue
-        digest = stable_key(key)
-        if digest in local:
-            continue  # duplicate of a slot this call already leads/waits
-        local[digest] = index
-        found, leader, flight_key, flight = claim_miss(store, namespace, key)
-        if found is not None:
-            results[index] = found
-        elif leader:
-            led[digest] = (index, flight_key, flight)
-        else:
-            waiting.append((index, flight))
-    pending = [index for index, _, _ in led.values()]
-    try:
-        computed = parallel_map(fn, [items[i] for i in pending],
-                                workers=workers)
-    except BaseException as exc:
-        # The pool raises one failure without saying which points
-        # finished; fail every led flight so no waiter hangs.
-        for _, flight_key, flight in led.values():
-            SINGLE_FLIGHT.finish(flight_key, flight, exception=exc)
-        raise
-    # Finish every led flight before a failed publish (disk full,
-    # read-only root) propagates, so no waiter on a later key hangs.
-    publish_error: Optional[Exception] = None
-    for (index, flight_key, flight), value in zip(led.values(), computed):
-        try:
-            store.put(namespace, key_list[index], value)
-        except Exception as exc:
-            publish_error = publish_error or exc
-        SINGLE_FLIGHT.finish(flight_key, flight, value=value)
-        results[index] = value
-    if publish_error is not None:
-        raise publish_error
-    for index, flight in waiting:
-        results[index] = SINGLE_FLIGHT.wait(flight)
-    # Duplicate occurrences resolve from their leading slot.
-    for index, slot in enumerate(results):
-        if slot is None:
-            results[index] = results[local[stable_key(key_list[index])]]
-    return results  # type: ignore[return-value]
+    digests = [stable_key(key) for key in key_list]
+    first: Dict[str, int] = {}  # digest -> index of its first occurrence
+    for index, digest in enumerate(digests):
+        first.setdefault(digest, index)
+    distinct = list(first.values())
+    outcomes, publish_errors = cached_batch(
+        store, [(namespace, key_list[index]) for index in distinct],
+        lambda led: parallel_map(fn, [items[distinct[i]] for i in led],
+                                 workers=workers))
+    if publish_errors:
+        raise publish_errors[0]
+    values = {digest: _value(outcome)
+              for digest, outcome in zip(first, outcomes)}
+    return [values[digest] for digest in digests]

@@ -599,7 +599,8 @@ def compute_item(item: WorkItem) -> Any:
     """Scalar per-item path: what one request costs on its own.
 
     Every item dispatches as a singleton group (an ``hcdro`` item thus
-    runs the scalar solver, the batched tier's oracle) - so a naive
+    runs the scalar solver, which shares the batched tier's formulation;
+    the per-element reference tier is the oracle of both) - so a naive
     run exercises per-request execution with no sharing of any sort.
     """
     return dispatch_group(item.kind, [item.payload])[0]

@@ -14,16 +14,19 @@ Each submitted job decomposes into unit work items
    strangers' CPU designs replay one op tape; when a group's dispatch
    raises, each of its items is dispatched alone, so a failure stays
    with the items whose own dispatch raises,
-3. inside the dispatch thread, each item first consults the shared
-   on-disk :class:`~repro.experiments.parallel.ResultCache` and claims
-   the process-global :data:`~repro.experiments.parallel.SINGLE_FLIGHT`
-   for real misses, so the service also deduplicates against CLI
-   sweeps running in the same process,
+3. inside the dispatch thread, the group runs through
+   :func:`~repro.experiments.parallel.cached_batch`, the miss protocol
+   ``cached_call`` and ``cached_map`` share: each item consults the
+   shared on-disk :class:`~repro.experiments.parallel.ResultCache` and
+   claims the process-global
+   :data:`~repro.experiments.parallel.SINGLE_FLIGHT` for real misses,
+   so the service also deduplicates against CLI sweeps running in the
+   same process,
 4. computed values publish through the cache's atomic tmp+rename path,
-   then resolve every waiting job.  A publish that raises (disk full,
-   read-only cache root) only costs the persistence: the value still
-   resolves its flight and its jobs, and ``stats()["cache"]
-   ["put_errors"]`` counts it.
+   then resolve every waiting job.  A publish that raises anything
+   (disk full, read-only cache root, an unstorable value) only costs
+   the persistence: the value still resolves its flight and its jobs,
+   and ``stats()["cache"]["put_errors"]`` counts it.
 
 The engine is asyncio-native: construct it on a running loop (or use
 :class:`~repro.service.server.ServiceThread`, which hosts one in a
@@ -37,12 +40,13 @@ import os
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.experiments.parallel import (
-    SINGLE_FLIGHT,
+    Outcome,
+    Resolved,
     ResultCache,
-    claim_miss,
+    cached_batch,
 )
 from repro.service.adapters import (
     WorkItem,
@@ -53,12 +57,6 @@ from repro.service.adapters import (
     pulse_lane_stats,
 )
 from repro.service.jobs import Job, JobStore
-
-#: (value, served_from_cache) - what an item's shared future resolves to.
-ItemResult = Tuple[Any, bool]
-
-#: One item's dispatch outcome: its result, or the exception it fails with.
-ItemOutcome = Union[ItemResult, BaseException]
 
 
 def _dispatch_isolated(kind: str, payloads: List[Any]) -> List[Any]:
@@ -74,6 +72,18 @@ def _dispatch_isolated(kind: str, payloads: List[Any]) -> List[Any]:
         if len(payloads) == 1:
             return [exc]
     return [_dispatch_isolated(kind, [payload])[0] for payload in payloads]
+
+
+def _jsonable_outcome(outcome: Any) -> Any:
+    """A dispatch outcome as it is cached and served: ``jsonable`` of a
+    value, or the exception that value fails with (an exception
+    outcome passes through)."""
+    if isinstance(outcome, BaseException):
+        return outcome
+    try:
+        return jsonable(outcome)
+    except Exception as exc:
+        return exc
 
 
 def default_workers() -> int:
@@ -109,8 +119,8 @@ class CoalescingEngine:
         self.store = store if store is not None else JobStore()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._inflight: Dict[str, "asyncio.Future[ItemResult]"] = {}
-        self._pending: Dict[Hashable, List[Tuple[WorkItem, "asyncio.Future[ItemResult]"]]] = {}
+        self._inflight: Dict[str, "asyncio.Future[Resolved]"] = {}
+        self._pending: Dict[Hashable, List[Tuple[WorkItem, "asyncio.Future[Resolved]"]]] = {}
         self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._tasks: "set[asyncio.Task[None]]" = set()
         self.dispatches = 0
@@ -241,13 +251,13 @@ class CoalescingEngine:
         if shared is not None:
             self._tally(job, "coalesced")
             return self._await_shared(shared, count_into=None)
-        future: "asyncio.Future[ItemResult]" = self._loop.create_future()
+        future: "asyncio.Future[Resolved]" = self._loop.create_future()
         self._inflight[digest] = future
         self._pending.setdefault(item.group, []).append((item, future))
         self._arm_window()
         return self._await_shared(future, count_into=job)
 
-    async def _await_shared(self, future: "asyncio.Future[ItemResult]",
+    async def _await_shared(self, future: "asyncio.Future[Resolved]",
                             count_into: Optional[Job]) -> Any:
         value, from_cache = await asyncio.shield(future)
         if count_into is not None:
@@ -282,11 +292,11 @@ class CoalescingEngine:
 
     async def _run_group(
             self, kind: str,
-            entries: List[Tuple[WorkItem, "asyncio.Future[ItemResult]"]]
+            entries: List[Tuple[WorkItem, "asyncio.Future[Resolved]"]]
     ) -> None:
         assert self._loop is not None and self._pool is not None
         items = [item for item, _ in entries]
-        resolved: List[ItemOutcome]
+        resolved: List[Outcome]
         try:
             resolved = await self._loop.run_in_executor(
                 self._pool, self._dispatch_batch, kind, items)
@@ -304,66 +314,32 @@ class CoalescingEngine:
     # -- dispatch thread ---------------------------------------------------
 
     def _dispatch_batch(self, kind: str,
-                        items: List[WorkItem]) -> List[ItemOutcome]:
+                        items: List[WorkItem]) -> List[Outcome]:
         """One coalesced group, on a worker thread.
 
-        Per item: consult the shared cache, claim the process-global
-        singleflight for true misses and look again (so a concurrent CLI
-        sweep in this process never duplicates our work, and vice
-        versa), compute all led misses in one batched dispatch, publish,
-        resolve waiters.
-        An item whose own dispatch raises fails alone: its flight and
-        its outcome carry the exception, and the rest publish.  A
-        publish that fails with an ``OSError`` (disk full, read-only
-        root) is counted and its flight still finishes with the value.
+        With a cache, the group runs through
+        :func:`~repro.experiments.parallel.cached_batch`: cached items
+        are served, the led misses compute in one batched dispatch and
+        publish, and items a concurrent CLI sweep in this process leads
+        wait for it (and vice versa).  An item whose own dispatch raises,
+        or whose value ``jsonable`` cannot convert, fails alone.  A
+        publish that raises is counted in ``cache_put_errors`` and its
+        value is served uncached.
         """
+
+        def compute(indices: Sequence[int]) -> List[Any]:
+            outcomes = _dispatch_isolated(
+                kind, [items[index].payload for index in indices])
+            return [_jsonable_outcome(outcome) for outcome in outcomes]
+
         store = self.cache
         if store is None:
-            outcomes = _dispatch_isolated(
-                kind, [item.payload for item in items])
             return [outcome if isinstance(outcome, BaseException)
-                    else (jsonable(outcome), False) for outcome in outcomes]
-        resolved: List[Optional[ItemOutcome]] = [None] * len(items)
-        led: List[Tuple[int, Any, Any]] = []
-        waiting: List[Tuple[int, Any]] = []
-        for index, item in enumerate(items):
-            found = store.get(item.namespace, item.key)
-            if found is None:
-                found, leader, flight_key, flight = claim_miss(
-                    store, item.namespace, item.key)
-            if found is not None:
-                resolved[index] = (found, True)
-            elif leader:
-                led.append((index, flight_key, flight))
-            else:
-                waiting.append((index, flight))
-        try:
-            # A group can be all hits/waiters (a duplicate burst after
-            # its key was published): nothing left to dispatch.
-            outcomes = _dispatch_isolated(
-                kind, [items[index].payload for index, _, _ in led]) \
-                if led else []
-        except BaseException as exc:
-            for _, flight_key, flight in led:
-                SINGLE_FLIGHT.finish(flight_key, flight, exception=exc)
-            raise
-        for (index, flight_key, flight), outcome in zip(led, outcomes):
-            if isinstance(outcome, BaseException):
-                SINGLE_FLIGHT.finish(flight_key, flight, exception=outcome)
-                resolved[index] = outcome
-                continue
-            value = jsonable(outcome)
-            try:
-                store.put(items[index].namespace, items[index].key, value)
-            except OSError:  # served uncached, not failed
-                with self._put_errors_lock:
-                    self.cache_put_errors += 1
-            SINGLE_FLIGHT.finish(flight_key, flight, value=value)
-            resolved[index] = (value, False)
-        for index, flight in waiting:
-            try:
-                resolved[index] = (SINGLE_FLIGHT.wait(flight), True)
-            except Exception as exc:
-                resolved[index] = exc
-        return [entry if entry is not None else (None, False)
-                for entry in resolved]
+                    else (outcome, False)
+                    for outcome in compute(range(len(items)))]
+        resolved, publish_errors = cached_batch(
+            store, [(item.namespace, item.key) for item in items], compute)
+        if publish_errors:
+            with self._put_errors_lock:
+                self.cache_put_errors += len(publish_errors)
+        return resolved

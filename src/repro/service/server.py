@@ -122,6 +122,8 @@ class ServiceServer:
             if name.strip().lower() == "content-length":
                 try:
                     length = int(value.strip())
+                    if length < 0:
+                        raise ValueError(f"negative length {length}")
                 except ValueError as exc:
                     raise _HttpError(400, "bad Content-Length") from exc
         if length > _MAX_BODY:

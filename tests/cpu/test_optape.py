@@ -1,10 +1,14 @@
 """Tests for op-tape lowering and the on-disk trace cache."""
 
+import json
+
+import numpy as np
 import pytest
 
-from repro.cpu import CoreConfig, OpTape, TraceCache, tape_for_program
-from repro.cpu.optape import program_digest
+from repro.cpu import CoreConfig, OpTape, tape_for_program
+from repro.cpu.optape import TAPE_NAMESPACE, program_digest
 from repro.errors import ExecutionError
+from repro.experiments.parallel import ResultCache
 from repro.isa import Executor, Instruction, assemble
 from repro.isa.executor import ExecutedOp
 from repro.workloads import PASS_EXIT_CODE, get_workload
@@ -102,49 +106,111 @@ class TestProgramDigest:
         assert program_digest(program, 1000, 64) != base
 
 
+def stored_entry(cache, digest):
+    """The raw JSON entry of a stored tape."""
+    return json.loads(cache._path(TAPE_NAMESPACE, digest).read_text())
+
+
+def assert_same_columns(got, want):
+    for name in ("sig", "flags", "mem_addr", "sig_srcs", "sig_dest"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
 class TestTraceCache:
+    """Op tapes persist as result-cache entries keyed by program digest."""
+
     def test_roundtrip(self, tmp_path):
-        cache = TraceCache(tmp_path)
+        cache = ResultCache(tmp_path)
         program = assemble(SIMPLE)
-        tape = OpTape.from_program(program, max_instructions=5_000)
-        digest = program_digest(program, 5_000, 32)
-        cache.put(digest, tape)
-        loaded = cache.get(digest)
-        assert loaded is not None
+        tape = tape_for_program(program, max_instructions=5_000,
+                                cache=cache)
+        loaded = tape_for_program(program, max_instructions=5_000,
+                                  cache=cache)
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert loaded is not tape
+        assert_same_columns(loaded, tape)
+        assert all(getattr(loaded, name).flags.writeable
+                   for name in ("sig", "flags", "mem_addr", "sig_srcs",
+                                "sig_dest"))
         assert loaded.instructions == tape.instructions
         assert loaded.exit_code == tape.exit_code
         assert loaded.halt_reason == tape.halt_reason
         assert loaded.max_instructions == 5_000
-        assert (loaded.sig == tape.sig).all()
-        assert (loaded.flags == tape.flags).all()
-        assert (loaded.sig_srcs == tape.sig_srcs).all()
-        assert (loaded.sig_dest == tape.sig_dest).all()
-        assert (loaded.mem_addr == tape.mem_addr).all()
+        assert loaded.fingerprint == program_digest(program, 5_000, 32)
 
     def test_missing_entry_is_miss(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        assert cache.get("0" * 64) is None
+        cache = ResultCache(tmp_path)
+        assert cache.get(TAPE_NAMESPACE, "0" * 64) is None
         assert cache.misses == 1
 
     def test_corrupt_entry_is_miss(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        path = cache._path("f" * 64)
+        cache = ResultCache(tmp_path)
+        path = cache._path(TAPE_NAMESPACE, "f" * 64)
         path.parent.mkdir(parents=True)
-        path.write_bytes(b"not an npz archive")
-        assert cache.get("f" * 64) is None
+        path.write_bytes(b"not a json entry")
+        assert cache.get(TAPE_NAMESPACE, "f" * 64) is None
 
     def test_digest_mismatch_is_miss(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        tape = OpTape.from_program(assemble(SIMPLE))
-        cache.put("a" * 64, tape)
-        cache._path("a" * 64).rename(cache._path("b" * 64))
-        assert cache.get("b" * 64) is None
+        cache = ResultCache(tmp_path)
+        program = assemble(SIMPLE)
+        tape_for_program(program, cache=cache)
+        digest = program_digest(program, 2_000_000, 32)
+        cache._path(TAPE_NAMESPACE, digest).rename(
+            cache._path(TAPE_NAMESPACE, "b" * 64))
+        assert cache.get(TAPE_NAMESPACE, "b" * 64) is None
+
+
+#: Ways a stored tape value can fail to decode; each must be rebuilt.
+MALFORMED_TAPES = {
+    "missing field": lambda value: value.pop("exit_code"),
+    "column not a string": lambda value: value.update(sig=17),
+    "column not base64": lambda value: value.update(flags="!not base64!"),
+    "cap not an integer": lambda value: value.update(
+        max_instructions="5000"),
+    "halt reason not a string": lambda value: value.update(halt_reason=3),
+    # 3 bytes cannot hold int32 values; 3 int16 values are no pairs
+    "bytes do not fit the dtype": lambda value: value.update(sig="AAAA"),
+    "sig_srcs not pairs": lambda value: value.update(sig_srcs="AAAAAAAA"),
+    "columns disagree in length": lambda value: value.update(flags=""),
+}
+
+
+class TestMalformedTapeEntries:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TAPES))
+    def test_malformed_entry_is_rebuilt_and_overwritten(self, tmp_path,
+                                                         case):
+        cache = ResultCache(tmp_path)
+        program = assemble(SIMPLE)
+        built = tape_for_program(program, max_instructions=5_000,
+                                 cache=cache)
+        digest = program_digest(program, 5_000, 32)
+        good = stored_entry(cache, digest)
+        bad = json.loads(json.dumps(good))
+        MALFORMED_TAPES[case](bad["value"])
+        cache._path(TAPE_NAMESPACE, digest).write_text(json.dumps(bad))
+        rebuilt = tape_for_program(program, max_instructions=5_000,
+                                   cache=cache)
+        assert_same_columns(rebuilt, built)
+        assert rebuilt.exit_code == built.exit_code
+        assert stored_entry(cache, digest) == good  # overwritten
+
+    def test_value_that_is_not_an_object_is_rebuilt(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        program = assemble(SIMPLE)
+        digest = program_digest(program, 5_000, 32)
+        cache.put(TAPE_NAMESPACE, digest, [1, 2, 3])
+        tape = tape_for_program(program, max_instructions=5_000, cache=cache)
+        assert tape.exit_code == PASS_EXIT_CODE
+        assert stored_entry(cache, digest)["value"]["exit_code"] == \
+            PASS_EXIT_CODE
 
 
 class TestTapeForProgram:
     def test_warm_cache_skips_functional_pass(self, tmp_path, monkeypatch):
         program = assemble(SIMPLE)
-        cache = TraceCache(tmp_path)
+        cache = ResultCache(tmp_path)
         first = tape_for_program(program, max_instructions=5_000, cache=cache)
         lowered = []
         original = OpTape.from_program
@@ -161,12 +227,13 @@ class TestTapeForProgram:
     def test_path_argument_coerced(self, tmp_path):
         program = assemble(SIMPLE)
         tape_for_program(program, cache=tmp_path)
-        again = TraceCache(tmp_path)
-        assert again.get(program_digest(program, 2_000_000, 32)) is not None
+        again = ResultCache(tmp_path)
+        assert again.get(TAPE_NAMESPACE,
+                         program_digest(program, 2_000_000, 32)) is not None
 
     def test_strict_truncation_raises_but_caches(self, tmp_path):
         program = assemble(INFINITE)
-        cache = TraceCache(tmp_path)
+        cache = ResultCache(tmp_path)
         with pytest.raises(ExecutionError, match="100-instruction limit"):
             tape_for_program(program, max_instructions=100, cache=cache,
                              workload_name="infinite")
@@ -188,7 +255,7 @@ class TestSimulatorIntegration:
         from repro.cpu import simulate_program
 
         program = assemble(SIMPLE)
-        cache = TraceCache(tmp_path)
+        cache = ResultCache(tmp_path)
         cold = simulate_program(program, trace_cache=cache)
         warm = simulate_program(program, trace_cache=cache)
         assert cache.hits == 1
@@ -199,7 +266,7 @@ class TestSimulatorIntegration:
         from repro.cpu import simulate_program
 
         program = assemble(SIMPLE)
-        cache = TraceCache(tmp_path)
+        cache = ResultCache(tmp_path)
         simulate_program(program, trace_cache=cache)
         simulate_program(program, trace_cache=cache,
                          config=CoreConfig(num_registers=64))

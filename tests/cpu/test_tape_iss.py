@@ -19,7 +19,6 @@ from repro.cpu import (
     Lane,
     OpTape,
     RFTimingModel,
-    TraceCache,
     replay_lanes,
     simulate_program,
     tape_for_program,
@@ -27,6 +26,7 @@ from repro.cpu import (
 from repro.cpu.rf_model import RF_DESIGN_NAMES
 from repro.errors import DecodeError, ExecutionError
 from repro.experiments.figure14 import FIGURE14_WORKLOADS
+from repro.experiments.parallel import ResultCache
 from repro.isa import Executor, assemble
 from repro.isa.encoding import MASK32
 from repro.workloads import PASS_EXIT_CODE, get_workload
@@ -92,6 +92,20 @@ class TestFigure14Tapes:
             assert_same_tape(fast, oracle_tape(program, cap))
             if cap == 400_000:
                 assert fast.exit_code == PASS_EXIT_CODE, name
+
+    @pytest.mark.parametrize("cap", (400_000, 1000, 1))
+    def test_stored_tapes_load_equal(self, figure14_programs, cap,
+                                     tmp_path):
+        """A tape served from the result cache equals the one built."""
+        cache = ResultCache(tmp_path)
+        for name, program in figure14_programs.items():
+            built = tape_for_program(program, max_instructions=cap,
+                                     cache=cache, strict=False)
+            loaded = tape_for_program(program, max_instructions=cap,
+                                      cache=cache, strict=False)
+            assert loaded is not built
+            assert_same_tape(loaded, built)
+        assert cache.hits == cache.misses == len(figure14_programs)
 
     def test_cold_tapes_skip_the_oracle(self, monkeypatch):
         def oracle_used(*args, **kwargs):
@@ -207,7 +221,7 @@ class TestHaltAndErrorParity:
                            "    add a0, t0, t1\n" + EXIT)
         with pytest.raises(ExecutionError) as fast:
             tape_for_program(program, num_registers=8,
-                             cache=TraceCache(tmp_path))
+                             cache=ResultCache(tmp_path))
         raised = assert_same_outcome(program, 2_000_000, num_registers=8)
         assert str(fast.value) == raised[1]
         assert raised[1] == (f"op at pc={program.entry + 8:#x} addresses "

@@ -5,12 +5,19 @@ from __future__ import annotations
 import errno
 import json
 import os
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.cpu.optape import OpTape, TraceCache
+from repro.cpu.optape import (
+    TAPE_NAMESPACE,
+    OpTape,
+    _tape_entry,
+    _tape_from_entry,
+)
 from repro.experiments.parallel import (
     MAX_BYTES_ENV_VAR,
     ResultCache,
@@ -108,26 +115,36 @@ class TestResultCacheEviction:
 
 
 class TestTraceCacheEviction:
+    """Op tapes are result-cache entries under the same byte budget."""
+
     def test_oldest_tapes_evicted_first(self, tmp_path):
-        cache = TraceCache(tmp_path)
+        cache = ResultCache(tmp_path)
         for index in range(3):
-            cache.put(f"digest{index}", _tape())
-            _set_mtime(cache._path(f"digest{index}"), 1_000 + index)
-        entry = cache._path("digest0").stat().st_size
+            cache.put(TAPE_NAMESPACE, f"digest{index}", _tape_entry(_tape()))
+            _set_mtime(cache._path(TAPE_NAMESPACE, f"digest{index}"),
+                       1_000 + index)
+        entry = cache._path(TAPE_NAMESPACE, "digest0").stat().st_size
         cache.max_bytes = 2 * entry + 1
-        cache.put("fresh", _tape())
-        _set_mtime(cache._path("fresh"), 2_000)
-        assert cache.get("fresh") is not None
-        assert cache.get("digest0") is None  # coldest tape went first
+        cache.put(TAPE_NAMESPACE, "fresh", _tape_entry(_tape()))
+        _set_mtime(cache._path(TAPE_NAMESPACE, "fresh"), 2_000)
+        assert cache.get(TAPE_NAMESPACE, "fresh") is not None
+        # coldest tape went first
+        assert cache.get(TAPE_NAMESPACE, "digest0") is None
         assert cache.evictions >= 1
 
-    def test_budget_ignores_json_neighbours(self, tmp_path):
-        """Shared REPRO_CACHE_DIR: npz budget must not evict results."""
-        results = ResultCache(tmp_path)
-        results.put("ns", {"k": 1}, {"v": 1})
-        tapes = TraceCache(tmp_path, max_bytes=1)  # evict every tape
-        tapes.put("digest", _tape())
-        assert results.get("ns", {"k": 1}) == {"v": 1}
+    def test_one_budget_covers_results_and_tapes(self, tmp_path):
+        """Shared REPRO_CACHE_DIR: one LRU budget over both kinds, so
+        the root never holds more than the setting."""
+        cache = ResultCache(tmp_path)
+        cache.put("ns", {"k": 1}, {"v": 1})
+        _set_mtime(cache._path("ns", {"k": 1}), 1_000)
+        cache.put(TAPE_NAMESPACE, "digest", _tape_entry(_tape()))
+        tape = cache._path(TAPE_NAMESPACE, "digest").stat().st_size
+        cache.max_bytes = tape + 1  # room for the tape alone
+        cache.put(TAPE_NAMESPACE, "digest", _tape_entry(_tape()))
+        assert cache.get("ns", {"k": 1}) is None  # older result evicted
+        assert cache.get(TAPE_NAMESPACE, "digest") is not None
+        assert cache.size_bytes() <= cache.max_bytes
 
 
 class TestPublishRaces:
@@ -182,18 +199,18 @@ class TestPublishRaces:
         cache.put("ns", {"k": 1}, {"v": 2})  # recovery: overwrite in place
         assert cache.get("ns", {"k": 1}) == {"v": 2}
 
-    def test_torn_npz_degrades_to_miss(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        cache.put("digest", _tape())
-        path = cache._path("digest")
+    def test_torn_tape_entry_degrades_to_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(TAPE_NAMESPACE, "digest", _tape_entry(_tape()))
+        path = cache._path(TAPE_NAMESPACE, "digest")
         payload = path.read_bytes()
         path.write_bytes(payload[:len(payload) // 2])  # truncated publish
-        assert cache.get("digest") is None
-        cache.put("digest", _tape())
-        assert cache.get("digest") is not None
+        assert cache.get(TAPE_NAMESPACE, "digest") is None
+        cache.put(TAPE_NAMESPACE, "digest", _tape_entry(_tape()))
+        assert cache.get(TAPE_NAMESPACE, "digest") is not None
 
     def test_racing_tape_writers_same_digest(self, tmp_path):
-        cache = TraceCache(tmp_path)
+        cache = ResultCache(tmp_path)
         barrier = threading.Barrier(4)
         errors = []
 
@@ -201,7 +218,7 @@ class TestPublishRaces:
             try:
                 barrier.wait(5)
                 for _ in range(10):
-                    cache.put("shared", _tape())
+                    cache.put(TAPE_NAMESPACE, "shared", _tape_entry(_tape()))
             except Exception as exc:  # noqa: BLE001 - record any failure
                 errors.append(exc)
 
@@ -211,4 +228,66 @@ class TestPublishRaces:
         for thread in threads:
             thread.join(30)
         assert errors == []
-        assert cache.get("shared") is not None
+        loaded = _tape_from_entry(cache.get(TAPE_NAMESPACE, "shared"))
+        assert np.array_equal(loaded.sig, _tape().sig)
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
+class TestEvictionRacingReaders:
+    def test_reads_see_the_value_or_a_miss(self, tmp_path):
+        """Writers with a 1-byte budget evict on every put while readers
+        look the same keys up: a read returns the right value or a miss,
+        never raises."""
+        cache = ResultCache(tmp_path, max_bytes=1)
+        tape = _tape(64)
+        results = {index: {"v": index} for index in range(4)}
+        digests = [f"digest{index}" for index in range(4)]
+        stop = threading.Event()
+        errors = []
+        reads = []
+
+        def guarded(body):
+            def run():
+                try:
+                    while not stop.is_set():
+                        body()
+                except Exception as exc:  # noqa: BLE001 - record any failure
+                    errors.append(exc)
+                    stop.set()
+            return run
+
+        def write():
+            for key, value in results.items():
+                cache.put("ns", key, value)
+            for digest in digests:
+                cache.put(TAPE_NAMESPACE, digest, _tape_entry(tape))
+
+        def read():
+            for key, value in results.items():
+                found = cache.get("ns", key)
+                assert found is None or found == value
+            for digest in digests:
+                entry = cache.get(TAPE_NAMESPACE, digest)
+                if entry is not None:
+                    loaded = _tape_from_entry(entry)
+                    assert np.array_equal(loaded.mem_addr, tape.mem_addr)
+                    assert np.array_equal(loaded.sig_srcs, tape.sig_srcs)
+            reads.append(1)
+
+        threads = [threading.Thread(target=guarded(body))
+                   for body in (write, write, read, read)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(2.0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert reads
+        assert cache.evictions > 0

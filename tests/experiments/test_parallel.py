@@ -94,6 +94,22 @@ class TestResultCache:
         cache.put("ns", "key", 2)  # overwriting heals the entry
         assert cache.get("ns", "key") == 2
 
+    @pytest.mark.parametrize("entry", ["[1, 2]", "null",
+                                       '{"key": "key"}'],
+                             ids=["list", "null", "no-value"])
+    def test_malformed_entry_is_a_miss(self, tmp_path, entry):
+        """Another process may have written anything under a shared
+        root: an entry that is not an object with ``key`` and
+        ``value`` misses, and the next put overwrites it."""
+        cache = ResultCache(tmp_path)
+        path = cache._path("ns", "key")
+        path.parent.mkdir(parents=True)
+        path.write_text(entry)
+        assert cache.get("ns", "key") is None
+        assert cache.misses == 1
+        assert cached_call("ns", "key", lambda: 3, cache=cache) == 3
+        assert cache.get("ns", "key") == 3
+
     def test_entries_record_their_key(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("ns", {"scale": 0.5}, [1, 2])

@@ -18,13 +18,23 @@ from repro.experiments.parallel import (
 )
 
 
+def run_once(flight, key, fn):
+    """``fn()`` through ``flight``: lead and finish, or wait."""
+    leader, handle = flight.begin(key)
+    if not leader:
+        return flight.wait(handle)
+    value = fn()
+    flight.finish(key, handle, value=value)
+    return value
+
+
 class TestSingleFlightCore:
-    def test_do_returns_value_and_unregisters(self):
+    def test_finish_returns_value_and_unregisters(self):
         flight = SingleFlight()
-        assert flight.do("k", lambda: 41) == 41
+        assert run_once(flight, "k", lambda: 41) == 41
         assert flight.in_flight() == 0
         # keys unregister on completion: later calls compute fresh
-        assert flight.do("k", lambda: 42) == 42
+        assert run_once(flight, "k", lambda: 42) == 42
         assert flight.leads == 2
         assert flight.waits == 0
 
@@ -40,12 +50,12 @@ class TestSingleFlightCore:
             return "value"
 
         def leader():
-            results.append(flight.do("k", compute))
+            results.append(run_once(flight, "k", compute))
 
         def waiter():
             while flight.in_flight() == 0:  # until the leader claims
                 pass
-            results.append(flight.do("k", lambda: "never"))
+            results.append(run_once(flight, "k", lambda: "never"))
 
         threads = [threading.Thread(target=leader),
                    threading.Thread(target=waiter)]
@@ -249,6 +259,15 @@ class TestMissCounting:
         assert cached_map("ns", lambda x: x + 1, [1, 2], workers=1,
                           cache=cache) == [2, 3]
         assert (cache.hits, cache.misses) == (0, 2)
+
+    def test_cached_map_counts_one_lookup_per_distinct_key(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cached_map("ns", lambda x: x + 1, [9, 9, 9], workers=1,
+                          cache=cache) == [10, 10, 10]
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert cached_map("ns", lambda x: -1, [9, 9, 9], workers=1,
+                          cache=cache) == [10, 10, 10]
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_warm_lookups_count_hits_only(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 
 import pytest
@@ -11,8 +12,31 @@ from repro.experiments.parallel import SINGLE_FLIGHT, ResultCache, _flight_key
 from repro.service.adapters import compute_item, decompose, jsonable, run_job_naive
 from repro.service.engine import CoalescingEngine
 from repro.service.jobs import JobStore
-from tests.experiments.test_singleflight import FullDiskCache
 from tests.service.test_adapters import CHEAP_MARGINS
+
+#: What a failing publish raises: a full disk, a read-only root, and an
+#: error that is no ``OSError`` at all.
+PUBLISH_ERRORS = {
+    "ENOSPC": lambda: OSError(errno.ENOSPC, "No space left on device"),
+    "EACCES": lambda: PermissionError(errno.EACCES, "Permission denied"),
+    "ValueError": lambda: ValueError("value cannot be stored"),
+}
+
+
+class FailingPutCache(ResultCache):
+    """A cache whose first ``failures`` publishes (all, by default)
+    raise ``error()``."""
+
+    def __init__(self, root, error, failures=float("inf")):
+        super().__init__(root)
+        self.error = error
+        self.failures = failures
+
+    def put(self, namespace, key, value):
+        if self.failures > 0:
+            self.failures -= 1
+            raise self.error()
+        super().put(namespace, key, value)
 
 
 def run(coro):
@@ -248,12 +272,14 @@ class TestFailure:
         assert "j2_bias_ua=10000000.0" in (bad.error or "")
         assert stats["jobs_done"] == stats["jobs_failed"] == 1
 
-    def test_failed_publish_serves_the_computed_value(self, tmp_path):
-        """A cache that cannot store (disk full) leaves the service
-        running uncached: the job completes with the naive artifact and
-        leaves no singleflight flight behind."""
+    @pytest.mark.parametrize("error", sorted(PUBLISH_ERRORS))
+    def test_failed_publish_serves_the_computed_value(self, tmp_path, error):
+        """A cache that cannot store (disk full, read-only root, or any
+        other publish error) leaves the service running uncached: the
+        job completes with the naive artifact and leaves no singleflight
+        flight behind."""
         params = {"scales": [0.95, 1.0], "write_counts": [1], "reads": 1}
-        cache = FullDiskCache(tmp_path)
+        cache = FailingPutCache(tmp_path, PUBLISH_ERRORS[error])
 
         async def main():
             async with CoalescingEngine(cache=cache, window_ms=10) as eng:
@@ -272,6 +298,38 @@ class TestFailure:
         leader, flight = SINGLE_FLIGHT.begin(key)
         SINGLE_FLIGHT.finish(key, flight)
         assert leader
+
+    def test_failed_publish_strands_no_flight(self, tmp_path):
+        """The first publish raises ``ValueError``; an identical job
+        after it must still complete instead of joining the first
+        item's flight forever."""
+        params = {"scales": [1.0], "write_counts": [1], "reads": 1}
+        cache = FailingPutCache(tmp_path, PUBLISH_ERRORS["ValueError"],
+                                failures=1)
+        item = decompose("margins", params).items[0]
+        key = _flight_key(cache, item.namespace, item.key)
+
+        async def main():
+            async with CoalescingEngine(cache=cache, window_ms=0) as eng:
+                first = await eng.run("margins", params)
+                try:
+                    second = await asyncio.wait_for(
+                        eng.run("margins", params), 30)
+                finally:
+                    # a stranded flight would block close() forever
+                    leader, flight = SINGLE_FLIGHT.begin(key)
+                    SINGLE_FLIGHT.finish(key, flight, value=None)
+                return first, second, leader, eng.stats()
+
+        first, second, leader, stats = run(main())
+        assert leader  # nothing was left in flight
+        for job in (first, second):
+            assert job.state.value == "done", job.error
+        assert first.result == second.result
+        # the first value went unstored, so the second job computed it
+        assert first.computed == second.computed == 1
+        assert stats["cache"]["put_errors"] == 1
+        assert cache.get(item.namespace, item.key) is not None
 
     def test_failed_job_reports_error_string(self, tmp_path):
         async def main():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -83,6 +84,18 @@ class TestEndpoints:
         with pytest.raises(ServiceError) as err:
             client.request("POST", "/jobs/123")
         assert err.value.status == 405
+
+    def test_negative_content_length_is_400(self, client, service):
+        request = (b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                   b"Content-Length: -5\r\n\r\n")
+        reply = b""
+        with socket.create_connection(service.address, timeout=30) as sock:
+            sock.sendall(request)
+            while chunk := sock.recv(4096):  # the server closes after replying
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"bad Content-Length" in reply
+        assert client.health()
 
     def test_failed_job_surfaces_error(self, client):
         job = client.submit("figure14", {
