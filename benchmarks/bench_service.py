@@ -8,10 +8,10 @@ requests sharing programs, duplicate analytic reports - run two ways
 * **naive**: every request computed alone and sequentially
   (:func:`repro.service.run_job_naive` - no batching, no dedup, no
   caches), the cost a script-per-request workflow pays today,
-* **coalesced**: the same requests submitted through the HTTP service,
-  where the micro-batch window groups strangers' analog lanes into
-  shared batched transients, duplicate keys collapse in flight, and
-  repeats are served from the on-disk cache.
+* **coalesced**: the same requests submitted through the HTTP service
+  with its default settings, where strangers' analog lanes that queue
+  while every worker is busy share batched transients, duplicate keys
+  collapse in flight, and repeats are served from the on-disk cache.
 
 ``test_service_speedup_summary`` asserts the >= 3x jobs/sec acceptance
 bar and that every artifact is bitwise identical to its naive twin.
@@ -79,9 +79,9 @@ def _no_ambient_cache(monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
 
 
-def _run_coalesced(requests, tmp_path, window_ms: float = 25.0):
+def _run_coalesced(requests, tmp_path):
     cache = ResultCache(tmp_path / "service-cache")
-    with ServiceThread(cache=cache, window_ms=window_ms) as svc:
+    with ServiceThread(cache=cache) as svc:
         client = ServiceClient(*svc.address)
         t0 = time.perf_counter()
         jobs = [client.submit(experiment, params)

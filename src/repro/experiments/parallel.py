@@ -198,6 +198,13 @@ def enforce_cache_limit(root: Path, suffix: str, max_bytes: int) -> int:
     """
     if max_bytes <= 0:
         return 0
+    return _evict_lru(root, suffix, max_bytes)[0]
+
+
+def _evict_lru(root: Path, suffix: str,
+               max_bytes: int) -> Tuple[int, Optional[int]]:
+    """:func:`enforce_cache_limit`'s walk: ``(evicted, bytes left)``,
+    the total ``None`` when the root cannot be listed."""
     entries = []
     total = 0
     try:
@@ -209,7 +216,7 @@ def enforce_cache_limit(root: Path, suffix: str, max_bytes: int) -> int:
             entries.append((stat.st_mtime_ns, stat.st_size, path))
             total += stat.st_size
     except OSError:
-        return 0
+        return 0, None
     entries.sort(key=lambda entry: entry[0])
     evicted = 0
     for _mtime, size, path in entries:
@@ -221,7 +228,7 @@ def enforce_cache_limit(root: Path, suffix: str, max_bytes: int) -> int:
             continue
         total -= size
         evicted += 1
-    return evicted
+    return evicted, total
 
 
 def stable_key(value: Any) -> str:
@@ -252,6 +259,13 @@ class ResultCache:
     and ``0`` means unlimited.  The budget covers every ``.json`` entry
     under the root, whatever its namespace: experiment results and the
     op tapes of :func:`repro.cpu.optape.tape_for_program` share it.
+
+    A budgeted put costs O(1) until the budget is reached: the store
+    keeps the total its last walk of the root found plus the bytes it
+    has written since, and walks (and evicts) only when that sum passes
+    the budget; its first budgeted put walks.  Writes by other stores
+    or processes sharing the root are therefore reconciled at this
+    store's next over-budget put, not at each put.
     """
 
     def __init__(self, root: Union[str, Path],
@@ -261,6 +275,19 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: Root total at the last walk plus bytes put since; ``None``
+        #: until a budgeted put walks.
+        self._tracked_bytes: Optional[int] = None
+        self._budget_lock = threading.Lock()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_budget_lock"]  # locks do not pickle (process pools)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._budget_lock = threading.Lock()
 
     @classmethod
     def from_env(cls) -> Optional["ResultCache"]:
@@ -312,6 +339,7 @@ class ResultCache:
                 json.dump({"key": json.loads(
                     json.dumps(key, default=_key_fallback)),
                     "value": value}, handle)
+            written = tmp.stat().st_size
             tmp.replace(path)  # atomic publish; readers never see partial JSON
         except BaseException:
             # A failed publish (disk full) must not leave its partial
@@ -324,7 +352,20 @@ class ResultCache:
         limit = self.max_bytes if self.max_bytes is not None \
             else cache_max_bytes()
         if limit > 0:
-            self.evictions += enforce_cache_limit(self.root, ".json", limit)
+            self._charge(written, limit)
+
+    def _charge(self, written: int, limit: int) -> None:
+        """Add a put's bytes to the running total; walk the root and
+        evict only once the total passes ``limit`` (or was never
+        taken).  An overwrite counts in full, so the total errs high."""
+        with self._budget_lock:
+            if self._tracked_bytes is not None:
+                self._tracked_bytes += written
+                if self._tracked_bytes <= limit:
+                    return
+            evicted, self._tracked_bytes = _evict_lru(
+                self.root, ".json", limit)
+            self.evictions += evicted
 
     def size_bytes(self) -> int:
         """Total size of the store's JSON entries (the eviction budget)."""

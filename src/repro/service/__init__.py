@@ -13,15 +13,19 @@ turns the experiment runners into a long-running asyncio job service
   WorkItem`\\ s keyed exactly like the existing on-disk caches
   (``ResultCache`` namespaces/keys - the cache key *is* the API
   contract),
-* a short micro-batch window groups pending analog items by
-  ``topology_key`` so strangers' lanes join one
-  :func:`~repro.josim.testbench.run_hcdro_batch` dispatch, and
-  groups CPU items by program so strangers' designs replay one shared
-  op tape,
+* pending items dispatch as soon as a worker thread is free; items
+  that arrive while every worker is busy wait and leave together
+  (busy-driven batching): analog items grouped by ``topology_key`` so
+  strangers' lanes join one
+  :func:`~repro.josim.testbench.run_hcdro_batch` dispatch, CPU items
+  grouped by program so strangers' designs replay one shared op tape,
 * identical in-flight keys collapse (singleflight): duplicate requests
   cost one computation,
 * results publish through the existing atomic cache paths and are
-  served straight from the cache on every later request.
+  served straight from the cache on every later request,
+* the queue is bounded: a full engine refuses new jobs
+  (:class:`~repro.service.engine.EngineOverloaded`, HTTP ``429`` with
+  ``Retry-After``).
 
 Entry points: :class:`~repro.service.engine.CoalescingEngine` (embed),
 :class:`~repro.service.server.ServiceServer` / ``python -m
@@ -31,12 +35,13 @@ repro.service`` (HTTP), :class:`~repro.service.client.ServiceClient`
 
 from repro.service.adapters import SUPPORTED_EXPERIMENTS, WorkItem, run_job_naive
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.engine import CoalescingEngine
+from repro.service.engine import CoalescingEngine, EngineOverloaded
 from repro.service.jobs import Job, JobState, JobStore
 from repro.service.server import ServiceServer, ServiceThread
 
 __all__ = [
     "CoalescingEngine",
+    "EngineOverloaded",
     "Job",
     "JobState",
     "JobStore",

@@ -5,6 +5,11 @@ Examples::
     python -m repro.service --port 8752 --cache-dir .repro-cache
     python -m repro.service --window-ms 50 --workers 4 \\
         --cache-max-bytes 2000000000
+
+Work dispatches as soon as a worker thread is free; what arrives while
+every worker is busy waits and leaves as one batch.  ``--window-ms 50``
+(second example) also holds each batch up to 50 ms for strangers while
+a worker is idle: fuller batches, slower replies.
 """
 
 from __future__ import annotations
@@ -30,10 +35,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=8752,
                         help="listen port, 0 for ephemeral "
                         "(default %(default)s)")
-    parser.add_argument("--window-ms", type=float, default=25.0,
-                        help="micro-batch window: how long the first "
-                        "pending item waits for strangers "
-                        "(default %(default)s)")
+    parser.add_argument("--window-ms", type=float, default=0.0,
+                        help="hold for strangers while a worker is idle: "
+                        "how long the first pending item waits before it "
+                        "dispatches; items queued behind busy workers "
+                        "never wait it (default %(default)s: dispatch "
+                        "at once)")
     parser.add_argument("--workers", type=int, default=None,
                         help="dispatch threads (default: auto)")
     parser.add_argument("--cache-dir", default=None,

@@ -1,4 +1,4 @@
-"""The coalescing scheduler: micro-batch window + singleflight + cache.
+"""The coalescing scheduler: busy-driven batching + singleflight + cache.
 
 One :class:`CoalescingEngine` owns an asyncio loop's worth of jobs.
 Each submitted job decomposes into unit work items
@@ -7,13 +7,16 @@ Each submitted job decomposes into unit work items
 1. **collapses** onto an identical in-flight item if one exists
    (engine-level singleflight - duplicate requests cost one
    computation),
-2. otherwise parks the item in a **micro-batch window**
-   (``window_ms``); when the window closes, pending items are grouped
-   by their ``group`` token and each group runs as *one* dispatch on a
-   worker thread - strangers' analog lanes share a solver dispatch,
-   strangers' CPU designs replay one op tape; when a group's dispatch
-   raises, each of its items is dispatched alone, so a failure stays
-   with the items whose own dispatch raises,
+2. otherwise parks the item until a dispatch thread is free
+   (**busy-driven batching**, as in Triton or TF-Serving dynamic
+   batching): while fewer groups run than there are workers, pending
+   items leave on the next loop tick; items that arrive while every
+   worker is busy wait and leave together when a group finishes.
+   Pending items are grouped by their ``group`` token and each group
+   runs as *one* dispatch on a worker thread - strangers' analog lanes
+   share a solver dispatch, strangers' CPU designs replay one op tape;
+   when a group's dispatch raises, each of its items is dispatched
+   alone, so a failure stays with the items whose own dispatch raises,
 3. inside the dispatch thread, the group runs through
    :func:`~repro.experiments.parallel.cached_batch`, the miss protocol
    ``cached_call`` and ``cached_map`` share: each item consults the
@@ -28,6 +31,11 @@ Each submitted job decomposes into unit work items
    the persistence: the value still resolves its flight and its jobs,
    and ``stats()["cache"]["put_errors"]`` counts it.
 
+The queue is bounded: :meth:`CoalescingEngine.submit` raises
+:class:`EngineOverloaded` while the engine holds
+:data:`MAX_INFLIGHT_ITEMS` distinct unresolved items, and the HTTP
+front-end answers that with ``429 Too Many Requests``.
+
 The engine is asyncio-native: construct it on a running loop (or use
 :class:`~repro.service.server.ServiceThread`, which hosts one in a
 background thread).
@@ -40,7 +48,16 @@ import os
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Awaitable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.experiments.parallel import (
     Outcome,
@@ -57,6 +74,16 @@ from repro.service.adapters import (
     pulse_lane_stats,
 )
 from repro.service.jobs import Job, JobStore
+
+#: Distinct unresolved items the engine holds before ``submit`` refuses
+#: new jobs.  Far above a working load (a burst of 200 requests holds
+#: under 100): it bounds memory when clients outrun the workers.
+MAX_INFLIGHT_ITEMS = 4096
+
+
+class EngineOverloaded(RuntimeError):
+    """``submit`` refused a job: the engine holds
+    :data:`MAX_INFLIGHT_ITEMS` unresolved items.  Retry later."""
 
 
 def _dispatch_isolated(kind: str, payloads: List[Any]) -> List[Any]:
@@ -102,15 +129,17 @@ class CoalescingEngine:
         ``REPRO_CACHE_DIR``; without either, the engine still
         coalesces/deduplicates but nothing persists).
     window_ms:
-        Micro-batch window: how long the first pending item waits for
-        strangers before its group dispatches.  ``0`` flushes on the
-        next loop tick (dedup without cross-job batching).
+        Hold for strangers while a worker is idle: how long the first
+        pending item waits before its group dispatches.  ``0`` (the
+        default) dispatches on the next loop tick.  Items that wait for
+        a busy pool never wait this hold as well.
     workers:
-        Dispatch thread count.
+        Dispatch thread count.  While this many groups are running,
+        new items wait in the engine, where they can still merge.
     """
 
     def __init__(self, cache: Optional[ResultCache] = None,
-                 window_ms: float = 25.0,
+                 window_ms: float = 0.0,
                  workers: Optional[int] = None,
                  store: Optional[JobStore] = None) -> None:
         self.cache = cache if cache is not None else ResultCache.from_env()
@@ -121,8 +150,11 @@ class CoalescingEngine:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._inflight: Dict[str, "asyncio.Future[Resolved]"] = {}
         self._pending: Dict[Hashable, List[Tuple[WorkItem, "asyncio.Future[Resolved]"]]] = {}
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
+        self._flush_handle: Optional[asyncio.Handle] = None
+        #: Groups handed to the pool and not yet finished.
+        self._busy = 0
         self._tasks: "set[asyncio.Task[None]]" = set()
+        self.refused = 0
         self.dispatches = 0
         self.dispatched_items = 0
         self.largest_group = 0
@@ -167,15 +199,24 @@ class CoalescingEngine:
     def submit(self, experiment: str, params: Optional[Dict[str, Any]] = None
                ) -> Job:
         """Register a job and start resolving it; raises ``ValueError``
-        on an unknown experiment or bad params (no job is created)."""
+        on an unknown experiment or bad params, and
+        :class:`EngineOverloaded` while :data:`MAX_INFLIGHT_ITEMS`
+        distinct items are unresolved (no job is created)."""
         if self._loop is None:
             raise RuntimeError("engine not started (use 'async with' or "
                                "await start())")
+        if len(self._inflight) >= MAX_INFLIGHT_ITEMS:
+            self.refused += 1
+            raise EngineOverloaded(
+                f"{len(self._inflight)} items unresolved "
+                f"(limit {MAX_INFLIGHT_ITEMS}); retry later")
         decomposed = decompose(experiment, params)
         job = self.store.create(experiment, dict(params or {}))
         job.items = len(decomposed.items)
         self.item_totals["items"] += job.items
-        task = self._loop.create_task(self._run_job(job, decomposed))
+        # Items register now, so the next submit's limit check counts them.
+        values = [self._resolve_item(job, item) for item in decomposed.items]
+        task = self._loop.create_task(self._run_job(job, decomposed, values))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
         return job
@@ -206,6 +247,7 @@ class CoalescingEngine:
             "dispatches": self.dispatches,
             "dispatched_items": self.dispatched_items,
             "largest_group": self.largest_group,
+            "refused": self.refused,
             "in_flight": len(self._inflight),
             "pending_groups": len(self._pending),
             "window_ms": self.window_ms,
@@ -223,14 +265,14 @@ class CoalescingEngine:
 
     # -- job resolution ----------------------------------------------------
 
-    async def _run_job(self, job: Job, decomposed: Any) -> None:
+    async def _run_job(self, job: Job, decomposed: Any,
+                       values: "List[Awaitable[Any]]") -> None:
         job.start()
         # Count before the transition: whoever sees a terminal job also
         # sees it in the totals.
         try:
-            values = await asyncio.gather(
-                *(self._resolve_item(job, item) for item in decomposed.items))
-            result = jsonable(decomposed.recompose(list(values)))
+            resolved = await asyncio.gather(*values)
+            result = jsonable(decomposed.recompose(list(resolved)))
         except Exception as exc:
             self.jobs_failed += 1
             job.fail("".join(traceback.format_exception_only(exc)).strip())
@@ -243,8 +285,7 @@ class CoalescingEngine:
         setattr(job, outcome, getattr(job, outcome) + 1)
         self.item_totals[outcome] += 1
 
-    def _resolve_item(self, job: Job,
-                      item: WorkItem) -> "asyncio.Future[Any]":
+    def _resolve_item(self, job: Job, item: WorkItem) -> "Awaitable[Any]":
         digest = item.digest()
         shared = self._inflight.get(digest)
         assert self._loop is not None
@@ -264,25 +305,32 @@ class CoalescingEngine:
             self._tally(count_into, "cache_hits" if from_cache else "computed")
         return value
 
-    # -- micro-batch window ------------------------------------------------
+    # -- busy-driven batching ----------------------------------------------
 
-    def _arm_window(self) -> None:
-        if self._flush_handle is not None:
+    def _arm_window(self, hold_ms: Optional[float] = None) -> None:
+        """Schedule :meth:`_flush` while items are pending and a worker
+        is free: on the next tick, or after ``hold_ms`` (default
+        ``window_ms``).  While every worker is busy nothing is armed;
+        the next group to finish arms the flush instead."""
+        if (self._flush_handle is not None or not self._pending
+                or self._busy >= self.workers):
             return
         assert self._loop is not None
-        if self.window_ms <= 0:
-            self._flush_handle = self._loop.call_soon(  # type: ignore[assignment]
-                self._flush)
+        hold_ms = self.window_ms if hold_ms is None else hold_ms
+        if hold_ms <= 0:
+            self._flush_handle = self._loop.call_soon(self._flush)
         else:
             self._flush_handle = self._loop.call_later(
-                self.window_ms / 1000.0, self._flush)
+                hold_ms / 1000.0, self._flush)
 
     def _flush(self) -> None:
+        """Hand every pending group to the pool."""
         self._flush_handle = None
         groups, self._pending = self._pending, {}
         assert self._loop is not None
         for entries in groups.values():
             kind = entries[0][0].kind
+            self._busy += 1
             self.dispatches += 1
             self.dispatched_items += len(entries)
             self.largest_group = max(self.largest_group, len(entries))
@@ -302,6 +350,10 @@ class CoalescingEngine:
                 self._pool, self._dispatch_batch, kind, items)
         except BaseException as exc:
             resolved = [exc] * len(entries)
+        finally:
+            self._busy -= 1
+            # What queued behind the busy pool has waited: no hold.
+            self._arm_window(hold_ms=0)
         for (item, future), outcome in zip(entries, resolved):
             self._inflight.pop(item.digest(), None)
             if future.done():

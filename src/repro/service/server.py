@@ -9,7 +9,9 @@ Routes
 ------
 ``POST /jobs``
     Body ``{"experiment": name, "params": {...}}`` - returns ``202``
-    with the job snapshot (its ``id`` is the handle).
+    with the job snapshot (its ``id`` is the handle), or ``429`` with a
+    ``Retry-After`` header while the engine is full
+    (:class:`~repro.service.engine.EngineOverloaded`).
 ``GET /jobs`` / ``GET /jobs/<id>``
     Status snapshots.
 ``GET /jobs/<id>/result``
@@ -31,12 +33,15 @@ import threading
 from typing import Any, Dict, Optional, Tuple
 
 from repro.service.adapters import SUPPORTED_EXPERIMENTS
-from repro.service.engine import CoalescingEngine
+from repro.service.engine import CoalescingEngine, EngineOverloaded
 
 _MAX_BODY = 4 * 1024 * 1024  # a params dict, not an upload
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
-            413: "Payload Too Large", 500: "Internal Server Error"}
+            413: "Payload Too Large", 429: "Too Many Requests",
+            500: "Internal Server Error"}
+#: Seconds a refused client waits before it submits again.
+_RETRY_AFTER_S = 1
 
 
 class ServiceServer:
@@ -90,13 +95,15 @@ class ServiceServer:
             except _HttpError as exc:
                 await self._respond(writer, exc.status, {"error": str(exc)})
                 return
+            headers: Dict[str, str] = {}
             try:
                 status, payload = self._route(method, path, body)
             except _HttpError as exc:
                 status, payload = exc.status, {"error": str(exc)}
+                headers = exc.headers
             except Exception as exc:  # route bug: report, keep serving
                 status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-            await self._respond(writer, status, payload)
+            await self._respond(writer, status, payload, headers)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange
         finally:
@@ -181,26 +188,35 @@ class ServiceServer:
             raise _HttpError(400, "params must be a JSON object")
         try:
             job = self.engine.submit(str(body["experiment"]), params)
+        except EngineOverloaded as exc:
+            raise _HttpError(429, str(exc), headers={
+                "Retry-After": str(_RETRY_AFTER_S)}) from exc
         except ValueError as exc:
             raise _HttpError(400, str(exc)) from exc
         return 202, job.snapshot()
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
-                       payload: Any) -> None:
+                       payload: Any,
+                       headers: Optional[Dict[str, str]] = None) -> None:
         body = json.dumps(payload).encode()
         reason = _REASONS.get(status, "Unknown")
+        extra = "".join(f"{name}: {value}\r\n"
+                        for name, value in (headers or {}).items())
         head = (f"HTTP/1.1 {status} {reason}\r\n"
                 "Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
+                f"{extra}"
                 "Connection: close\r\n\r\n").encode("latin-1")
         writer.write(head + body)
         await writer.drain()
 
 
 class _HttpError(Exception):
-    def __init__(self, status: int, message: str) -> None:
+    def __init__(self, status: int, message: str,
+                 headers: Optional[Dict[str, str]] = None) -> None:
         super().__init__(message)
         self.status = status
+        self.headers = headers or {}
 
 
 class ServiceThread:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import errno
 import json
 import os
+import pickle
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +114,95 @@ class TestResultCacheEviction:
         assert enforce_cache_limit(tmp_path, ".json", 150) == 2
         assert not (tmp_path / "0.json").exists()
         assert (tmp_path / "2.json").exists()
+
+
+class TestBudgetedPutCost:
+    def test_puts_under_an_unreached_budget_walk_the_root_once(
+            self, tmp_path, monkeypatch):
+        """Below its budget a store keeps a running total instead of
+        walking the root on every put."""
+        walks = []
+        rglob = Path.rglob
+
+        def counting_rglob(self, pattern):
+            walks.append(pattern)
+            return rglob(self, pattern)
+
+        monkeypatch.setattr(Path, "rglob", counting_rglob)
+        cache = ResultCache(tmp_path, max_bytes=10**9)
+        for index in range(100):
+            cache.put("ns", {"k": index}, {"v": index})
+        assert len(walks) == 1
+        assert cache.evictions == 0
+
+    def test_running_total_still_holds_the_budget(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("ns", {"k": 0}, {"v": 0})
+        cache.max_bytes = 5 * cache.size_bytes()
+        for index in range(1, 40):
+            cache.put("ns", {"k": index}, {"v": index})
+            assert cache.size_bytes() <= cache.max_bytes
+        assert cache.evictions > 0
+        assert cache.get("ns", {"k": 39}) == {"v": 39}
+
+    def test_other_writers_are_reconciled_at_the_next_walk(self, tmp_path):
+        """A second store's writes are not in this store's total until
+        its own puts pass the budget; that walk sees and evicts them."""
+        mine = ResultCache(tmp_path, max_bytes=10**9)
+        mine.put("ns", {"k": "mine"}, {"v": 0})
+        entry = mine.size_bytes()
+        other = ResultCache(tmp_path)
+        for index in range(20):
+            other.put("ns", {"k": index}, {"v": index})
+            _set_mtime(other._path("ns", {"k": index}), 1_000 + index)
+        mine.max_bytes = 10 * entry
+        mine.put("ns", {"k": "mine"}, {"v": 1})  # total 2 entries: no walk
+        assert mine.evictions == 0
+        for index in range(8):
+            mine.put("ns", {"k": f"mine{index}"}, {"v": index})
+        assert mine.evictions > 0
+        assert mine.size_bytes() <= mine.max_bytes
+
+    def test_concurrent_puts_lose_no_bytes(self, tmp_path):
+        """Dispatch threads share one store: every put's bytes reach the
+        running total, so after the first walk it equals the root's
+        size exactly (distinct keys, no overwrites)."""
+        cache = ResultCache(tmp_path, max_bytes=10**9)
+        cache.put("ns", {"k": "first"}, {"v": 0})  # the one walk
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def writer(thread):
+            try:
+                barrier.wait(5)
+                for index in range(40):
+                    cache.put("ns", {"k": [thread, index]}, {"v": index})
+            except Exception as exc:  # noqa: BLE001 - record any failure
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(index,))
+                   for index in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache._tracked_bytes == cache.size_bytes()
+        assert cache.evictions == 0
+
+    def test_store_pickles_for_process_pools(self, tmp_path):
+        cache = ResultCache(tmp_path, max_bytes=10**9)
+        cache.put("ns", {"k": 1}, {"v": 1})
+        clone = pickle.loads(pickle.dumps(cache))
+        clone.put("ns", {"k": 2}, {"v": 2})
+        assert clone.get("ns", {"k": 1}) == {"v": 1}
+        assert cache.get("ns", {"k": 2}) == {"v": 2}
 
 
 class TestTraceCacheEviction:

@@ -1,14 +1,17 @@
-"""Coalescing engine: windows, dedup, caching, failure handling."""
+"""Coalescing engine: busy-driven batching, dedup, caching, failure
+handling."""
 
 from __future__ import annotations
 
 import asyncio
 import errno
 import json
+import threading
 
 import pytest
 
 from repro.experiments.parallel import SINGLE_FLIGHT, ResultCache, _flight_key
+from repro.service import adapters
 from repro.service.adapters import compute_item, decompose, jsonable, run_job_naive
 from repro.service.engine import CoalescingEngine
 from repro.service.jobs import JobStore
@@ -345,3 +348,115 @@ class TestFailure:
         job = run(main())
         assert job.state.value == "failed"
         assert "instruction limit" in (job.error or "")
+
+
+class TestBusyDrivenBatching:
+    """Items dispatch while a worker is free and batch while none is."""
+
+    def test_default_engine_arms_no_timer(self, monkeypatch):
+        """With the default window an idle engine dispatches on the next
+        tick: the first item waits for no timer."""
+        async def main():
+            loop = asyncio.get_running_loop()
+            timers = []
+            call_later = loop.call_later
+
+            def recording(delay, *args, **kwargs):
+                timers.append(delay)
+                return call_later(delay, *args, **kwargs)
+
+            monkeypatch.setattr(loop, "call_later", recording)
+            async with CoalescingEngine(cache=None) as eng:
+                job = await eng.run("pulse_rf", {"pattern": [[1, 3]]})
+                return job, eng.stats(), timers
+
+        job, stats, timers = run(main())
+        assert timers == []
+        assert job.state.value == "done", job.error
+        assert stats["window_ms"] == 0
+
+    def test_jobs_queued_behind_a_held_dispatch_leave_as_one_group(
+            self, monkeypatch):
+        """One worker, its first pulse dispatch held: three strangers'
+        jobs submitted 50 ms apart meanwhile wait for the worker and
+        leave together as one 3-lane dispatch."""
+        patterns = [[[1, 3]], [[2, 5]], [[3, 6]], [[4, 9]]]
+        naive = [run_job_naive("pulse_rf", {"pattern": pattern})
+                 for pattern in patterns]
+        pulse = adapters.DISPATCHERS["pulse"]
+        entered = threading.Event()
+        release = threading.Event()
+        lanes = []
+
+        def held(payloads):
+            lanes.append(len(payloads))
+            if len(lanes) == 1:
+                entered.set()
+                release.wait(30)
+            return pulse(payloads)
+
+        monkeypatch.setitem(adapters.DISPATCHERS, "pulse", held)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            async with CoalescingEngine(cache=None, workers=1) as eng:
+                try:
+                    jobs = [eng.submit("pulse_rf", {"pattern": patterns[0]})]
+                    assert await loop.run_in_executor(None, entered.wait, 30)
+                    for pattern in patterns[1:]:
+                        await asyncio.sleep(0.05)
+                        jobs.append(eng.submit("pulse_rf",
+                                               {"pattern": pattern}))
+                finally:
+                    release.set()
+                for job in jobs:
+                    await eng.wait(job)
+                return jobs, eng.stats()
+
+        jobs, stats = run(main())
+        assert lanes == [1, 3]
+        assert (stats["dispatches"], stats["largest_group"]) == (2, 3)
+        for job, expected in zip(jobs, naive):
+            assert job.state.value == "done", job.error
+            assert json.dumps(job.result, sort_keys=True) == \
+                json.dumps(expected, sort_keys=True)
+
+    def test_raising_dispatches_fail_their_jobs_and_free_the_worker(
+            self, tmp_path, monkeypatch):
+        """One worker, a dispatcher that raises: the jobs it served fail
+        with its message, and a later healthy job still gets the worker
+        (a raising dispatch leaks no busy slot) and no flight is left."""
+        pulse = adapters.DISPATCHERS["pulse"]
+        faulty = [True]
+
+        def flaky(payloads):
+            if faulty[0]:
+                raise RuntimeError("injected pulse fault")
+            return pulse(payloads)
+
+        monkeypatch.setitem(adapters.DISPATCHERS, "pulse", flaky)
+        healthy_params = {"pattern": [[5, 12]]}
+
+        async def main():
+            async with CoalescingEngine(cache=ResultCache(tmp_path),
+                                        workers=1) as eng:
+                failed = [eng.submit("pulse_rf", {"pattern": [[1, value]]})
+                          for value in range(3)]
+                for job in failed:
+                    await asyncio.wait_for(eng.wait(job), 60)
+                failed.append(await asyncio.wait_for(
+                    eng.run("pulse_rf", {"pattern": [[2, 7]]}), 60))
+                faulty[0] = False
+                healthy = await asyncio.wait_for(
+                    eng.run("pulse_rf", healthy_params), 60)
+                return failed, healthy, eng.stats()
+
+        failed, healthy, stats = run(main())
+        for job in failed:
+            assert job.state.value == "failed"
+            assert "injected pulse fault" in (job.error or "")
+        assert healthy.state.value == "done", healthy.error
+        assert json.dumps(healthy.result, sort_keys=True) == json.dumps(
+            run_job_naive("pulse_rf", healthy_params), sort_keys=True)
+        assert (stats["jobs_failed"], stats["jobs_done"]) == (4, 1)
+        assert SINGLE_FLIGHT.in_flight() == 0

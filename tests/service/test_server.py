@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import threading
 
 import pytest
 
 from repro.experiments.parallel import ResultCache
+from repro.service import adapters
+from repro.service import engine as engine_module
 from repro.service.adapters import run_job_naive
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobState, JobStore
@@ -103,6 +107,54 @@ class TestEndpoints:
             "designs": ["ndro_rf", "hiperrf"], "max_instructions": 10})
         with pytest.raises(ServiceError, match="instruction limit"):
             client.wait(job["id"], timeout=300)
+
+
+class TestOverload:
+    def test_full_engine_refuses_with_429_until_it_drains(
+            self, tmp_path, monkeypatch):
+        """At the in-flight limit a distinct submit gets 429 with
+        Retry-After; accepted jobs still complete, and once they have,
+        submits are accepted again."""
+        monkeypatch.setattr(engine_module, "MAX_INFLIGHT_ITEMS", 1)
+        pulse = adapters.DISPATCHERS["pulse"]
+        entered = threading.Event()
+        release = threading.Event()
+
+        def held(payloads):
+            entered.set()
+            release.wait(30)
+            return pulse(payloads)
+
+        monkeypatch.setitem(adapters.DISPATCHERS, "pulse", held)
+        accepted_params = {"pattern": [[1, 3]]}
+        later_params = {"pattern": [[2, 5]]}
+        with ServiceThread(cache=ResultCache(tmp_path)) as svc:
+            client = ServiceClient(*svc.address)
+            try:
+                accepted = client.submit("pulse_rf", accepted_params)
+                assert entered.wait(30)
+                connection = http.client.HTTPConnection(*svc.address,
+                                                        timeout=30)
+                try:
+                    connection.request("POST", "/jobs", body=json.dumps(
+                        {"experiment": "pulse_rf", "params": later_params}))
+                    response = connection.getresponse()
+                    refusal = json.loads(response.read())
+                finally:
+                    connection.close()
+            finally:
+                release.set()
+            assert response.status == 429
+            assert response.getheader("Retry-After") == "1"
+            assert "retry later" in refusal["error"]
+            assert client.wait(accepted["id"], timeout=60) == \
+                run_job_naive("pulse_rf", accepted_params)
+            later = client.submit("pulse_rf", later_params)
+            assert client.wait(later["id"], timeout=60) == \
+                run_job_naive("pulse_rf", later_params)
+            stats = client.stats()
+        assert stats["refused"] == 1
+        assert (stats["jobs"], stats["jobs_done"]) == (2, 2)
 
 
 class TestJobStore:
