@@ -61,6 +61,9 @@ CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 #: Environment variable bounding on-disk cache size (bytes; 0/unset =
 #: unlimited): one budget over every entry under the cache root.
 MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"
+#: Share of the byte budget a store's later walks evict down to, so one
+#: walk of a full root makes room for the next puts.
+LOW_WATER = 0.9
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -260,12 +263,16 @@ class ResultCache:
     under the root, whatever its namespace: experiment results and the
     op tapes of :func:`repro.cpu.optape.tape_for_program` share it.
 
-    A budgeted put costs O(1) until the budget is reached: the store
-    keeps the total its last walk of the root found plus the bytes it
-    has written since, and walks (and evicts) only when that sum passes
-    the budget; its first budgeted put walks.  Writes by other stores
-    or processes sharing the root are therefore reconciled at this
-    store's next over-budget put, not at each put.
+    A budgeted put does not walk the root each time: the store keeps
+    the total its last walk found plus the bytes it has written since,
+    and walks (and evicts) only when that sum passes the budget.  Its
+    first budgeted put walks and evicts down to the budget, so a
+    short-lived store drops no more than it must; its later walks evict
+    down to :data:`LOW_WATER` of the budget, so on a full root one walk
+    covers a tenth of the budget's worth of puts instead of one put.
+    Writes by other stores or processes sharing the root are reconciled
+    at this store's next walk, not at each put.  A pickled copy (a
+    process-pool worker's) has no total and walks at its first put.
     """
 
     def __init__(self, root: Union[str, Path],
@@ -283,6 +290,9 @@ class ResultCache:
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         del state["_budget_lock"]  # locks do not pickle (process pools)
+        # A copy's writes never reach this store's total, nor this
+        # store's writes the copy's: the copy walks at its first put.
+        state["_tracked_bytes"] = None
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -356,15 +366,18 @@ class ResultCache:
 
     def _charge(self, written: int, limit: int) -> None:
         """Add a put's bytes to the running total; walk the root and
-        evict only once the total passes ``limit`` (or was never
-        taken).  An overwrite counts in full, so the total errs high."""
+        evict only once the total passes ``limit`` (down to
+        :data:`LOW_WATER` of it) or was never taken (down to ``limit``).
+        An overwrite counts in full, so the total errs high."""
         with self._budget_lock:
+            target = limit
             if self._tracked_bytes is not None:
                 self._tracked_bytes += written
                 if self._tracked_bytes <= limit:
                     return
+                target = int(limit * LOW_WATER)
             evicted, self._tracked_bytes = _evict_lru(
-                self.root, ".json", limit)
+                self.root, ".json", target)
             self.evictions += evicted
 
     def size_bytes(self) -> int:

@@ -32,9 +32,11 @@ Each submitted job decomposes into unit work items
    and ``stats()["cache"]["put_errors"]`` counts it.
 
 The queue is bounded: :meth:`CoalescingEngine.submit` raises
-:class:`EngineOverloaded` while the engine holds
-:data:`MAX_INFLIGHT_ITEMS` distinct unresolved items, and the HTTP
-front-end answers that with ``429 Too Many Requests``.
+:class:`EngineOverloaded` when a job's new items would take the engine
+past :data:`MAX_INFLIGHT_ITEMS` distinct unresolved items, and the HTTP
+front-end answers that with ``429 Too Many Requests``.  A job larger
+than the limit on its own is a ``ValueError`` (HTTP ``400``): it could
+never be accepted.
 
 The engine is asyncio-native: construct it on a running loop (or use
 :class:`~repro.service.server.ServiceThread`, which hosts one in a
@@ -75,15 +77,16 @@ from repro.service.adapters import (
 )
 from repro.service.jobs import Job, JobStore
 
-#: Distinct unresolved items the engine holds before ``submit`` refuses
-#: new jobs.  Far above a working load (a burst of 200 requests holds
-#: under 100): it bounds memory when clients outrun the workers.
+#: Most distinct unresolved items the engine holds: ``submit`` refuses
+#: a job whose new items would pass it, so a job's own items count.
+#: Far above a working load (a burst of 200 requests holds under 100):
+#: it bounds memory when clients outrun the workers.
 MAX_INFLIGHT_ITEMS = 4096
 
 
 class EngineOverloaded(RuntimeError):
-    """``submit`` refused a job: the engine holds
-    :data:`MAX_INFLIGHT_ITEMS` unresolved items.  Retry later."""
+    """``submit`` refused a job: its new items would take the engine
+    past :data:`MAX_INFLIGHT_ITEMS` unresolved items.  Retry later."""
 
 
 def _dispatch_isolated(kind: str, payloads: List[Any]) -> List[Any]:
@@ -199,18 +202,26 @@ class CoalescingEngine:
     def submit(self, experiment: str, params: Optional[Dict[str, Any]] = None
                ) -> Job:
         """Register a job and start resolving it; raises ``ValueError``
-        on an unknown experiment or bad params, and
-        :class:`EngineOverloaded` while :data:`MAX_INFLIGHT_ITEMS`
-        distinct items are unresolved (no job is created)."""
+        on an unknown experiment, bad params or a job of more than
+        :data:`MAX_INFLIGHT_ITEMS` distinct items, and
+        :class:`EngineOverloaded` when the job's new items would take
+        the engine past that many unresolved items (no job is
+        created)."""
         if self._loop is None:
             raise RuntimeError("engine not started (use 'async with' or "
                                "await start())")
-        if len(self._inflight) >= MAX_INFLIGHT_ITEMS:
+        decomposed = decompose(experiment, params)
+        digests = {item.digest() for item in decomposed.items}
+        if len(digests) > MAX_INFLIGHT_ITEMS:
+            raise ValueError(
+                f"{experiment} job has {len(digests)} distinct items; "
+                f"the engine holds at most {MAX_INFLIGHT_ITEMS}")
+        added = len(digests - self._inflight.keys())
+        if len(self._inflight) + added > MAX_INFLIGHT_ITEMS:
             self.refused += 1
             raise EngineOverloaded(
-                f"{len(self._inflight)} items unresolved "
-                f"(limit {MAX_INFLIGHT_ITEMS}); retry later")
-        decomposed = decompose(experiment, params)
+                f"{len(self._inflight)} items unresolved and the job adds "
+                f"{added} (limit {MAX_INFLIGHT_ITEMS}); retry later")
         job = self.store.create(experiment, dict(params or {}))
         job.items = len(decomposed.items)
         self.item_totals["items"] += job.items

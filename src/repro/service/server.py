@@ -10,8 +10,8 @@ Routes
 ``POST /jobs``
     Body ``{"experiment": name, "params": {...}}`` - returns ``202``
     with the job snapshot (its ``id`` is the handle), or ``429`` with a
-    ``Retry-After`` header while the engine is full
-    (:class:`~repro.service.engine.EngineOverloaded`).
+    ``Retry-After`` header when the job's items would overfill the
+    engine (:class:`~repro.service.engine.EngineOverloaded`).
 ``GET /jobs`` / ``GET /jobs/<id>``
     Status snapshots.
 ``GET /jobs/<id>/result``

@@ -20,6 +20,7 @@ from repro.cpu.optape import (
     _tape_entry,
     _tape_from_entry,
 )
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     MAX_BYTES_ENV_VAR,
     ResultCache,
@@ -135,6 +136,32 @@ class TestBudgetedPutCost:
         assert len(walks) == 1
         assert cache.evictions == 0
 
+    def test_a_full_root_walks_once_per_tenth_of_the_budget(
+            self, tmp_path, monkeypatch):
+        """A walk the running total triggers evicts down to the low-water
+        mark, so the puts that follow on a full root do not walk."""
+        walks = []
+        evict_lru = parallel._evict_lru
+
+        def counting(root, suffix, max_bytes):
+            walks.append(max_bytes)
+            return evict_lru(root, suffix, max_bytes)
+
+        monkeypatch.setattr(parallel, "_evict_lru", counting)
+        probe = ResultCache(tmp_path / "probe")
+        probe.put("ns", {"k": 1000}, {"v": 1000})
+        entry = probe.size_bytes()
+        cache = ResultCache(tmp_path / "root", max_bytes=50 * entry)
+        for index in range(1000, 1200):  # keys of one size
+            cache.put("ns", {"k": index}, {"v": index})
+            assert cache.size_bytes() <= cache.max_bytes
+        # The first put walks, the 51st fills the root; from there a
+        # walk leaves 45 entries, so one walk per 6 puts.
+        assert len(walks) == 1 + -(-150 // 6)
+        assert walks[0] == 50 * entry
+        assert set(walks[1:]) == {int(50 * entry * parallel.LOW_WATER)}
+        assert cache.size_bytes() >= 45 * entry
+
     def test_running_total_still_holds_the_budget(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("ns", {"k": 0}, {"v": 0})
@@ -195,6 +222,21 @@ class TestBudgetedPutCost:
         assert errors == []
         assert cache._tracked_bytes == cache.size_bytes()
         assert cache.evictions == 0
+
+    def test_pickled_copies_walk_at_their_first_put(self, tmp_path):
+        """Process-pool workers each put through a pickled copy of one
+        store.  The copies' writes never reach the original's total, so
+        each copy walks at its first put and the root keeps its
+        budget."""
+        cache = ResultCache(tmp_path, max_bytes=10**9)
+        cache.put("ns", {"k": 100}, {"v": 100})  # walks; total of 1
+        entry = cache.size_bytes()
+        cache.max_bytes = 10 * entry
+        for index in range(101, 130):
+            clone = pickle.loads(pickle.dumps(cache))
+            clone.put("ns", {"k": index}, {"v": index})
+            assert clone.evictions == (1 if index > 109 else 0)
+            assert cache.size_bytes() <= cache.max_bytes
 
     def test_store_pickles_for_process_pools(self, tmp_path):
         cache = ResultCache(tmp_path, max_bytes=10**9)

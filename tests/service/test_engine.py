@@ -12,8 +12,9 @@ import pytest
 
 from repro.experiments.parallel import SINGLE_FLIGHT, ResultCache, _flight_key
 from repro.service import adapters
+from repro.service import engine as engine_module
 from repro.service.adapters import compute_item, decompose, jsonable, run_job_naive
-from repro.service.engine import CoalescingEngine
+from repro.service.engine import CoalescingEngine, EngineOverloaded
 from repro.service.jobs import JobStore
 from tests.service.test_adapters import CHEAP_MARGINS
 
@@ -460,3 +461,40 @@ class TestBusyDrivenBatching:
             run_job_naive("pulse_rf", healthy_params), sort_keys=True)
         assert (stats["jobs_failed"], stats["jobs_done"]) == (4, 1)
         assert SINGLE_FLIGHT.in_flight() == 0
+
+
+class TestInflightLimit:
+    def test_a_jobs_own_items_count_against_the_limit(self, tmp_path,
+                                                       monkeypatch):
+        """Submit counts the distinct items a job would add: a job that
+        would pass the limit is refused, one whose items are already in
+        flight is not, and a job larger than the limit on its own is a
+        bad request rather than a refusal."""
+        monkeypatch.setattr(engine_module, "MAX_INFLIGHT_ITEMS", 3)
+        two = dict(CHEAP_MARGINS, write_counts=[0])     # 2 items
+        other_two = dict(CHEAP_MARGINS, write_counts=[2])
+        one = dict(CHEAP_MARGINS, scales=[1.05], write_counts=[0])
+
+        async def main():
+            async with CoalescingEngine(cache=ResultCache(tmp_path)) as eng:
+                # No await between submits: every item stays in flight.
+                accepted = [eng.submit("margins", two)]
+                with pytest.raises(EngineOverloaded, match="adds 2"):
+                    eng.submit("margins", other_two)
+                accepted.append(eng.submit("margins", two))  # adds 0
+                accepted.append(eng.submit("margins", one))  # 3 of 3
+                with pytest.raises(ValueError, match="4 distinct items"):
+                    eng.submit("margins", CHEAP_MARGINS)
+                in_flight = len(eng._inflight)
+                for job in accepted:
+                    await asyncio.wait_for(eng.wait(job), 120)
+                after = eng.submit("margins", other_two)
+                await asyncio.wait_for(eng.wait(after), 120)
+                return accepted + [after], in_flight, eng.stats()
+
+        jobs, in_flight, stats = run(main())
+        assert in_flight == 3
+        assert all(job.state.value == "done" for job in jobs), \
+            [job.error for job in jobs]
+        assert stats["refused"] == 1
+        assert stats["jobs"] == 4
