@@ -9,6 +9,11 @@ path on a full 5x5 margin grid (x3 write counts = 75 lanes) and
 enforces the single-worker speedup bar.
 ``test_megabatch_monte_carlo_yield`` scales the same testbench through
 the chunked Monte Carlo tier and records lanes/sec at each batch size.
+
+The benchmarks run with ``REPRO_CACHE_DIR`` unset, so every sweep
+simulates every lane and a developer's warm cache never leaks in;
+``test_margin_sweep_cached_revisit`` times a revisit on its own
+temporary cache root.
 """
 
 import os
@@ -38,6 +43,11 @@ TIMING_REPS = int(os.environ.get("REPRO_BENCH_REPS", "3"))
 MEGABATCH_SIZES = (75, 1_000, 10_000, 50_000)
 MEGABATCH_MAX_LANES = int(
     os.environ.get("REPRO_BENCH_MEGABATCH_MAX_LANES", "50000"))
+
+
+@pytest.fixture(autouse=True)
+def _no_cache(monkeypatch):
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
 MIN_MEGABATCH_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_MEGABATCH_MIN_SPEEDUP", "10.0"))
 
@@ -87,11 +97,7 @@ def test_hcdro_reference_solver(benchmark):
 
 
 def test_josim_experiment_sweep(benchmark):
-    def cold_sweep():
-        sweep.clear_run_cache()
-        return josim_cells.run()
-
-    rows = benchmark.pedantic(cold_sweep, rounds=1, iterations=1)
+    rows = benchmark.pedantic(josim_cells.run, rounds=1, iterations=1)
     for row in rows:
         assert row["stored"] == min(row["writes"], 3)
 
@@ -100,15 +106,14 @@ def test_batched_margin_grid_speedup(benchmark):
     """Batched vs scalar margin grid on a single worker.
 
     Both paths sweep the identical 5x5 (read, bias) grid with the
-    default three write counts (75 lanes), run cache cleared so every
-    lane is simulated.  The batched path groups the 75 configs into
+    default three write counts (75 lanes), uncached so every lane is
+    simulated.  The batched path groups the 75 configs into
     three 25-lane topology batches; the scalar path lifts the lane-count
     rule above 25 lanes, so the scalar testbench runs once per grid
     config.  Verdicts must agree point-for-point - the two tiers share
     one formulation.
     """
     def grid():
-        sweep.clear_run_cache()
         return sweep_margin_grid(GRID_SCALES, GRID_SCALES, workers=1)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -218,9 +223,9 @@ def test_megabatch_monte_carlo_yield(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_margin_sweep_cached_revisit(benchmark):
+def test_margin_sweep_cached_revisit(benchmark, tmp_path, monkeypatch):
     """A margin sweep revisiting cached points must be near-free."""
-    sweep.clear_run_cache()
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     points = sweep_read_amplitude(scales=(0.95, 1.0, 1.05))
     assert points[1].correct
 
@@ -228,5 +233,6 @@ def test_margin_sweep_cached_revisit(benchmark):
         return sweep_read_amplitude(scales=(0.95, 1.0, 1.05))
 
     again = benchmark(revisit)
-    benchmark.extra_info["cache_entries"] = sweep.run_cache_size()
+    benchmark.extra_info["cache_entries"] = len(list(
+        (tmp_path / sweep.HCDRO_NAMESPACE).glob("*.json")))
     assert [p.correct for p in again] == [p.correct for p in points]

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.cpu import CoreConfig, simulate_program
+from repro.cpu import CoreConfig, CpiReport, simulate_program
 from repro.cpu.rf_model import RF_DESIGN_NAMES
 from repro.errors import ExecutionError
 from repro.experiments import paper_data
@@ -55,18 +55,24 @@ class Figure14Result:
         return statistics.mean(self.baseline_cpi.values())
 
 
+#: Cache namespace of workload rows; service ``figure14`` items share it.
+NAMESPACE = "figure14-v1"
+
 _Point = Tuple[str, float, Tuple[str, ...], Optional[CoreConfig], int,
                CacheLike]
 
 
-def _run_workload(point: _Point) -> Dict[str, object]:
-    """One workload's CPI study: runs in a worker process."""
-    name, scale, designs, config, max_instructions, cache = point
-    workload = get_workload(name)
-    program = assemble(workload.build(scale))
-    reports = simulate_program(program, designs, name, config=config,
-                               max_instructions=max_instructions,
-                               trace_cache=cache)
+def row_key(name: str, scale: float, designs: Sequence[str],
+            config: Optional[CoreConfig], max_instructions: int) -> tuple:
+    """The :data:`NAMESPACE` key of one workload row."""
+    return (name, scale, list(designs), config or CoreConfig(),
+            max_instructions)
+
+
+def workload_row(name: str, reports: Mapping[str, CpiReport],
+                 designs: Sequence[str]) -> Dict[str, object]:
+    """One workload's row: the baseline's self-check, CPI and
+    instruction count, and every other design's CPI overhead over it."""
     baseline = reports["ndro_rf"]
     if baseline.exit_code != PASS_EXIT_CODE:
         raise ExecutionError(
@@ -80,6 +86,17 @@ def _run_workload(point: _Point) -> Dict[str, object]:
     }
 
 
+def _run_workload(point: _Point) -> Dict[str, object]:
+    """One workload's CPI study: runs in a worker process."""
+    name, scale, designs, config, max_instructions, cache = point
+    workload = get_workload(name)
+    program = assemble(workload.build(scale))
+    reports = simulate_program(program, designs, name, config=config,
+                               max_instructions=max_instructions,
+                               trace_cache=cache)
+    return workload_row(name, reports, designs)
+
+
 def run(scale: float = 1.0, designs: Sequence[str] = RF_DESIGN_NAMES,
         config: CoreConfig | None = None,
         max_instructions: int = 400_000,
@@ -91,9 +108,9 @@ def run(scale: float = 1.0, designs: Sequence[str] = RF_DESIGN_NAMES,
         overhead_percent={d: {} for d in designs if d != "ndro_rf"})
     points: list = [(name, scale, designs, config, max_instructions, cache)
                     for name in FIGURE14_WORKLOADS]
-    keys = [(name, scale, list(designs), config or CoreConfig(),
-             max_instructions) for name in FIGURE14_WORKLOADS]
-    rows = cached_map("figure14-v1", _run_workload, points, keys=keys,
+    keys = [row_key(name, scale, designs, config, max_instructions)
+            for name in FIGURE14_WORKLOADS]
+    rows = cached_map(NAMESPACE, _run_workload, points, keys=keys,
                       workers=workers, cache=cache)
     for name, row in zip(FIGURE14_WORKLOADS, rows):
         result.baseline_cpi[name] = float(row["baseline_cpi"])  # type: ignore[arg-type]

@@ -17,14 +17,25 @@ from repro.rf import HiPerRF, RFGeometry, placed_loopback_report
 from repro.rf.wiring import place_loopback_segments
 
 
+#: Cache namespace of loopback reports; service ``figure15`` items share it.
+NAMESPACE = "figure15-v1"
+
+
+def report_key(cell_pitch_um: float) -> Dict[str, float]:
+    """The :data:`NAMESPACE` key of one loopback report."""
+    return {"cell_pitch_um": cell_pitch_um}
+
+
+def loopback_report(cell_pitch_um: float = 75.0) -> Dict[str, float]:
+    """The placed loopback path of the paper's 32x32 HiPerRF, uncached."""
+    return placed_loopback_report(HiPerRF(RFGeometry(32, 32)),
+                                  cell_pitch_um=cell_pitch_um)
+
+
 def run(cell_pitch_um: float = 75.0,
         cache: CacheLike = None) -> Dict[str, float]:
-    def compute() -> Dict[str, float]:
-        design = HiPerRF(RFGeometry(32, 32))
-        return placed_loopback_report(design, cell_pitch_um=cell_pitch_um)
-
-    return cached_call("figure15-v1", {"cell_pitch_um": cell_pitch_um},
-                       compute, cache=cache)
+    return cached_call(NAMESPACE, report_key(cell_pitch_um),
+                       lambda: loopback_report(cell_pitch_um), cache=cache)
 
 
 def loopback_read_sweep(read_counts: List[int] | None = None
@@ -54,11 +65,7 @@ def loopback_read_sweep(read_counts: List[int] | None = None
             t = rf.write_word(register, value, 0.0)
             lane_settles = []
             for _ in range(k):
-                settle = rf.schedule_read(register, t, loopback=True)
-                rf._broadcast(rf.hcr_read_tree, settle + 5.0)
-                rf._broadcast(rf.hcr_reset_tree, settle + 15.0)
-                engine.run(until_ps=t + 2 * rf.op_period_ps)
-                lane_settles.append(settle)
+                lane_settles.append(rf.probed_read(register, t))
                 t += 2 * rf.op_period_ps
         stimuli.append(capture.stimulus())
         settles.append(lane_settles)
@@ -67,16 +74,8 @@ def loopback_read_sweep(read_counts: List[int] | None = None
     rows = []
     for k, lane_settles, outcome in zip(counts, settles, outcomes):
         install_lane(compiled, outcome)
-        reads_ok = True
-        for settle in lane_settles:
-            got = 0
-            for c in range(rf.columns):
-                b0 = bool(rf.b0_probes[c].pulses_in_window(settle,
-                                                           settle + 100.0))
-                b1 = bool(rf.b1_probes[c].pulses_in_window(settle,
-                                                           settle + 100.0))
-                got |= (int(b0) | (int(b1) << 1)) << (2 * c)
-            reads_ok = reads_ok and got == value
+        reads_ok = all(rf.probe_word(settle) == value
+                       for settle in lane_settles)
         restored = rf.stored_word(register) == value
         rows.append({"reads": float(k),
                      "reads_ok": float(reads_ok),

@@ -3,26 +3,24 @@
 The paper's evaluation artifacts are dominated by embarrassingly
 parallel sweeps: one CPI run per workload (Figure 14), one analytic
 model per geometry (scaling), one transient simulation per operating
-point (margins).  :mod:`repro.josim.sweep` grew the first
-worker-pool/run-cache implementation for the analog studies; this
-module generalises that machinery so every experiment shares it:
+point (margins).  Every experiment shares this machinery:
 
 * :func:`resolve_workers` / :func:`parallel_map` - the pool-or-serial
-  executor (moved here from ``repro.josim.sweep``, which re-exports
-  them for compatibility).
+  executor.
 * :class:`ResultCache` - an on-disk JSON store keyed by
   ``(namespace, key)``.  The namespace identifies the experiment *and
   its result-format version* (bump the suffix when the semantics of a
   result change - that is the invalidation mechanism); the key encodes
   every input that can change the result.
 * :func:`cached_batch` - the one cache-miss protocol, which
-  :func:`cached_call`, :func:`cached_map` and the service's dispatch
-  thread share, each keeping only its own error policy.
+  :func:`cached_call`, :func:`cached_map`, the analog sweep's
+  :func:`repro.josim.sweep.run_configs` and the service's dispatch
+  thread share, each keeping only its own error policy.  It also owns
+  the no-cache case: every entry computes once.
 * :func:`cached_call` - memoise one expensive call through a cache.
 * :func:`cached_map` - the combination: look up each point, fan the
   misses out over a process pool, store what came back, and return
-  results in input order.  This is ``repro.josim.sweep.run_configs``
-  generalised to arbitrary functions and persistent storage.
+  results in input order.
 * :class:`SingleFlight` - key-indexed in-flight deduplication for
   threaded callers (the long-running simulation service): when several
   threads ask for the same key at once, one computes and the rest wait
@@ -419,7 +417,8 @@ Resolved = Tuple[Any, bool]
 Outcome = Union[Resolved, BaseException]
 
 
-def cached_batch(store: ResultCache, entries: Sequence[Tuple[str, Any]],
+def cached_batch(store: Optional[ResultCache],
+                 entries: Sequence[Tuple[str, Any]],
                  compute: Callable[[List[int]], Sequence[Any]]
                  ) -> Tuple[List[Outcome], List[Exception]]:
     """Resolve ``(namespace, key)`` entries through ``store`` and
@@ -433,8 +432,12 @@ def cached_batch(store: ResultCache, entries: Sequence[Tuple[str, Any]],
     than raised, and every led flight finishes with its value or its
     exception.  Flights other threads lead are waited for last.  If
     ``compute`` raises, every led flight finishes with that exception,
-    which then propagates.
+    which then propagates.  With no store, every entry is computed once
+    and nothing is looked up, claimed or published.
     """
+    if store is None:
+        return [value if isinstance(value, BaseException) else (value, False)
+                for value in compute(list(range(len(entries))))], []
     outcomes: List[Optional[Outcome]] = [None] * len(entries)
     led: List[Tuple[int, Hashable, _Flight]] = []
     waiting: List[Tuple[int, _Flight]] = []
@@ -495,11 +498,8 @@ def cached_call(namespace: str, key: Any, fn: Callable[[], R],
     its result.  A publish that raises reaches the computing caller
     alone; the waiters still receive the computed value.
     """
-    store = coerce_cache(cache)
-    if store is None:
-        return fn()
     (outcome,), publish_errors = cached_batch(
-        store, [(namespace, key)], lambda led: [fn()])
+        coerce_cache(cache), [(namespace, key)], lambda led: [fn()])
     if publish_errors:
         raise publish_errors[0]
     return _value(outcome)  # type: ignore[no-any-return]
@@ -513,8 +513,9 @@ def cached_map(namespace: str, fn: Callable[[T], R], points: Sequence[T],
 
     ``keys`` supplies the cache key per point (defaults to the point
     itself, which must then be JSON-serialisable).  Duplicate keys are
-    looked up and computed once, already-cached points never reach the
-    pool, and the returned list matches ``points`` element-for-element.
+    looked up and computed once, with or without a cache;
+    already-cached points never reach the pool, and the returned list
+    matches ``points`` element-for-element.
 
     Misses are claimed through :func:`cached_batch`: this call leads the
     keys nobody else is computing (one pool fan-out for all of them) and
@@ -527,16 +528,13 @@ def cached_map(namespace: str, fn: Callable[[T], R], points: Sequence[T],
     key_list = list(keys) if keys is not None else items
     if len(key_list) != len(items):
         raise ValueError(f"{len(key_list)} keys for {len(items)} points")
-    store = coerce_cache(cache)
-    if store is None:
-        return parallel_map(fn, items, workers=workers)
     digests = [stable_key(key) for key in key_list]
     first: Dict[str, int] = {}  # digest -> index of its first occurrence
     for index, digest in enumerate(digests):
         first.setdefault(digest, index)
     distinct = list(first.values())
     outcomes, publish_errors = cached_batch(
-        store, [(namespace, key_list[index]) for index in distinct],
+        coerce_cache(cache), [(namespace, key_list[index]) for index in distinct],
         lambda led: parallel_map(fn, [items[distinct[i]] for i in led],
                                  workers=workers))
     if publish_errors:

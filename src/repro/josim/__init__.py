@@ -45,9 +45,7 @@ from repro.josim.sweep import (
     HCDROConfig,
     HCDROSummary,
     run_configs,
-    simulate_hcdro,
     simulate_hcdro_batch,
-    sweep_map,
     topology_key,
 )
 
@@ -70,9 +68,7 @@ __all__ = [
     "junction_fluxons",
     "loop_fluxons",
     "run_configs",
-    "simulate_hcdro",
     "simulate_hcdro_batch",
-    "sweep_map",
     "topology_key",
     "topology_signature",
 ]

@@ -14,11 +14,11 @@ each group's lane count picks the solver
 ``BATCHED_MIN_LANES`` or more run as one lane-parallel batched
 transient, smaller ones config by config on the scalar solver.  On a
 1-CPU host the whole grid executes in-process; with more workers,
-whole groups fan out across processes.  Repeated
-testbench configurations (e.g. the shared nominal point of a
-row/column sweep) are simulated once thanks to the keyed run-cache.
-Callers hand over grids of scales and get :class:`MarginPoint`
-verdicts back.
+whole groups fan out across processes.  A configuration repeated
+within one sweep is simulated once; with ``REPRO_CACHE_DIR`` set, one
+already in its ``hcdro-v1`` namespace (written by an earlier sweep or a
+service ``margins`` job) is not simulated again.  Callers hand over
+grids of scales and get :class:`MarginPoint` verdicts back.
 """
 
 from __future__ import annotations

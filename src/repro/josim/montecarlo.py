@@ -64,6 +64,7 @@ from repro.josim.solver import (
     TransientSolver,
     chunk_lane_limit,
 )
+from repro.josim.sweep import hcdro_correct
 from repro.josim.testbench import HCDRORunReport, _reduce_report, _stamp_stimulus
 
 #: Parameter kinds sampled per element class.
@@ -330,9 +331,8 @@ def run_lanes(config: YieldConfig, multipliers: np.ndarray,
 def _verdicts(config: YieldConfig,
               outcomes: Sequence[LaneOutcome]) -> np.ndarray:
     """Boolean (samples, scales) verdict matrix from lane outcomes."""
-    expected = min(config.writes, 3)
     flat = np.asarray([
-        stored_mid == expected and stored_end == 0 and pulses == expected
+        hcdro_correct(config.writes, stored_mid, stored_end, pulses)
         for stored_mid, stored_end, pulses in outcomes
     ], dtype=bool)
     return flat.reshape(config.samples, len(config.read_scales))

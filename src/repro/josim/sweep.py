@@ -1,54 +1,42 @@
-"""Parallel + batched sweep engine for analog cell-margin studies.
+"""Batched, cached sweep engine for analog cell-margin studies.
 
 Margin maps and cell studies are embarrassingly parallel: each
 operating point is an independent transient simulation.  This module
-provides the shared driver used by :mod:`repro.josim.margins` and the
-``josim``/``margins`` experiments:
+provides the shared driver used by :mod:`repro.josim.margins`, the
+``josim``/``margins`` experiments and the service's ``margins`` jobs:
 
 * :class:`HCDROConfig` — a frozen, hashable description of one HC-DRO
   testbench run (drive point + stimulus counts), usable as a cache key
   and picklable for worker processes.
-* :func:`simulate_hcdro` — run one configuration and reduce it to a
-  :class:`HCDROSummary` (the full waveform stays in the worker),
-  consulting the run-cache first.
+* :func:`hcdro_correct` — the Section II-D verdict.
 * :func:`simulate_hcdro_batch` — run many *same-topology*
   configurations through :func:`repro.josim.testbench.run_hcdro_batch`,
-  whose lane count picks the scalar or the batched solver.
+  whose lane count picks the scalar or the batched solver;
+  :func:`hcdro_values` reduces them to their :data:`HCDRO_NAMESPACE`
+  values and is also the service's ``hcdro`` dispatcher.
 * :func:`run_configs` — simulate many configurations with deterministic
-  result ordering and an LRU-bounded process-global run-cache
-  (:data:`RUN_CACHE_SIZE` summaries).  Pending configurations are
-  grouped by :func:`topology_key` (write count, read count, timestep —
-  the config-level proxy for
+  result ordering.  Distinct configurations resolve through
+  :func:`repro.experiments.parallel.cached_batch` under
+  :data:`HCDRO_NAMESPACE` on the ``REPRO_CACHE_DIR`` store, so CLI
+  sweeps and service ``margins`` jobs share entries.  Misses are
+  grouped by :func:`topology_key` (the config-level proxy for
   :func:`repro.josim.solver.topology_signature`), split into groups of
-  at most :data:`GROUP_MAX_LANES`, and :func:`sweep_map` runs
-  :func:`simulate_hcdro_batch` over the groups.
-* :func:`sweep_map` — :func:`repro.experiments.parallel.parallel_map`:
-  with more than one resolved worker and more than one group, groups
-  fan out across a ``ProcessPoolExecutor``; otherwise everything runs
-  in-process — no pool is ever spawned, so single-CPU machines never
-  pay pool startup for nothing.
+  at most :data:`GROUP_MAX_LANES`, and
+  :func:`repro.experiments.parallel.parallel_map` runs
+  :func:`hcdro_values` over the groups, fanning them out across
+  processes only with more than one resolved worker and group.
 
 Worker count resolution: an explicit ``workers`` argument wins, then
 the ``REPRO_SWEEP_WORKERS`` environment variable, then ``os.cpu_count()``.
-
-The executor machinery that started here has been generalised into
-:mod:`repro.experiments.parallel` (which adds on-disk result caching);
-``resolve_workers`` and ``sweep_map`` are re-exported from there so
-existing analog-study callers keep working unchanged.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.parallel import (  # noqa: F401  (re-exports)
-    WORKERS_ENV_VAR,
-    parallel_map as sweep_map,
-    resolve_workers,
-)
-
+from repro.experiments.parallel import cached_batch, coerce_cache, parallel_map
 from repro.josim.cells import (
     RECOMMENDED_J2_BIAS_UA,
     RECOMMENDED_PULSE_WIDTH_PS,
@@ -56,9 +44,10 @@ from repro.josim.cells import (
     RECOMMENDED_WRITE_PULSE_UA,
 )
 
-#: Run summaries the process-global run-cache keeps (LRU eviction), so
-#: long grid studies on small machines don't grow memory without limit.
-RUN_CACHE_SIZE = 4096
+#: Cache namespace of one HC-DRO run: key the :class:`HCDROConfig`,
+#: value its three fluxon counts.  ``run_configs`` and the service's
+#: ``hcdro`` items both read and write it.
+HCDRO_NAMESPACE = "hcdro-v1"
 
 #: Most configs one dispatch group carries.
 GROUP_MAX_LANES = 64
@@ -69,7 +58,8 @@ class HCDROConfig:
     """One HC-DRO testbench run, fully determined by its fields.
 
     Frozen and hashable so identical configurations share one cache
-    entry, and picklable so worker processes can receive it.
+    entry, and picklable so worker processes can receive it.  Counts
+    and durations out of range raise ``ValueError``.
     """
 
     writes: int = 0
@@ -81,6 +71,25 @@ class HCDROConfig:
     pulse_spacing_ps: float = 25.0
     timestep_ps: float = 0.05
     settle_ps: float = 30.0
+
+    def __post_init__(self) -> None:
+        if (self.writes < 0 or self.reads < 0 or not self.settle_ps >= 0
+                or not self.pulse_spacing_ps >= 0
+                or not self.timestep_ps > 0 or not self.pulse_width_ps > 0):
+            raise ValueError(f"{self}: writes, reads, settle_ps and "
+                             "pulse_spacing_ps must be non-negative, "
+                             "timestep_ps and pulse_width_ps positive")
+
+
+def hcdro_correct(writes: int, stored_after_writes: int, stored_at_end: int,
+                  output_pulses: int) -> bool:
+    """Perfect 2-bit behaviour (Section II-D): after ``writes`` write
+    pulses the cell stores ``min(w, 3)`` fluxons, the reads pop them
+    all, one output pulse each, and the cell ends empty."""
+    expected = min(writes, 3)
+    return (stored_after_writes == expected
+            and output_pulses == expected
+            and stored_at_end == 0)
 
 
 @dataclass(frozen=True)
@@ -99,11 +108,9 @@ class HCDROSummary:
 
     @property
     def correct(self) -> bool:
-        """Perfect 2-bit behaviour: store ``min(w, 3)``, pop all, end empty."""
-        expected = min(self.config.writes, 3)
-        return (self.stored_after_writes == expected
-                and self.output_pulses == expected
-                and self.stored_at_end == 0)
+        """:func:`hcdro_correct` of this run."""
+        return hcdro_correct(self.config.writes, self.stored_after_writes,
+                             self.stored_at_end, self.output_pulses)
 
 
 def topology_key(config: HCDROConfig) -> Tuple[int, int, float]:
@@ -115,44 +122,6 @@ def topology_key(config: HCDROConfig) -> Tuple[int, int, float]:
     spacing and settle time are per-lane data and deliberately absent.
     """
     return (config.writes, config.reads, config.timestep_ps)
-
-
-#: Process-global LRU run-cache; worker processes fill their own copy,
-#: the parent re-stores returned summaries so later sweeps hit locally.
-_RUN_CACHE: "OrderedDict[HCDROConfig, HCDROSummary]" = OrderedDict()
-
-
-def _cache_get(config: HCDROConfig) -> Optional[HCDROSummary]:
-    summary = _RUN_CACHE.get(config)
-    if summary is not None:
-        _RUN_CACHE.move_to_end(config)
-    return summary
-
-
-def _cache_put(config: HCDROConfig, summary: HCDROSummary) -> None:
-    _RUN_CACHE[config] = summary
-    _RUN_CACHE.move_to_end(config)
-    while len(_RUN_CACHE) > RUN_CACHE_SIZE:
-        _RUN_CACHE.popitem(last=False)
-
-
-def clear_run_cache() -> None:
-    """Drop all cached run summaries (mainly for tests and benchmarks)."""
-    _RUN_CACHE.clear()
-
-
-def run_cache_size() -> int:
-    return len(_RUN_CACHE)
-
-
-def simulate_hcdro(config: HCDROConfig) -> HCDROSummary:
-    """Simulate one configuration, consulting the run-cache first."""
-    cached = _cache_get(config)
-    if cached is not None:
-        return cached
-    summary = simulate_hcdro_batch([config])[0]
-    _cache_put(config, summary)
-    return summary
 
 
 def simulate_hcdro_batch(
@@ -170,13 +139,17 @@ def simulate_hcdro_batch(
     from repro.josim.testbench import run_hcdro_batch
 
     configs = list(configs)
-    reports = run_hcdro_batch(configs)
-    return [HCDROSummary(
-        config=config,
-        stored_after_writes=report.stored_after_writes,
-        stored_at_end=report.stored_at_end,
-        output_pulses=report.output_pulses)
-        for config, report in zip(configs, reports)]
+    return [HCDROSummary(config, report.stored_after_writes,
+                         report.stored_at_end, report.output_pulses)
+            for config, report in zip(configs, run_hcdro_batch(configs))]
+
+
+def hcdro_values(configs: Sequence[HCDROConfig]) -> List[Dict[str, int]]:
+    """One same-topology group's :data:`HCDRO_NAMESPACE` values."""
+    return [{"stored_after_writes": s.stored_after_writes,
+             "stored_at_end": s.stored_at_end,
+             "output_pulses": s.output_pulses}
+            for s in simulate_hcdro_batch(configs)]
 
 
 def _group_pending(pending: Sequence[HCDROConfig]) -> List[List[HCDROConfig]]:
@@ -199,31 +172,34 @@ def run_configs(configs: Sequence[HCDROConfig],
                 workers: Optional[int] = None) -> List[HCDROSummary]:
     """Simulate many configurations, cached, ordered, and in parallel.
 
-    Duplicate configurations (and configurations already in the
-    run-cache) are simulated exactly once; the returned list matches
-    ``configs`` element-for-element regardless of worker scheduling or
-    cache eviction.  Pending work is grouped by :func:`topology_key`
-    and each group is one :func:`simulate_hcdro_batch` call; when only
-    one worker resolves or one group exists, groups run in-process (no
-    pool spawn).
+    Each distinct configuration is simulated at most once per call and
+    not at all when the ``REPRO_CACHE_DIR`` store (or another thread's
+    flight) already has it; the returned list matches ``configs``
+    element-for-element.  Misses are grouped by :func:`topology_key`
+    and each group is one :func:`hcdro_values` call; when only one
+    worker resolves or one group exists, groups run in-process (no pool
+    spawn).  A failed publish is raised once every flight this call
+    leads has its value.
     """
     configs = list(configs)
-    results = {}
-    pending: List[HCDROConfig] = []
-    seen = set()
-    for config in configs:
-        if config in seen:
-            continue
-        seen.add(config)
-        cached = _cache_get(config)
-        if cached is not None:
-            results[config] = cached
-        else:
-            pending.append(config)
-    computed = sweep_map(simulate_hcdro_batch, _group_pending(pending),
-                         workers=workers)
-    for summaries in computed:
-        for summary in summaries:
-            _cache_put(summary.config, summary)
-            results[summary.config] = summary
-    return [results[config] for config in configs]
+    distinct = list(dict.fromkeys(configs))
+
+    def compute(led: List[int]) -> List[Dict[str, int]]:
+        groups = _group_pending([distinct[index] for index in led])
+        values: Dict[HCDROConfig, Dict[str, int]] = {}
+        for group, group_values in zip(
+                groups, parallel_map(hcdro_values, groups, workers=workers)):
+            values.update(zip(group, group_values))
+        return [values[distinct[index]] for index in led]
+
+    outcomes, publish_errors = cached_batch(
+        coerce_cache(None),
+        [(HCDRO_NAMESPACE, config) for config in distinct], compute)
+    if publish_errors:
+        raise publish_errors[0]
+    summaries = {}
+    for config, outcome in zip(distinct, outcomes):
+        if isinstance(outcome, BaseException):
+            raise outcome
+        summaries[config] = HCDROSummary(config, **outcome[0])
+    return [summaries[config] for config in configs]

@@ -471,6 +471,31 @@ class PulseHiPerRF(_CachedBuildMixin):
         self.engine.run(until_ps=t + 2 * self.op_period_ps)
         return value
 
+    def probed_read(self, address: int, t: float) -> float:
+        """Run a restoring read whose value lands on the b0/b1 probes.
+
+        The HC-READ counters fire onto the probes after the settle time,
+        so a lane replay can decode the value afterwards with
+        :meth:`probe_word` (``read_word`` decodes the live counters
+        instead).  Runs to ``t`` plus two op periods; returns the settle
+        time.
+        """
+        settle = self.schedule_read(address, t, loopback=True)
+        self._broadcast(self.hcr_read_tree, settle + 5.0)
+        self._broadcast(self.hcr_reset_tree, settle + 15.0)
+        self.engine.run(until_ps=t + 2 * self.op_period_ps)
+        return settle
+
+    def probe_word(self, settle: float) -> int:
+        """Decode a :meth:`probed_read` from its b0/b1 probe pulses in
+        ``[settle, settle + 100]`` ps."""
+        value = 0
+        for c in range(self.columns):
+            b0 = bool(self.b0_probes[c].pulses_in_window(settle, settle + 100.0))
+            b1 = bool(self.b1_probes[c].pulses_in_window(settle, settle + 100.0))
+            value |= (int(b0) | (int(b1) << 1)) << (2 * c)
+        return value
+
     def write_word(self, address: int, value: int, t: float) -> float:
         """Run a full erase+write; returns the time the write has landed."""
         self.schedule_write(address, value, t)

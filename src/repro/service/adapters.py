@@ -13,10 +13,11 @@ Items of the same *kind* sharing a *group* token batch into one
 dispatch:
 
 * ``hcdro`` items group by :func:`repro.josim.sweep.topology_key` and
-  run through :func:`repro.josim.testbench.run_hcdro_batch` - strangers'
+  run through :func:`repro.josim.sweep.hcdro_values` - strangers'
   margin points share a dispatch, whose lane count picks the scalar
   solver or one :class:`~repro.josim.solver.BatchedTransientSolver`
-  transient,
+  transient; their ``hcdro-v1`` entries are the ones
+  :func:`repro.josim.sweep.run_configs` reads and writes,
 * ``cpu`` items group by program: the dispatcher replays one shared op
   tape through the *union* of every requester's designs, then hands
   each item its own subset - bitwise identical to running the request
@@ -34,6 +35,7 @@ a bitwise-identical artifact (the service benchmark enforces this).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import math
@@ -100,29 +102,30 @@ def jsonable(value: Any) -> Any:
 
 def _cpu_item(name: str, scale: float, designs: Tuple[str, ...],
               max_instructions: int) -> WorkItem:
-    from repro.cpu import CoreConfig
+    from repro.experiments import figure14
 
-    # Key layout matches repro.experiments.figure14.run's cached_map
-    # keys exactly, so service and CLI share the figure14-v1 namespace.
-    key = (name, scale, list(designs), CoreConfig(), max_instructions)
-    return WorkItem(kind="cpu", namespace="figure14-v1", key=key,
+    # figure14.run's own cache entry, so service and CLI share rows.
+    key = figure14.row_key(name, scale, designs, None, max_instructions)
+    return WorkItem(kind="cpu", namespace=figure14.NAMESPACE, key=key,
                     group=("cpu", name, scale, max_instructions),
                     payload=(name, scale, designs, max_instructions))
 
 
 def _cpu_compute(payloads: Sequence[Tuple[str, float, Tuple[str, ...], int]]
                  ) -> List[Dict[str, Any]]:
-    """Run one program once, replay the union of designs, slice per item.
+    """Run one program once, replay the union of designs, one row per item.
 
     The design union replays as **one lane set** over one op tape
     (:func:`repro.cpu.batched.replay_lanes`, via ``simulate_program``);
-    :data:`CPU_LANE_METRICS` records the lane occupancy of every
-    dispatch for ``stats()["cpu_lanes"]``, mirroring ``pulse_lanes``.
+    each item's row is :func:`repro.experiments.figure14.workload_row`
+    over its own designs.  :data:`CPU_LANE_METRICS` records the lane
+    occupancy of every dispatch for ``stats()["cpu_lanes"]``, mirroring
+    ``pulse_lanes``.
     """
     from repro.cpu import simulate_program
-    from repro.errors import ExecutionError
+    from repro.experiments.figure14 import workload_row
     from repro.isa import assemble
-    from repro.workloads import PASS_EXIT_CODE, get_workload
+    from repro.workloads import get_workload
 
     if not payloads:
         return []
@@ -136,20 +139,8 @@ def _cpu_compute(payloads: Sequence[Tuple[str, float, Tuple[str, ...], int]]
     reports = simulate_program(program, union, name,
                                max_instructions=max_instructions)
     CPU_LANE_METRICS.record(len(union))
-    baseline = reports["ndro_rf"]
-    if baseline.exit_code != PASS_EXIT_CODE:
-        raise ExecutionError(
-            f"{name}: self-check failed (exit {baseline.exit_code})")
-    values: List[Dict[str, Any]] = []
-    for _, _, designs, _ in payloads:
-        values.append({
-            "baseline_cpi": baseline.cpi,
-            "instructions": baseline.instructions,
-            "overhead_percent": {
-                design: 100.0 * (reports[design].cpi / baseline.cpi - 1.0)
-                for design in designs if design != "ndro_rf"},
-        })
-    return values
+    return [workload_row(name, reports, designs)
+            for _, _, designs, _ in payloads]
 
 
 def _decompose_figure14(params: Params) -> DecomposedJob:
@@ -229,32 +220,18 @@ def _margin_configs(params: Params) -> Tuple[List[Any], List[float], List[int]]:
 
 
 def _hcdro_item(config: Any) -> WorkItem:
-    from repro.josim.sweep import topology_key
+    from repro.josim.sweep import HCDRO_NAMESPACE, topology_key
 
-    return WorkItem(kind="hcdro", namespace="service-hcdro-v1", key=config,
+    return WorkItem(kind="hcdro", namespace=HCDRO_NAMESPACE, key=config,
                     group=("hcdro",) + tuple(topology_key(config)),
                     payload=config)
 
 
-def _hcdro_value(config: Any, report: Any) -> Dict[str, Any]:
-    expected = min(config.writes, 3)
-    return {
-        "stored_after_writes": report.stored_after_writes,
-        "stored_at_end": report.stored_at_end,
-        "output_pulses": report.output_pulses,
-        "correct": (report.stored_after_writes == expected
-                    and report.output_pulses == expected
-                    and report.stored_at_end == 0),
-    }
-
-
 def _hcdro_compute(payloads: Sequence[Any]) -> List[Dict[str, Any]]:
-    """One ``run_hcdro_batch`` call over same-topology lanes."""
-    from repro.josim.testbench import run_hcdro_batch
+    """One same-topology group: ``run_configs``' own group step."""
+    from repro.josim.sweep import hcdro_values
 
-    reports = run_hcdro_batch(list(payloads))
-    return [_hcdro_value(config, report)
-            for config, report in zip(payloads, reports)]
+    return hcdro_values(payloads)
 
 
 def _decompose_margins(params: Params) -> DecomposedJob:
@@ -264,13 +241,15 @@ def _decompose_margins(params: Params) -> DecomposedJob:
 
     def recompose(values: List[Any]) -> Any:
         from repro.josim.margins import MarginPoint, working_margin_percent
+        from repro.josim.sweep import hcdro_correct
 
+        verdicts = [hcdro_correct(config.writes, **value)
+                    for config, value in zip(configs, values)]
         points = []
         rows = []
         for index, scale in enumerate(scales):
-            verdicts = values[index * stride:(index + 1) * stride]
             config = configs[index * stride]
-            correct = all(v["correct"] for v in verdicts)
+            correct = all(verdicts[index * stride:(index + 1) * stride])
             points.append(MarginPoint(
                 read_amplitude_ua=config.read_amplitude_ua,
                 j2_bias_ua=config.j2_bias_ua, correct=correct))
@@ -302,16 +281,12 @@ def _first(values: List[Any]) -> Any:
 
 
 def _decompose_figure15(params: Params) -> DecomposedJob:
+    from repro.experiments import figure15
+
     cell_pitch_um = float(params.get("cell_pitch_um", 75.0))
-
-    def compute() -> Any:
-        from repro.rf import HiPerRF, RFGeometry, placed_loopback_report
-
-        design = HiPerRF(RFGeometry(32, 32))
-        return placed_loopback_report(design, cell_pitch_um=cell_pitch_um)
-
-    # Same namespace/key as repro.experiments.figure15.run's cached_call.
-    item = _call_item("figure15-v1", {"cell_pitch_um": cell_pitch_um}, compute)
+    # figure15.run's own cache entry.
+    item = _call_item(figure15.NAMESPACE, figure15.report_key(cell_pitch_um),
+                      lambda: figure15.loopback_report(cell_pitch_um))
     return DecomposedJob(items=(item,), recompose=_first)
 
 
@@ -416,36 +391,19 @@ def _pulse_schedule_one(rf: Any, op_period_ps: float,
     """Schedule one item's write/read program (live or under capture).
 
     Writes every pattern word (each one op period after the previous
-    write ends), then reads each register back with loopback, four op
-    periods apart.  Each read also fires the
-    HC-READ counters onto the b0/b1 probes so the value survives in the
-    lane record (a lane outcome cannot pause at the settle time to
-    decode live counters the way ``read_word`` does).  Returns the
+    write ends), then reads each register back with a
+    :meth:`~repro.rf.netlist.PulseHiPerRF.probed_read`, four op periods
+    apart, so each value survives in the lane record.  Returns the
     settle time of every read, in pattern order.
     """
-    engine = rf.engine
     t = op_period_ps
     for register, value in pattern:
         t = rf.write_word(register, value, t) + op_period_ps
     settles = []
     for register, _ in pattern:
-        settle = rf.schedule_read(register, t, loopback=True)
-        rf._broadcast(rf.hcr_read_tree, settle + 5.0)
-        rf._broadcast(rf.hcr_reset_tree, settle + 15.0)
-        engine.run(until_ps=t + 2 * rf.op_period_ps)
-        settles.append(settle)
+        settles.append(rf.probed_read(register, t))
         t += 4 * op_period_ps
     return settles
-
-
-def _pulse_probe_word(rf: Any, settle: float) -> int:
-    """Decode one read's value from its b0/b1 probe pulse window."""
-    value = 0
-    for c in range(rf.columns):
-        b0 = bool(rf.b0_probes[c].pulses_in_window(settle, settle + 100.0))
-        b1 = bool(rf.b1_probes[c].pulses_in_window(settle, settle + 100.0))
-        value |= (int(b0) | (int(b1) << 1)) << (2 * c)
-    return value
 
 
 def _pulse_compute(payloads: Sequence[Any]) -> List[Dict[str, Any]]:
@@ -489,42 +447,50 @@ def _pulse_compute(payloads: Sequence[Any]) -> List[Dict[str, Any]]:
                       for register, _ in pattern}
             read_back = {}
             for (register, _), settle in zip(pattern, settles):
-                read_back[str(register)] = _pulse_probe_word(rf, settle)
+                read_back[str(register)] = rf.probe_word(settle)
             values.append({"stored": stored, "read": read_back})
         return values
 
 
 class _LaneMetrics:
-    """Thread-safe lane-occupancy record of lane-set dispatches."""
+    """Thread-safe lane-occupancy record of lane-set dispatches: one
+    dispatch count per lane size, so it stays as small as the number
+    of distinct sizes however many dispatches it records."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._lanes: List[int] = []
+        self._counts: "collections.Counter[int]" = collections.Counter()
 
     def record(self, lanes: int) -> None:
         with self._lock:
-            self._lanes.append(int(lanes))
+            self._counts[int(lanes)] += 1
 
     def reset(self) -> None:
         with self._lock:
-            self._lanes.clear()
+            self._counts.clear()
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
-            lanes = sorted(self._lanes)
-        if not lanes:
+            counts = sorted(self._counts.items())
+        dispatches = sum(count for _, count in counts)
+        if not dispatches:
             return {"dispatches": 0, "lanes_total": 0,
                     "batches_coalesced": 0, "lanes_max": 0,
                     "lanes_p50": 0.0, "lanes_p95": 0.0}
 
         def rank(p: float) -> float:  # nearest-rank percentile
-            return float(lanes[min(len(lanes) - 1,
-                                   max(0, math.ceil(p * len(lanes)) - 1))])
+            index = min(dispatches - 1, max(0, math.ceil(p * dispatches) - 1))
+            for lanes, count in counts:
+                if index < count:
+                    break
+                index -= count
+            return float(lanes)
 
-        return {"dispatches": len(lanes),
-                "lanes_total": sum(lanes),
-                "batches_coalesced": sum(1 for n in lanes if n > 1),
-                "lanes_max": lanes[-1],
+        return {"dispatches": dispatches,
+                "lanes_total": sum(lanes * count for lanes, count in counts),
+                "batches_coalesced": sum(count for lanes, count in counts
+                                         if lanes > 1),
+                "lanes_max": counts[-1][0],
                 "lanes_p50": rank(0.50),
                 "lanes_p95": rank(0.95)}
 

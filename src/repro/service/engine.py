@@ -380,14 +380,15 @@ class CoalescingEngine:
                         items: List[WorkItem]) -> List[Outcome]:
         """One coalesced group, on a worker thread.
 
-        With a cache, the group runs through
+        The group runs through
         :func:`~repro.experiments.parallel.cached_batch`: cached items
         are served, the led misses compute in one batched dispatch and
         publish, and items a concurrent CLI sweep in this process leads
-        wait for it (and vice versa).  An item whose own dispatch raises,
-        or whose value ``jsonable`` cannot convert, fails alone.  A
-        publish that raises is counted in ``cache_put_errors`` and its
-        value is served uncached.
+        wait for it (and vice versa); with no cache, every item
+        computes.  An item whose own dispatch raises, or whose value
+        ``jsonable`` cannot convert, fails alone.  A publish that raises
+        is counted in ``cache_put_errors`` and its value is served
+        uncached.
         """
 
         def compute(indices: Sequence[int]) -> List[Any]:
@@ -395,13 +396,9 @@ class CoalescingEngine:
                 kind, [items[index].payload for index in indices])
             return [_jsonable_outcome(outcome) for outcome in outcomes]
 
-        store = self.cache
-        if store is None:
-            return [outcome if isinstance(outcome, BaseException)
-                    else (outcome, False)
-                    for outcome in compute(range(len(items)))]
         resolved, publish_errors = cached_batch(
-            store, [(item.namespace, item.key) for item in items], compute)
+            self.cache, [(item.namespace, item.key) for item in items],
+            compute)
         if publish_errors:
             with self._put_errors_lock:
                 self.cache_put_errors += len(publish_errors)

@@ -205,10 +205,3 @@ class TestExperimentIntegration:
         warm = scaling.run(workers=1, cache=cache)
         assert cold == warm
         assert cache.hits >= len(scaling.SWEEP)
-
-    def test_josim_sweep_reexports(self):
-        from repro.josim import sweep
-
-        assert sweep.resolve_workers(2) == 2
-        assert sweep.sweep_map(_square, [2], workers=1) == [4]
-        assert sweep.WORKERS_ENV_VAR == WORKERS_ENV_VAR

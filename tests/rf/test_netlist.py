@@ -123,6 +123,19 @@ class TestPulseHiPerRF:
         t = rf.write_word(5, value, 0.0)
         assert rf.read_word(5, t) == value
 
+    def test_probed_reads_decode_from_the_probes(self, rf):
+        """A probed read leaves its value on the b0/b1 probes, each read
+        in its own window, and restores the register like ``read_word``."""
+        t = rf.write_word(3, 0xA5, 0.0)
+        t = rf.write_word(6, 0x1E, t)
+        settles = []
+        for register in (3, 6, 3):
+            settles.append(rf.probed_read(register, t))
+            t += 2 * rf.op_period_ps
+        assert [rf.probe_word(settle) for settle in settles] == \
+            [0xA5, 0x1E, 0xA5]
+        assert (rf.stored_word(3), rf.stored_word(6)) == (0xA5, 0x1E)
+
 
 class TestPulseDualBankHiPerRF:
     @pytest.fixture

@@ -204,6 +204,31 @@ class TestPulseAdapter:
         assert stats["lanes_p50"] == 1.0
         assert stats["lanes_p95"] == 3.0
 
+    def test_lane_metrics_keep_one_count_per_size(self):
+        """The record stays as small as the number of lane sizes, and its
+        snapshot equals one computed from every dispatch's lane count."""
+        import math
+        import random
+
+        from repro.service.adapters import _LaneMetrics
+
+        rng = random.Random(7)
+        lanes = [rng.choice((1, 3, 8)) for _ in range(10_000)]
+        metrics = _LaneMetrics()
+        for count in lanes:
+            metrics.record(count)
+        assert len(metrics._counts) == 3
+        ordered = sorted(lanes)
+
+        def rank(p):
+            return float(ordered[min(len(ordered) - 1,
+                                     max(0, math.ceil(p * len(ordered)) - 1))])
+
+        assert metrics.snapshot() == {
+            "dispatches": len(lanes), "lanes_total": sum(lanes),
+            "batches_coalesced": sum(1 for n in lanes if n > 1),
+            "lanes_max": 8, "lanes_p50": rank(0.50), "lanes_p95": rank(0.95)}
+
     def test_lane_metrics_empty_snapshot(self):
         PULSE_LANE_METRICS.reset()
         stats = pulse_lane_stats()

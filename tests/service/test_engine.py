@@ -11,6 +11,8 @@ import threading
 import pytest
 
 from repro.experiments.parallel import SINGLE_FLIGHT, ResultCache, _flight_key
+from repro.josim import sweep
+from repro.josim.sweep import run_configs
 from repro.service import adapters
 from repro.service import engine as engine_module
 from repro.service.adapters import compute_item, decompose, jsonable, run_job_naive
@@ -349,6 +351,55 @@ class TestFailure:
         job = run(main())
         assert job.state.value == "failed"
         assert "instruction limit" in (job.error or "")
+
+
+class TestSharedHcdroNamespace:
+    """Service ``margins`` items and :func:`run_configs` read and write
+    the same ``hcdro-v1`` entries, so either warms the other."""
+
+    @pytest.fixture
+    def transients(self, monkeypatch):
+        calls = []
+        real = sweep.simulate_hcdro_batch
+
+        def counting(configs):
+            calls.append(list(configs))
+            return real(configs)
+
+        monkeypatch.setattr(sweep, "simulate_hcdro_batch", counting)
+        return calls
+
+    @staticmethod
+    def _service_job(root):
+        async def main():
+            async with CoalescingEngine(cache=ResultCache(root)) as eng:
+                return await eng.run("margins", CHEAP_MARGINS)
+
+        return run(main())
+
+    def test_service_job_warms_run_configs(self, tmp_path, monkeypatch,
+                                           transients):
+        job = self._service_job(tmp_path)
+        assert job.state.value == "done", job.error
+        assert job.computed == 4
+        ran = len(transients)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        configs = adapters._margin_configs(CHEAP_MARGINS)[0]
+        summaries = run_configs(configs, workers=1)
+        assert len(transients) == ran  # no transient ran
+        assert [s.config for s in summaries] == configs
+        assert ran == 2  # the job's two topology groups, through the sweep
+
+    def test_run_configs_warms_service_job(self, tmp_path, monkeypatch,
+                                           transients):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        run_configs(adapters._margin_configs(CHEAP_MARGINS)[0], workers=1)
+        ran = len(transients)
+        job = self._service_job(tmp_path)
+        assert job.state.value == "done", job.error
+        assert (job.cache_hits, job.computed) == (4, 0)
+        assert len(transients) == ran
+        assert job.result == run_job_naive("margins", CHEAP_MARGINS)
 
 
 class TestBusyDrivenBatching:

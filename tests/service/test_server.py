@@ -74,6 +74,19 @@ class TestEndpoints:
             client.submit("warp", {})
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("bad", [
+        {"reads": -1}, {"write_counts": [-2]}, {"timestep_ps": 0},
+        {"timestep_ps": -0.05}, {"settle_ps": -500}, {"pulse_width_ps": -3},
+        {"pulse_spacing_ps": -25}])
+    def test_out_of_range_margins_params_are_400(self, client, bad):
+        """Refused at submit, so no worker is taken for a job that can
+        only fail."""
+        before = client.stats()["dispatches"]
+        with pytest.raises(ServiceError) as err:
+            client.submit("margins", dict(CHEAP_MARGINS, **bad))
+        assert err.value.status == 400
+        assert client.stats()["dispatches"] == before
+
     def test_malformed_body_is_400(self, client):
         with pytest.raises(ServiceError) as err:
             client.request("POST", "/jobs", {"params": {}})
