@@ -2,7 +2,7 @@
 
 Margin maps and cell studies are embarrassingly parallel: each
 operating point is an independent transient simulation.  This module
-provides the shared driver used by :mod:`repro.josim.margins`, the
+provides the shared sweep code used by :mod:`repro.josim.margins`, the
 ``josim``/``margins`` experiments and the service's ``margins`` jobs:
 
 * :class:`HCDROConfig` — a frozen, hashable description of one HC-DRO
