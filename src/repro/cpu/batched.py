@@ -10,11 +10,14 @@ replays every lane through the compiled
 memory model shared by several lanes observes the same access-call
 order a sequential sweep would produce.
 
+Each flat-memory lane replays block by block from its own ``(block,
+state)`` memo; the tape's segmentation into blocks is computed on the
+first lane and shared by the rest (see :mod:`repro.cpu.compiled`).
 There is deliberately no lane-vectorized kernel: callers pass 4 lanes
 for Figure 14 and never more than 5, and at those counts the compiled
-loop run once per lane beats a NumPy kernel vectorized across lanes
-(the kernel only broke even at about 8 lanes; see the CPU replay
-section of ``docs/architecture.md``).
+loop run once per lane already beat a NumPy kernel vectorized across
+lanes before the memo (the kernel only broke even at about 8 lanes; see
+the CPU replay section of ``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def replay_lanes(tape: OpTape, lanes: Sequence[Lane]) -> List[PipelineResult]:
         _validate_lane(tape, index, lane)
     # Timing tables are a stage of their own: building them all before
     # the first replay keeps their cost out of the replay loop (and out
-    # of any span that times it); replay_tape then hits the memo.
+    # of any span that times it); replay_tape then hits the table LRU.
     for lane in lanes:
         design_tables(tape, lane.rf)
     return [replay_tape(tape, lane.rf, lane.config,

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -106,6 +106,11 @@ class OpTape:
     #: otherwise.  Keyed on by the per-design timing table memo in
     #: :mod:`repro.cpu.compiled`.
     fingerprint: Optional[str] = None
+    #: The tape cut into replay blocks, computed by
+    #: :mod:`repro.cpu.compiled` on the first flat-memory replay of this
+    #: object and shared by every later one.  Not stored with the tape.
+    blocks: Optional[Any] = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def instructions(self) -> int:

@@ -2,23 +2,47 @@
 
 Synchronous by design: callers are scripts, benchmarks and notebooks
 that submit a job and poll.  One connection per request matches the
-server's ``Connection: close`` protocol.
+server's ``Connection: close`` protocol.  A full engine refuses a new
+job with ``429`` and ``Retry-After``; ``submit`` waits that long and
+tries again, up to :data:`SUBMIT_RETRIES` times.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import math
 import time
 from typing import Any, Dict, List, Optional
 
+#: Times :meth:`ServiceClient.submit` resubmits a job refused with 429.
+SUBMIT_RETRIES = 3
+
 
 class ServiceError(RuntimeError):
-    """A non-2xx response (``status``) or a malformed reply."""
+    """A non-2xx response (``status``) or a malformed reply.
 
-    def __init__(self, message: str, status: int = 0) -> None:
+    ``retry_after`` is the response's ``Retry-After`` in seconds, or
+    ``None`` when the header is absent or not a number of seconds.
+    """
+
+    def __init__(self, message: str, status: int = 0,
+                 retry_after: Optional[float] = None) -> None:
         super().__init__(message)
         self.status = status
+        self.retry_after = retry_after
+
+
+def _retry_after(value: Optional[str]) -> Optional[float]:
+    """Seconds from a ``Retry-After`` header value; ``None`` if malformed.
+
+    Only the delta-seconds form is read; an HTTP date counts as malformed.
+    """
+    try:
+        seconds = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
 class ServiceClient:
@@ -64,8 +88,10 @@ class ServiceClient:
         if response.status >= 400:
             detail = decoded.get("error") if isinstance(decoded, dict) \
                 else decoded
-            raise ServiceError(f"{method} {path}: {response.status} "
-                               f"{detail}", response.status)
+            raise ServiceError(
+                f"{method} {path}: {response.status} {detail}",
+                response.status,
+                _retry_after(response.getheader("Retry-After")))
         return decoded
 
     # -- API ---------------------------------------------------------------
@@ -81,8 +107,21 @@ class ServiceClient:
 
     def submit(self, experiment: str,
                params: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        return dict(self.request("POST", "/jobs", {
-            "experiment": experiment, "params": params or {}}))
+        """Submit a job; returns its snapshot.
+
+        A ``429`` with a usable ``Retry-After`` is retried after that
+        many seconds, at most :data:`SUBMIT_RETRIES` times; then (or
+        without the header) the last :class:`ServiceError` is raised.
+        """
+        body = {"experiment": experiment, "params": params or {}}
+        for _ in range(SUBMIT_RETRIES):
+            try:
+                return dict(self.request("POST", "/jobs", body))
+            except ServiceError as exc:
+                if exc.status != 429 or exc.retry_after is None:
+                    raise
+                time.sleep(exc.retry_after)
+        return dict(self.request("POST", "/jobs", body))
 
     def jobs(self) -> List[Dict[str, Any]]:
         return list(self.request("GET", "/jobs")["jobs"])

@@ -4,16 +4,18 @@ The compiled tier (:mod:`repro.cpu.compiled`) must be integer-identical
 to :class:`~repro.cpu.pipeline.GateLevelPipeline` - total cycles, CPI,
 per-reason stall attribution, branch/load counters - for every register
 file design, with and without a stateful memory model.  This suite holds
-it to that oracle over the full Figure 14 workload list and randomized
-programs driven by the deterministic workload-generator LCG.
+it to that oracle over the full Figure 14 workload list, randomized
+programs driven by the deterministic workload-generator LCG, and
+hand-built tapes at the edges of the block memo.
 """
 
 import pytest
 
 from repro.cpu import CoreConfig, GateLevelPipeline, OpTape, RFTimingModel
-from repro.cpu.compiled import replay_tape, replay_tape_reference
+from repro.cpu import compiled
+from repro.cpu.compiled import BLOCK_CAP, replay_tape, replay_tape_reference
 from repro.cpu.rf_model import RF_DESIGN_NAMES
-from repro.errors import ExecutionError
+from repro.errors import ConfigError, ExecutionError
 from repro.experiments.figure14 import FIGURE14_WORKLOADS
 from repro.isa import Executor, Instruction, assemble
 from repro.isa.executor import ExecutedOp
@@ -170,3 +172,151 @@ class TestTierDispatch:
         with pytest.raises(ExecutionError, match="register"):
             replay_tape(tape, RFTimingModel.for_design("ndro_rf"),
                         CoreConfig())
+
+
+def hand_op(sources=(), dest=None, *, branch=False, taken=False,
+            load=False):
+    """One retired op of a hand-built tape."""
+    return ExecutedOp(pc=0, instr=Instruction("beq" if branch else "add"),
+                      sources=tuple(sources), destination=dest,
+                      branch_taken=taken, is_load=load, is_store=False,
+                      mem_address=0 if load else None)
+
+
+def block_entries(tape, rf, config):
+    """``(next_issue_ok, ready_at, ready_loopback)`` of the reference
+    pipeline at every block boundary of ``tape``."""
+    pipeline = GateLevelPipeline(rf, config)
+    entries = []
+    since = 0
+    for op in tape.iter_ops():
+        pipeline.feed(op)
+        since += 1
+        if op.branch_taken or op.instr.is_branch or since == BLOCK_CAP:
+            entries.append((pipeline._next_issue_ok,
+                            list(pipeline._ready_at),
+                            list(pipeline._ready_loopback)))
+            since = 0
+    return entries
+
+
+def assert_exact(tape, designs=RF_DESIGN_NAMES, configs=(CoreConfig(),)):
+    """Every design and config replays ``tape`` as the reference does."""
+    for config in configs:
+        for design in designs:
+            rf = RFTimingModel.for_design(design, config)
+            assert result_key(replay_tape(tape, rf, config)) == \
+                result_key(replay_tape_reference(tape, rf, config)), \
+                (design, config)
+
+
+def memo_hits(tape, design, config):
+    """Block executions the memo served in one replay."""
+    rf = RFTimingModel.for_design(design, config)
+    return compiled._replay(tape, rf, config, None)[1]
+
+
+class TestMemoEdges:
+    """Hand-built tapes at the edges of the (block, state) memo."""
+
+    def test_register_ready_exactly_at_block_entry(self):
+        """A readiness equal to the entry's next_issue_ok is clipped out
+        of the state; the next block reads that register unstalled."""
+        exact_entries = 0
+        for writeback_depth in range(12):
+            config = CoreConfig(execute_depth=0,
+                                writeback_depth=writeback_depth)
+            rf = RFTimingModel.for_design("ndro_rf", config)
+            assert rf.loopback_busy_gates() == 0
+            tape = OpTape.from_ops(6 * (
+                [hand_op((2,), 1)] + 3 * [hand_op()] + [hand_op(branch=True)]
+                + [hand_op((1,), 3), hand_op(branch=True)]))
+            assert_exact(tape, ("ndro_rf",), (config,))
+            assert memo_hits(tape, "ndro_rf", config) > 0
+            exact_entries += sum(
+                ready_at[1] == entry
+                for entry, ready_at, _ in block_entries(tape, rf, config))
+        assert exact_entries > 0
+
+    def test_loopback_flag_dropped_when_its_offset_reaches_zero(self):
+        """A branch that reads r1 leaves r1 loopback-busy until exactly
+        the next block's entry; that block reads r1 again."""
+        config = CoreConfig(rf_cycle_gates=3)
+        rf = RFTimingModel.for_design("hiperrf", config)
+        flagged_at_zero = 0
+        for fillers in range(4):
+            tape = OpTape.from_ops(6 * (
+                fillers * [hand_op()] + [hand_op((1,), branch=True)]
+                + [hand_op((1,), 3), hand_op(branch=True)]))
+            assert_exact(tape, RF_DESIGN_NAMES, (config,))
+            assert memo_hits(tape, "hiperrf", config) > 0
+            flagged_at_zero += sum(
+                ready_at[1] == entry and loopback[1]
+                for entry, ready_at, loopback in block_entries(tape, rf,
+                                                               config))
+        assert flagged_at_zero > 0
+
+    def test_straight_line_run_longer_than_the_cap(self):
+        body = [hand_op(((k + 1) % 7, (k + 3) % 7), k % 5)
+                for k in range(150)]
+        tape = OpTape.from_ops(4 * (body + [hand_op(branch=True,
+                                                    taken=True)]))
+        blocks = compiled._tape_blocks(tape)
+        assert blocks.count == 4 * 3  # 64 + 64 + 23 ops per repeat
+        assert_exact(tape, configs=(CoreConfig(),
+                                    CoreConfig(fall_through_speculation=False)))
+        assert memo_hits(tape, "hiperrf", CoreConfig()) > 0
+
+    def test_blocks_that_never_repeat(self):
+        rng = Lcg(seed=11)
+        ops = []
+        for k in range(600):
+            sources = (rng.next() % 32, rng.next() % 32)[:rng.next() % 3]
+            ops.append(hand_op(tuple(dict.fromkeys(sources)),
+                               rng.next() % 32, branch=k % 7 == 6,
+                               taken=k % 14 == 13, load=rng.next() % 4 == 0))
+        tape = OpTape.from_ops(ops)
+        blocks = compiled._tape_blocks(tape)
+        assert blocks.distinct == blocks.count
+        assert len(blocks.ids) == 1  # one run of first-seen blocks
+        assert_exact(tape, configs=(CoreConfig(),
+                                    CoreConfig(fall_through_speculation=False)))
+        assert memo_hits(tape, "hiperrf", CoreConfig()) == 0
+
+    def test_empty_tape(self):
+        tape = OpTape.from_ops([])
+        assert_exact(tape)
+        result = replay_tape(tape, RFTimingModel.for_design("hiperrf"))
+        assert (result.instructions, result.total_cycles) == (0, 0)
+
+    def test_negative_operand_latency_rejected(self):
+        """The clipped state is exact only while write-backs land at or
+        after their issue; a model that breaks that is refused."""
+        rf = RFTimingModel(name="ndro_rf", readout_cycles=-100,
+                           loopback_cycles=0, supports_forwarding=True,
+                           rf_cycle_gates=2)
+        tape = OpTape.from_ops([hand_op((2,), 1), hand_op((1,), 3)])
+        with pytest.raises(ConfigError, match="operand latencies"):
+            replay_tape(tape, rf)
+
+
+class TestMemoUsed:
+    def test_segment_routine_covers_few_specrand_ops(
+            self, figure14_tapes, monkeypatch):
+        """On specrand the memo serves almost every block: the segment
+        routine runs under 5% of the ops of each lane."""
+        tape = figure14_tapes["specrand"]
+        covered = []
+        real = compiled._run_segment
+
+        def counting(ops, *args, **kwargs):
+            covered.append(len(ops[0]))
+            return real(ops, *args, **kwargs)
+
+        monkeypatch.setattr(compiled, "_run_segment", counting)
+        config = CoreConfig()
+        for design in RF_DESIGN_NAMES:
+            covered.clear()
+            replay_tape(tape, RFTimingModel.for_design(design, config),
+                        config)
+            assert 0 < sum(covered) < 0.05 * tape.instructions, design

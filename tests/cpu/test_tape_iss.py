@@ -6,7 +6,8 @@ dtypes, fingerprint, halt metadata) and raise the same errors, with the
 same messages, at the same retirement.  The suite covers the Figure 14
 programs, hand-written halt and fault programs, and a hypothesis fuzz of
 random terminating RV32I programs whose tapes also replay across random
-design lanes against the live reference pipeline.
+design lanes - each with its own core shape and, for some, a cache
+model - against the live reference pipeline.
 """
 
 import numpy as np
@@ -23,14 +24,14 @@ from repro.cpu import (
     simulate_program,
     tape_for_program,
 )
-from repro.cpu.rf_model import RF_DESIGN_NAMES
+from repro.cpu.rf_model import ABLATION_DESIGN_NAMES
 from repro.errors import DecodeError, ExecutionError
 from repro.experiments.figure14 import FIGURE14_WORKLOADS
 from repro.experiments.parallel import ResultCache
 from repro.isa import Executor, assemble
 from repro.isa.encoding import MASK32
 from repro.workloads import PASS_EXIT_CODE, get_workload
-from tests.cpu.test_compiled import result_key
+from tests.cpu.test_compiled import result_key, small_cache
 
 COLUMNS = ("sig", "flags", "mem_addr", "sig_srcs", "sig_dest")
 
@@ -372,16 +373,36 @@ def rv32i_programs(draw):
     return "\n".join(lines) + "\n"
 
 
-_lanes = st.lists(st.tuples(st.sampled_from(RF_DESIGN_NAMES), st.booleans()),
-                  min_size=1, max_size=4)
+#: Every design the timing model knows: the ablation set plus the
+#: N-way banked family (a bank needs at least two of the 32 registers).
+_DESIGNS = ABLATION_DESIGN_NAMES + tuple(f"hiperrf_x{banks}"
+                                         for banks in (1, 2, 4, 8, 16))
+
+_depth = st.integers(0, 40)
+
+#: One lane: a design, its own core shape (zero depths and a zero RF
+#: port cycle included), and whether a fresh cache model replaces the
+#: flat memory latency.
+_lane = st.tuples(
+    st.sampled_from(_DESIGNS),
+    st.builds(CoreConfig, fetch_depth=_depth, decode_depth=_depth,
+              execute_depth=_depth, writeback_depth=_depth,
+              memory_latency=st.integers(0, 30),
+              rf_cycle_gates=st.integers(0, 3),
+              fall_through_speculation=st.booleans()),
+    st.booleans())
+
+_lanes = st.lists(_lane, min_size=1, max_size=4)
 
 
-def live_results(program, cap, configs):
+def live_results(program, cap, lanes):
     """The reference pipeline fed by the oracle's ``ExecutedOp`` stream."""
     results = []
-    for design, config in configs:
+    for design, config, cached in lanes:
         pipeline = GateLevelPipeline(RFTimingModel.for_design(design, config),
-                                     config)
+                                     config,
+                                     memory_model=small_cache() if cached
+                                     else None)
         for op in Executor(program).trace(max_instructions=cap):
             pipeline.feed(op)
         results.append(pipeline.result())
@@ -401,10 +422,9 @@ class TestDifferentialFuzz:
         assert_same_outcome(program, truncated)
         # a narrow register file: equal tapes or the same range error
         assert_same_outcome(program, cap, num_registers=12)
-        configs = [(design, CoreConfig(fall_through_speculation=speculate))
-                   for design, speculate in lanes]
         replayed = replay_lanes(tape, [
-            Lane(RFTimingModel.for_design(design, config), config)
-            for design, config in configs])
+            Lane(RFTimingModel.for_design(design, config), config,
+                 memory_model=small_cache() if cached else None)
+            for design, config, cached in lanes])
         assert [result_key(r) for r in replayed] == \
-            [result_key(r) for r in live_results(program, cap, configs)]
+            [result_key(r) for r in live_results(program, cap, lanes)]

@@ -54,6 +54,10 @@ class TestParallelMap:
         with pytest.raises(ValueError, match="bad 1"):
             parallel_map(boom, [1, 2], workers=1)
 
+    def test_empty_and_single(self):
+        assert parallel_map(_square, [], workers=4) == []
+        assert parallel_map(_square, [5], workers=4) == [25]
+
 
 class TestStableKey:
     def test_deterministic_and_order_insensitive(self):

@@ -12,7 +12,6 @@ from repro.experiments.parallel import (
     WORKERS_ENV_VAR,
     ResultCache,
     parallel_map,
-    resolve_workers,
 )
 from repro.josim import sweep, testbench
 from repro.josim.sweep import (
@@ -60,46 +59,6 @@ def _entries(root):
 
 def _square(x):
     return x * x
-
-
-class TestSweepMap:
-    def test_serial_preserves_order(self):
-        assert parallel_map(_square, [3, 1, 2], workers=1) == [9, 1, 4]
-
-    def test_parallel_preserves_order(self):
-        values = list(range(8))
-        assert parallel_map(_square, values, workers=2) == \
-            [v * v for v in values]
-
-    def test_empty_and_single(self):
-        assert parallel_map(_square, [], workers=4) == []
-        assert parallel_map(_square, [5], workers=4) == [25]
-
-    def test_exceptions_propagate(self):
-        with pytest.raises(ZeroDivisionError):
-            parallel_map(_reciprocal, [1, 0], workers=1)
-
-
-def _reciprocal(x):
-    return 1.0 / x
-
-
-class TestWorkerResolution:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "7")
-        assert resolve_workers(3) == 3
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "5")
-        assert resolve_workers(None) == 5
-
-    def test_bad_env_var_ignored(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "lots")
-        assert resolve_workers(None) >= 1
-
-    def test_floor_of_one(self):
-        assert resolve_workers(0) == 1
-        assert resolve_workers(-3) == 1
 
 
 class TestRunCache:

@@ -6,11 +6,14 @@ import http.client
 import json
 import socket
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments.parallel import ResultCache
 from repro.service import adapters
+from repro.service import client as client_module
 from repro.service import engine as engine_module
 from repro.service.adapters import run_job_naive
 from repro.service.client import ServiceClient, ServiceError
@@ -122,12 +125,15 @@ class TestEndpoints:
             client.wait(job["id"], timeout=300)
 
 
+#: The job that holds a full engine's one in-flight slot.
+ACCEPTED_PARAMS = {"pattern": [[1, 3]]}
+
+
 class TestOverload:
-    def test_full_engine_refuses_with_429_until_it_drains(
-            self, tmp_path, monkeypatch):
-        """At the in-flight limit a distinct submit gets 429 with
-        Retry-After; accepted jobs still complete, and once they have,
-        submits are accepted again."""
+    @pytest.fixture
+    def held_engine(self, tmp_path, monkeypatch):
+        """A service whose one in-flight item holds the engine full until
+        ``release`` is set: ``(client, accepted job, release)``."""
         monkeypatch.setattr(engine_module, "MAX_INFLIGHT_ITEMS", 1)
         pulse = adapters.DISPATCHERS["pulse"]
         entered = threading.Event()
@@ -139,35 +145,82 @@ class TestOverload:
             return pulse(payloads)
 
         monkeypatch.setitem(adapters.DISPATCHERS, "pulse", held)
-        accepted_params = {"pattern": [[1, 3]]}
-        later_params = {"pattern": [[2, 5]]}
         with ServiceThread(cache=ResultCache(tmp_path)) as svc:
             client = ServiceClient(*svc.address)
             try:
-                accepted = client.submit("pulse_rf", accepted_params)
+                accepted = client.submit("pulse_rf", ACCEPTED_PARAMS)
                 assert entered.wait(30)
-                connection = http.client.HTTPConnection(*svc.address,
-                                                        timeout=30)
-                try:
-                    connection.request("POST", "/jobs", body=json.dumps(
-                        {"experiment": "pulse_rf", "params": later_params}))
-                    response = connection.getresponse()
-                    refusal = json.loads(response.read())
-                finally:
-                    connection.close()
+                yield client, accepted, release
             finally:
                 release.set()
-            assert response.status == 429
-            assert response.getheader("Retry-After") == "1"
-            assert "retry later" in refusal["error"]
-            assert client.wait(accepted["id"], timeout=60) == \
-                run_job_naive("pulse_rf", accepted_params)
-            later = client.submit("pulse_rf", later_params)
-            assert client.wait(later["id"], timeout=60) == \
-                run_job_naive("pulse_rf", later_params)
-            stats = client.stats()
+
+    def test_full_engine_refuses_with_429_until_it_drains(
+            self, held_engine):
+        """At the in-flight limit a distinct submit gets 429 with
+        Retry-After; accepted jobs still complete, and once they have,
+        submits are accepted again."""
+        client, accepted, release = held_engine
+        later_params = {"pattern": [[2, 5]]}
+        connection = http.client.HTTPConnection(client.host, client.port,
+                                                timeout=30)
+        try:
+            connection.request("POST", "/jobs", body=json.dumps(
+                {"experiment": "pulse_rf", "params": later_params}))
+            response = connection.getresponse()
+            refusal = json.loads(response.read())
+        finally:
+            connection.close()
+            release.set()
+        assert response.status == 429
+        assert response.getheader("Retry-After") == "1"
+        assert "retry later" in refusal["error"]
+        assert client.wait(accepted["id"], timeout=60) == \
+            run_job_naive("pulse_rf", ACCEPTED_PARAMS)
+        later = client.submit("pulse_rf", later_params)
+        assert client.wait(later["id"], timeout=60) == \
+            run_job_naive("pulse_rf", later_params)
+        stats = client.stats()
         assert stats["refused"] == 1
         assert (stats["jobs"], stats["jobs_done"]) == (2, 2)
+
+    def test_submit_retries_a_refusal_after_retry_after(
+            self, held_engine, monkeypatch):
+        """Refused once, ``submit`` sleeps ``Retry-After`` and resubmits;
+        the engine has drained by then, so it returns the snapshot."""
+        client, accepted, release = held_engine
+        delays = []
+
+        def sleep(seconds):
+            delays.append(seconds)
+            release.set()
+            deadline = time.monotonic() + 30
+            while client.status(accepted["id"])["state"] != "done":
+                assert time.monotonic() < deadline, "held job never finished"
+                time.sleep(0.01)
+
+        monkeypatch.setattr(client_module, "time", SimpleNamespace(
+            sleep=sleep, monotonic=time.monotonic))
+        later_params = {"pattern": [[2, 5]]}
+        later = client.submit("pulse_rf", later_params)
+        assert later["state"] in ("queued", "running", "done")
+        assert delays == [1.0]
+        monkeypatch.setattr(client_module, "time", time)
+        assert client.wait(later["id"], timeout=60) == \
+            run_job_naive("pulse_rf", later_params)
+        assert client.stats()["refused"] == 1
+
+    def test_persistent_refusal_raises_after_the_retries(
+            self, held_engine, monkeypatch):
+        client, _, _ = held_engine
+        delays = []
+        monkeypatch.setattr(client_module, "time", SimpleNamespace(
+            sleep=delays.append, monotonic=time.monotonic))
+        with pytest.raises(ServiceError) as refused:
+            client.submit("pulse_rf", {"pattern": [[2, 5]]})
+        assert refused.value.status == 429
+        assert refused.value.retry_after == 1.0
+        assert delays == [1.0] * client_module.SUBMIT_RETRIES
+        assert client.stats()["refused"] == 1 + client_module.SUBMIT_RETRIES
 
 
 class TestJobStore:
