@@ -53,11 +53,11 @@ write-back offsets are >= 0 as well.
 A block that has not occurred earlier in the tape cannot hit, so each
 run of consecutive first-seen blocks replays as one segment whose
 blocks are neither looked up nor stored.  A tape whose blocks never
-repeat therefore costs one segmentation pass more than the plain loop.  The memo and the state
-table live for one ``(tape, lane)`` replay.  A lane with a stateful
-``memory_model`` runs :func:`_run_segment` once over the whole tape with
-the model's access hook, so the model sees the reference call order,
-and uses no memo.
+repeat therefore costs one segmentation pass more than the plain
+loop.  The memo and the state table live for one ``(tape, lane)``
+replay.  A lane with a stateful ``memory_model`` runs
+:func:`_run_segment` once over the whole tape with the model's access
+hook, so the model sees the reference call order, and uses no memo.
 
 Replay results are **exactly integer-equal** to the reference pipeline -
 cycles, stall attribution (port/raw/loopback/branch), branch and load
@@ -163,7 +163,7 @@ def _build_design_tables(tape: OpTape,
     return issue_gap, operand_add
 
 
-# -- the segment routine: the one per-op timing loop --------------------------
+# -- the segment routine: the one per-op timing loop -------------------------
 
 #: Per-op lists of one tape slice under one lane: ``[src0, src1, dest,
 #: gaps, path_add, redirects]``.
@@ -265,7 +265,7 @@ def _run_segment(ops: _Ops, ready_at: List[int], ready_loopback: List[bool],
             port_stalls, raw_stalls, loop_stalls, branch_stalls)
 
 
-# -- blocks: a pure function of the tape --------------------------------------
+# -- blocks: a pure function of the tape -------------------------------------
 
 #: Most ops one block holds; a longer straight-line run is cut every
 #: ``BLOCK_CAP`` ops.
@@ -347,7 +347,7 @@ def _segment(tape: OpTape) -> _Blocks:
                    distinct=distinct, count=len(ids), codes=codes)
 
 
-# -- replay --------------------------------------------------------------------
+# -- replay ------------------------------------------------------------------
 
 
 def _lane_timing(rf: RFTimingModel, config: CoreConfig) -> _Timing:
@@ -411,8 +411,9 @@ def _replay_blocks(blocks: _Blocks, rows: np.ndarray, timing: _Timing,
             counts[outcome] += 1
             continue
         # A miss, or a run of first-seen blocks: run the segment from the
-        # materialized state, then read the exit state back, touching
-        # only the registers the entry state carries or the segment uses.
+        # materialized state, then read the exit state back.  A miss
+        # touches only the registers the entry state carries or the
+        # block uses; a run, which can be the whole tape, all of them.
         state = states[skey // stride]
         carried = state[1::2]
         for r, offset in zip(carried, state[2::2]):
@@ -421,18 +422,23 @@ def _replay_blocks(blocks: _Blocks, rows: np.ndarray, timing: _Timing,
                 loopback[r] = True
             else:
                 ready[r] = offset
-        entry = block_ops[bid] if bid < distinct else None
-        if entry is None:
-            ops = rows[codes[spans[2 * bid]:spans[2 * bid + 1]]].T.tolist()
-            entry = (ops, frozenset(ops[0]).union(ops[1], ops[2])
-                     .difference((-1,)))
-            if bid < distinct:
-                block_ops[bid] = entry
-        ops, regs = entry
+        start = spans[2 * bid]
+        stop = spans[2 * bid + 1]
+        if bid < distinct:
+            entry = block_ops[bid]
+            if entry is None:
+                ops = rows[codes[start:stop]].T.tolist()
+                entry = block_ops[bid] = (
+                    ops, frozenset(ops[0]).union(ops[1], ops[2]) - {-1})
+            ops, used = entry
+            regs: Sequence[int] = sorted(used.union(carried))
+        else:
+            ops = rows[codes[start:stop]].T.tolist()
+            regs = range(num_registers)
         advance, front, wb, *stalls = _run_segment(
             ops, ready, loopback, state[0], timing)
         key = [front - advance if front > advance else 0]
-        for r in sorted(regs.union(carried)):
+        for r in regs:
             offset = ready[r] - advance
             if offset > 0:
                 key += (r, -offset if loopback[r] else offset)
