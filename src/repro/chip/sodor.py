@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import ConfigError
-from repro.rf import DualBankHiPerRF, HiPerRF, NdroRegisterFile, RFGeometry
-from repro.rf.base import RegisterFileDesign
+from repro.rf import RFGeometry, design_for
 
 #: Non-RF component budgets (JJ), calibrated against the published totals.
 SODOR_COMPONENT_JJ: Dict[str, int] = {
@@ -40,12 +39,6 @@ INTEGRATION_JJ: Dict[str, int] = {
     "ndro_rf": 3_279,
     "hiperrf": 1_106,
     "dual_bank_hiperrf": 1_507,  # two bank boundaries, half-width each
-}
-
-_RF_CLASSES = {
-    "ndro_rf": NdroRegisterFile,
-    "hiperrf": HiPerRF,
-    "dual_bank_hiperrf": DualBankHiPerRF,
 }
 
 
@@ -77,11 +70,10 @@ class ChipBudget:
 def chip_budget(rf_design: str,
                 geometry: RFGeometry | None = None) -> ChipBudget:
     """Full-chip JJ budget with the named register file design."""
-    if rf_design not in _RF_CLASSES:
+    if rf_design not in INTEGRATION_JJ:
         raise ConfigError(
-            f"unknown RF design {rf_design!r}; known: {sorted(_RF_CLASSES)}")
-    geometry = geometry or RFGeometry(32, 32)
-    design: RegisterFileDesign = _RF_CLASSES[rf_design](geometry)
+            f"unknown RF design {rf_design!r}; known: {sorted(INTEGRATION_JJ)}")
+    design = design_for(rf_design, geometry or RFGeometry(32, 32))
     return ChipBudget(
         rf_design=rf_design,
         components=dict(SODOR_COMPONENT_JJ),

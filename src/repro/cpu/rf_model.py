@@ -1,35 +1,34 @@
 """Per-design register file timing as seen by the CPU pipeline.
 
-Derives gate-cycle timing from the analytic design models of
-:mod:`repro.rf` (with PTL wire delays, Section VI-C) and the static port
-schedules of :mod:`repro.rf.timing`:
+Derives gate-cycle timing from the design objects of :mod:`repro.rf`,
+resolved by name through :func:`repro.rf.design_for`: their analytic
+delays (with PTL wire delays on request, Section VI-C) and their static
+port schedules (Figures 8, 11 and 12):
 
 * ``issue_gap`` - RF-port cycles an instruction occupies before the next
-  may issue (the Figure 11/12 static schedule),
-* ``read_slot`` - when each source's read enable fires relative to issue,
+  may issue (the design's ``issue_cycles``),
+* ``read_slot`` - when each source's read enable fires relative to issue
+  (the design's ``read_slots``),
 * ``readout_cycles`` - read enable to data-at-ALU latency (Table IV),
 * ``loopback_cycles`` - extra time a register stays unreadable after a
-  read while the loopback write restores it (HiPerRF designs only),
-* ``supports_forwarding`` - the baseline writes before reads within a
-  cycle (Section III-E); HiPerRF cannot (Section IV-D).
+  read while the loopback write restores it (HiPerRF designs only).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
+from repro.cells import params as cell_params
 from repro.cpu.config import CoreConfig
-from repro.errors import ConfigError
 from repro.rf import (
-    DualBankHiPerRF,
-    HiPerRF,
-    NdroRegisterFile,
+    RegisterFileDesign,
     RFGeometry,
+    design_for,
     wire_aware_delays,
 )
-from repro.rf.timing import issue_cycles_for
 
 RF_DESIGN_NAMES = ("ndro_rf", "hiperrf", "dual_bank_hiperrf",
                    "dual_bank_hiperrf_ideal")
@@ -37,38 +36,6 @@ RF_DESIGN_NAMES = ("ndro_rf", "hiperrf", "dual_bank_hiperrf",
 #: Extra ablation variant: every two-source pair treated as same-bank
 #: (the anti-ideal bound on the static banking policy).
 ABLATION_DESIGN_NAMES = RF_DESIGN_NAMES + ("dual_bank_hiperrf_worst",)
-
-_DESIGN_CLASSES = {
-    "ndro_rf": NdroRegisterFile,
-    "hiperrf": HiPerRF,
-    "dual_bank_hiperrf": DualBankHiPerRF,
-    "dual_bank_hiperrf_ideal": DualBankHiPerRF,
-    "dual_bank_hiperrf_worst": DualBankHiPerRF,
-}
-
-
-def _design_for(name: str, geometry: RFGeometry):
-    """Resolve a design name, including the generic hiperrf_x<N> family."""
-    import re as _re
-
-    if name in _DESIGN_CLASSES:
-        return _DESIGN_CLASSES[name](geometry)
-    match = _re.fullmatch(r"hiperrf_x(\d+)", name)
-    if match:
-        from repro.rf.multibank import MultiBankHiPerRF
-
-        return MultiBankHiPerRF(geometry, banks=int(match.group(1)))
-    raise ConfigError(
-        f"unknown RF design {name!r}; expected one of "
-        f"{tuple(_DESIGN_CLASSES)} or 'hiperrf_x<N>'")
-
-
-def _dedup(srcs: Sequence[int]) -> Tuple[int, ...]:
-    seen: list = []
-    for src in srcs:
-        if src not in seen:
-            seen.append(src)
-    return tuple(seen)
 
 
 @dataclass(frozen=True)
@@ -78,8 +45,10 @@ class RFTimingModel:
     name: str
     readout_cycles: int
     loopback_cycles: int
-    supports_forwarding: bool
     rf_cycle_gates: int
+    #: The design whose port schedule the model charges.  It stays out of
+    #: equality and hashing: the name and the numbers identify a model.
+    design: RegisterFileDesign = field(compare=False, repr=False)
 
     @classmethod
     def for_design(cls, name: str, config: CoreConfig | None = None,
@@ -104,37 +73,12 @@ class RFTimingModel:
     def issue_gap_gates(self, sources: Sequence[int],
                         dest: Optional[int]) -> int:
         """Gate cycles the instruction occupies the RF ports."""
-        rf_cycles = issue_cycles_for(self.name, dest, tuple(sources))
-        return rf_cycles * self.rf_cycle_gates
+        return self.design.issue_cycles(sources) * self.rf_cycle_gates
 
     def read_slots_gates(self, sources: Sequence[int]) -> Tuple[int, ...]:
         """Read-enable offsets (gate cycles after issue) for each unique source."""
-        unique = _dedup(sources)
-        if not unique:
-            return ()
         g = self.rf_cycle_gates
-        if self.name == "ndro_rf":
-            # Figure 8: reads on consecutive RF cycles starting at issue.
-            return tuple(k * g for k in range(len(unique)))
-        if self.name == "hiperrf":
-            # Figure 11: write reset-read at issue; source reads at +1/+2.
-            return tuple((k + 1) * g for k in range(len(unique)))
-        # Dual-banked (Figure 12): both reads in the cycle after issue when
-        # the sources sit in different banks, else serialised (+1 and +3).
-        import re as _re
-
-        banks = 2
-        match = _re.fullmatch(r"hiperrf_x(\d+)", self.name)
-        if match:
-            banks = int(match.group(1))
-        same_bank = (len(unique) == 2
-                     and (unique[0] % banks) == (unique[1] % banks))
-        if len(unique) == 2 and (
-                (self.name in ("dual_bank_hiperrf",) and same_bank)
-                or (match and banks > 1 and same_bank)
-                or self.name == "dual_bank_hiperrf_worst"):
-            return (g, 3 * g)
-        return tuple(g for _ in unique)
+        return tuple(slot * g for slot in self.design.read_slots(sources))
 
     @property
     def has_loopback(self) -> bool:
@@ -173,7 +117,7 @@ def _timing_model(name: str, config: CoreConfig, geometry: RFGeometry,
     dataclasses and the result is frozen, so one shared instance per
     distinct configuration is safe.
     """
-    design = _design_for(name, geometry)
+    design = design_for(name, geometry)
     if include_wire_delays:
         delays = wire_aware_delays(design)
         readout_ps = delays.readout_delay_ps
@@ -185,10 +129,6 @@ def _timing_model(name: str, config: CoreConfig, geometry: RFGeometry,
     # The access ports advance in 53 ps RF cycles ("each read or write
     # operation takes two [gate] cycles"), so the readout latency the
     # pipeline observes is quantized in whole port cycles.
-    import math
-
-    from repro.cells import params as cell_params
-
     readout_port_cycles = math.ceil(
         readout_ps / cell_params.RF_CYCLE_PS - 1e-9)
     readout = readout_port_cycles * config.rf_cycle_gates
@@ -199,6 +139,6 @@ def _timing_model(name: str, config: CoreConfig, geometry: RFGeometry,
         name=name,
         readout_cycles=readout,
         loopback_cycles=loopback_cycles,
-        supports_forwarding=(name == "ndro_rf"),
         rf_cycle_gates=config.rf_cycle_gates,
+        design=design,
     )

@@ -17,8 +17,7 @@ from typing import Dict, List
 from repro.cpu import CoreConfig, tape_for_program
 from repro.cpu.batched import lanes_for_designs, replay_lanes
 from repro.isa import assemble
-from repro.rf import HiPerRF, NdroRegisterFile, RFGeometry
-from repro.rf.multibank import MultiBankHiPerRF
+from repro.rf import HiPerRF, NdroRegisterFile, RFGeometry, design_for
 from repro.workloads import all_workloads
 
 BANK_SWEEP = (1, 2, 4, 8)
@@ -39,13 +38,11 @@ def run(scale: float = 0.6,
             num_registers=config.num_registers,
             workload_name=workload.name, strict=False))
 
+    # One bank is plain HiPerRF, whose lane is named ``hiperrf``.
     sweep = []
     for banks in BANK_SWEEP:
-        if banks == 1:
-            sweep.append((banks, single, "hiperrf"))
-        else:
-            design = MultiBankHiPerRF(geometry, banks=banks)
-            sweep.append((banks, design, design.name))
+        design = design_for(f"hiperrf_x{banks}", geometry)
+        sweep.append((banks, design, design.name))
 
     # The baseline and the whole bank ladder replay each tape as one
     # design-lane set over a single lowered tape.

@@ -13,15 +13,9 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.isa import Executor, assemble
-from repro.rf import DualBankHiPerRF, HiPerRF, NdroRegisterFile, RFGeometry
+from repro.rf import PAPER_DESIGNS, RFGeometry, design_for
 from repro.rf.energy import access_energy, workload_rf_energy_aj
 from repro.workloads import get_workload
-
-_DESIGNS = {
-    "ndro_rf": NdroRegisterFile,
-    "hiperrf": HiPerRF,
-    "dual_bank_hiperrf": DualBankHiPerRF,
-}
 
 
 def count_rf_traffic(workload_name: str, scale: float = 1.0) -> Dict[str, int]:
@@ -40,8 +34,8 @@ def run(workload: str = "mcf",
     geometry = geometry or RFGeometry(32, 32)
     traffic = count_rf_traffic(workload)
     result: Dict[str, Dict[str, float]] = {}
-    for name, cls in _DESIGNS.items():
-        design = cls(geometry)
+    for name in PAPER_DESIGNS:
+        design = design_for(name, geometry)
         per_access = access_energy(design)
         total_aj = workload_rf_energy_aj(design, traffic["reads"],
                                          traffic["writes"])

@@ -6,13 +6,7 @@ from typing import Dict, List
 
 from repro.experiments import paper_data
 from repro.experiments.report import ComparisonRow, format_table
-from repro.rf import DualBankHiPerRF, HiPerRF, NdroRegisterFile, RFGeometry
-
-_DESIGNS = {
-    "ndro_rf": NdroRegisterFile,
-    "hiperrf": HiPerRF,
-    "dual_bank_hiperrf": DualBankHiPerRF,
-}
+from repro.rf import PAPER_DESIGNS, NdroRegisterFile, RFGeometry, design_for
 
 
 def run() -> Dict[str, Dict[str, Dict[str, float]]]:
@@ -26,11 +20,11 @@ def run() -> Dict[str, Dict[str, Dict[str, float]]]:
     for label in paper_data.GEOMETRY_LABELS:
         n, w = (int(x) for x in label.split("x"))
         baselines[label] = NdroRegisterFile(RFGeometry(n, w)).jj_count()
-    for name, cls in _DESIGNS.items():
+    for name in PAPER_DESIGNS:
         result[name] = {}
         for label in paper_data.GEOMETRY_LABELS:
             n, w = (int(x) for x in label.split("x"))
-            jj = cls(RFGeometry(n, w)).jj_count()
+            jj = design_for(name, RFGeometry(n, w)).jj_count()
             result[name][label] = {
                 "jj": float(jj),
                 "percent_of_baseline": 100.0 * jj / baselines[label],

@@ -6,13 +6,7 @@ from typing import Dict, List
 
 from repro.experiments import paper_data
 from repro.experiments.report import ComparisonRow, format_table
-from repro.rf import DualBankHiPerRF, HiPerRF, NdroRegisterFile, RFGeometry
-
-_DESIGNS = {
-    "ndro_rf": NdroRegisterFile,
-    "hiperrf": HiPerRF,
-    "dual_bank_hiperrf": DualBankHiPerRF,
-}
+from repro.rf import PAPER_DESIGNS, NdroRegisterFile, RFGeometry, design_for
 
 
 def run() -> Dict[str, Dict[str, Dict[str, float]]]:
@@ -22,11 +16,11 @@ def run() -> Dict[str, Dict[str, Dict[str, float]]]:
     for label in paper_data.GEOMETRY_LABELS:
         n, w = (int(x) for x in label.split("x"))
         baselines[label] = NdroRegisterFile(RFGeometry(n, w)).readout_delay_ps()
-    for name, cls in _DESIGNS.items():
+    for name in PAPER_DESIGNS:
         result[name] = {}
         for label in paper_data.GEOMETRY_LABELS:
             n, w = (int(x) for x in label.split("x"))
-            delay = cls(RFGeometry(n, w)).readout_delay_ps()
+            delay = design_for(name, RFGeometry(n, w)).readout_delay_ps()
             result[name][label] = {
                 "delay_ps": delay,
                 "percent_of_baseline": 100.0 * delay / baselines[label],

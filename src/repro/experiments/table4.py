@@ -6,27 +6,15 @@ from typing import Dict, List, Optional
 
 from repro.experiments import paper_data
 from repro.experiments.report import ComparisonRow, format_table
-from repro.rf import (
-    DualBankHiPerRF,
-    HiPerRF,
-    NdroRegisterFile,
-    RFGeometry,
-    wire_aware_delays,
-)
-
-_DESIGNS = {
-    "ndro_rf": NdroRegisterFile,
-    "hiperrf": HiPerRF,
-    "dual_bank_hiperrf": DualBankHiPerRF,
-}
+from repro.rf import PAPER_DESIGNS, RFGeometry, design_for, wire_aware_delays
 
 
 def run() -> Dict[str, Dict[str, Optional[float]]]:
     """Wire-aware 32x32 delays for every design."""
     geometry = RFGeometry(32, 32)
     result: Dict[str, Dict[str, Optional[float]]] = {}
-    for name, cls in _DESIGNS.items():
-        delays = wire_aware_delays(cls(geometry))
+    for name in PAPER_DESIGNS:
+        delays = wire_aware_delays(design_for(name, geometry))
         result[name] = {
             "readout_ps": delays.readout_delay_ps,
             "readout_wire_ps": delays.readout_wire_ps,

@@ -24,8 +24,7 @@ from repro.lint.rules import make_issue
 from repro.lint.suppress import suppressions_for
 from repro.lint.timing import run_timing_passes
 from repro.pulse import Engine
-from repro.rf import DualBankHiPerRF, HiPerRF, NdroRegisterFile, RFGeometry
-from repro.rf.base import RegisterFileDesign
+from repro.rf import PAPER_DESIGNS, RFGeometry, design_for
 from repro.rf.netlist import PulseDualBankHiPerRF, PulseHiPerRF, PulseNdroRF
 from repro.rf.timing import (
     Instr,
@@ -36,7 +35,7 @@ from repro.rf.timing import (
 )
 
 #: Designs ``python -m repro.lint`` analyses by default.
-BUILTIN_DESIGNS: tuple[str, ...] = ("ndro_rf", "hiperrf", "dual_bank_hiperrf")
+BUILTIN_DESIGNS: tuple[str, ...] = PAPER_DESIGNS
 
 #: Geometry the pulse netlists are built at for structural analysis - big
 #: enough to exercise every tree/DEMUX shape, small enough to stay fast.
@@ -45,12 +44,6 @@ DEFAULT_GEOMETRY = RFGeometry(8, 8)
 #: Geometries the paper publishes budgets for (Tables I and II).
 PAPER_GEOMETRIES: tuple[RFGeometry, ...] = (
     RFGeometry(4, 4), RFGeometry(16, 16), RFGeometry(32, 32))
-
-_CENSUS_CLASSES: dict[str, type[RegisterFileDesign]] = {
-    "ndro_rf": NdroRegisterFile,
-    "hiperrf": HiPerRF,
-    "dual_bank_hiperrf": DualBankHiPerRF,
-}
 
 _SCHEDULERS = {
     "ndro_rf": schedule_ndro,
@@ -154,9 +147,8 @@ def lint_design(name: str, geometry: RFGeometry | None = None,
     for graph, objects in pulse_graphs(name, geometry):
         report.merge(lint_graph(graph, config, source_objects=objects))
     if budgets:
-        census_cls = _CENSUS_CLASSES[name]
         for paper_geometry in PAPER_GEOMETRIES:
-            design = census_cls(paper_geometry)
+            design = design_for(name, paper_geometry)
             report.extend(check_budget(design, config))
             report.analysed.append(f"{name}[{paper_geometry.label()}]")
     report.extend(check_schedule(name, geometry))

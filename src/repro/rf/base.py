@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cells import params
 from repro.rf.census import ComponentCensus
@@ -74,6 +74,8 @@ class RegisterFileDesign(abc.ABC):
     name: str = "abstract"
     #: Name used in the paper's tables.
     paper_name: str = "abstract"
+    #: Modulo-interleaved banks, each with its own port pair.
+    banks: int = 1
 
     def __init__(self, geometry: RFGeometry) -> None:
         self.geometry = geometry
@@ -127,6 +129,16 @@ class RegisterFileDesign(abc.ABC):
     @property
     def write_ports(self) -> int:
         return 1
+
+    # -- static port schedule (Figures 8, 11 and 12) -----------------------
+
+    def issue_cycles(self, sources: Sequence[int]) -> int:
+        """RF cycles an instruction reading ``sources`` holds the ports."""
+        raise NotImplementedError(f"{self.name} has no CPU port schedule")
+
+    def read_slots(self, sources: Sequence[int]) -> Tuple[int, ...]:
+        """RF cycle after issue of each distinct source's read enable."""
+        raise NotImplementedError(f"{self.name} has no CPU port schedule")
 
     # -- reporting ---------------------------------------------------------
 

@@ -89,7 +89,7 @@ def access_energy(design: RegisterFileDesign) -> AccessEnergy:
     # the average occupancy of 1.5 pulses per 2-bit column.
     columns = geo.hc_cells_per_register
     avg_pulses = 1.5
-    bank_n = n // 2 if name.startswith("dual_bank") else n
+    bank_n = n // design.banks
     demux = _demux_switches(max(bank_n, 2))
     hc_clk = _cell_switch_jj("hc_clk")
     read = (demux + hc_clk

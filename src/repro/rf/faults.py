@@ -118,9 +118,7 @@ def _schedule_hiperrf_trial(rf: PulseHiPerRF,
     # Fire the HC-READ counters onto the b0/b1 probes so the read value
     # survives in the pulse record (a lane outcome cannot pause at the
     # settle time to decode the counters the way ``read_word`` does).
-    rf._broadcast(rf.hcr_read_tree, settle + 5.0)
-    rf._broadcast(rf.hcr_reset_tree, settle + 15.0)
-    engine.run(until_ps=read_t + 2 * rf.op_period_ps)
+    rf.fire_readout(settle, read_t)
     return settle
 
 

@@ -18,6 +18,8 @@ Differences from the NDRO baseline (Figure 9):
 
 from __future__ import annotations
 
+from typing import Sequence, Tuple
+
 from repro.cells import params
 from repro.rf.base import CriticalPath, PathElement, RegisterFileDesign
 from repro.rf.census import (
@@ -27,11 +29,16 @@ from repro.rf.census import (
     fanout_splitters,
     merger_tree_mergers,
 )
-from repro.rf.geometry import RFGeometry, log2_int
+from repro.rf.geometry import log2_int
+from repro.rf.timing import dedup_sources
 
 #: JTL padding stages on the loopback path that align loopback pulses with
 #: the write-enable coincidence window at the DAND gates.
 LOOPBACK_JTL_PADDING = 4
+
+#: Loopback-path stage where loopback data joins external write data at
+#: the write port; a banked file's bank-local loopback skips it.
+LOOPBACK_JOIN = "write-port merger (loopback join)"
 
 
 class HiPerRF(RegisterFileDesign):
@@ -39,9 +46,6 @@ class HiPerRF(RegisterFileDesign):
 
     name = "hiperrf"
     paper_name = "HiPerRF"
-
-    def __init__(self, geometry: RFGeometry) -> None:
-        super().__init__(geometry)
 
     # -- structure ---------------------------------------------------------
 
@@ -137,8 +141,7 @@ class HiPerRF(RegisterFileDesign):
             PathElement(f"JTL alignment padding ({LOOPBACK_JTL_PADDING} stages)",
                         LOOPBACK_JTL_PADDING * d["jtl"],
                         gate_count=LOOPBACK_JTL_PADDING),
-            PathElement("write-port merger (loopback join)",
-                        d["merger"], gate_count=1),
+            PathElement(LOOPBACK_JOIN, d["merger"], gate_count=1),
             PathElement(f"data fan-out tree ({fanout_levels} levels)",
                         fanout_levels * d["splitter"], gate_count=fanout_levels),
             PathElement("DAND write gate", d["dand"], gate_count=1),
@@ -147,3 +150,13 @@ class HiPerRF(RegisterFileDesign):
                         2 * params.HC_PULSE_SPACING_PS, gate_count=0),
         ]
         return CriticalPath(elements)
+
+    # -- static port schedule (Figure 11) ----------------------------------
+
+    def issue_cycles(self, sources: Sequence[int]) -> int:
+        """The fixed pattern: reset-read, WEN + first read, second read."""
+        return 3
+
+    def read_slots(self, sources: Sequence[int]) -> Tuple[int, ...]:
+        """Source reads at +1 and +2, after the issue-cycle reset-read."""
+        return tuple(k + 1 for k in range(len(dedup_sources(sources))))

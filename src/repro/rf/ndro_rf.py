@@ -16,6 +16,8 @@ Structure (Figure 4):
 
 from __future__ import annotations
 
+from typing import Sequence, Tuple
+
 from repro.cells import params
 from repro.rf.base import CriticalPath, PathElement, RegisterFileDesign
 from repro.rf.census import (
@@ -25,7 +27,8 @@ from repro.rf.census import (
     fanout_splitters,
     merger_tree_mergers,
 )
-from repro.rf.geometry import RFGeometry, log2_int
+from repro.rf.geometry import log2_int
+from repro.rf.timing import dedup_sources
 
 
 class NdroRegisterFile(RegisterFileDesign):
@@ -33,9 +36,6 @@ class NdroRegisterFile(RegisterFileDesign):
 
     name = "ndro_rf"
     paper_name = "NDRO RF (Baseline Design)"
-
-    def __init__(self, geometry: RFGeometry) -> None:
-        super().__init__(geometry)
 
     # -- structure ---------------------------------------------------------
 
@@ -103,3 +103,13 @@ class NdroRegisterFile(RegisterFileDesign):
             f"output merger tree ({merge_levels} levels)",
             merge_levels * d["merger"], gate_count=merge_levels))
         return CriticalPath(elements)
+
+    # -- static port schedule (Figure 8) -----------------------------------
+
+    def issue_cycles(self, sources: Sequence[int]) -> int:
+        """One RF cycle per distinct source on the single read port."""
+        return max(len(dedup_sources(sources)), 1)
+
+    def read_slots(self, sources: Sequence[int]) -> Tuple[int, ...]:
+        """Reads on consecutive RF cycles starting at issue."""
+        return tuple(range(len(dedup_sources(sources))))

@@ -464,11 +464,7 @@ class PulseHiPerRF(_CachedBuildMixin):
         value = 0
         for c in range(self.columns):
             value |= self.hc_reads[c].value << (2 * c)
-        # Trigger the parallel readout pulses (observable on the probes)
-        # and clear the counters for the next operation.
-        self._broadcast(self.hcr_read_tree, settle + 5.0)
-        self._broadcast(self.hcr_reset_tree, settle + 15.0)
-        self.engine.run(until_ps=t + 2 * self.op_period_ps)
+        self.fire_readout(settle, t)
         return value
 
     def probed_read(self, address: int, t: float) -> float:
@@ -481,10 +477,19 @@ class PulseHiPerRF(_CachedBuildMixin):
         time.
         """
         settle = self.schedule_read(address, t, loopback=True)
+        self.fire_readout(settle, t)
+        return settle
+
+    def fire_readout(self, settle: float, t: float) -> None:
+        """End a read started at ``t`` whose counters settle at ``settle``.
+
+        Fires the HC-READ counters onto the b0/b1 probes 5 ps after the
+        settle time, clears them 10 ps later for the next operation, and
+        runs the engine to ``t`` plus two op periods.
+        """
         self._broadcast(self.hcr_read_tree, settle + 5.0)
         self._broadcast(self.hcr_reset_tree, settle + 15.0)
         self.engine.run(until_ps=t + 2 * self.op_period_ps)
-        return settle
 
     def probe_word(self, settle: float) -> int:
         """Decode a :meth:`probed_read` from its b0/b1 probe pulses in

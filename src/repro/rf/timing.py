@@ -16,14 +16,15 @@ the pulse-accurate control schedules the paper draws:
   alternate cycles reserved for write-back resets; 2-cycle issue for
   cross-bank readers, 4-cycle for same-bank readers.
 
-The schedules are validated against the device constraints and are reused
-by :mod:`repro.cpu` to derive per-instruction issue intervals.
+The schedules are validated against the device constraints.  Each design
+states the same static schedule in closed form (``issue_cycles`` and
+``read_slots`` on :class:`~repro.rf.base.RegisterFileDesign`), which is
+what :mod:`repro.cpu` charges per instruction.
 """
 
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -192,18 +193,14 @@ def _check_register_range(instrs: Sequence[Instr],
                     f"register file has only {num_registers} registers")
 
 
-def _dedup_sources(srcs: Sequence[int]) -> List[int]:
+def dedup_sources(srcs: Sequence[int]) -> Tuple[int, ...]:
     """Collapse Read-After-Read duplicates (R2 = R3 + R3 reads R3 once).
 
     The paper (Section IV-D): the second read of the same register would
     find an empty cell because the loopback has not landed yet, so the
     first readout is duplicated instead of re-reading.
     """
-    unique: List[int] = []
-    for src in srcs:
-        if src not in unique:
-            unique.append(src)
-    return unique
+    return tuple(dict.fromkeys(srcs))
 
 
 def schedule_ndro(instrs: Sequence[Instr],
@@ -230,7 +227,7 @@ def schedule_ndro(instrs: Sequence[Instr],
             schedule.add(cycle, params.RESET_TO_WEN_PS, Signal.WEN,
                          "write_port", instr.dest,
                          note="write-back (internal forwarding possible)")
-        srcs = _dedup_sources(instr.srcs)
+        srcs = dedup_sources(instr.srcs)
         for offset, src in enumerate(srcs):
             schedule.add(cycle + offset, params.RESET_TO_WEN_PS + 5.0,
                          Signal.REN, "read_port", src)
@@ -262,7 +259,7 @@ def schedule_hiperrf(instrs: Sequence[Instr],
                          note="reset-read: LoopBuffer dissipates old value")
             schedule.add(cycle + 1, 0.0, Signal.WEN, "write_port", instr.dest,
                          note="write-back of new value")
-        srcs = _dedup_sources(instr.srcs)
+        srcs = dedup_sources(instr.srcs)
         for offset, src in enumerate(srcs):
             read_cycle = cycle + 1 + offset
             schedule.add(read_cycle, 0.0, Signal.REN, "read_port", src)
@@ -298,7 +295,7 @@ def schedule_dual_bank(instrs: Sequence[Instr],
                          instr.dest, note="reset-read")
             schedule.add(cycle + 1, 0.0, Signal.WEN, f"write_port_b{bank}",
                          instr.dest, note="write-back")
-        srcs = _dedup_sources(instr.srcs)
+        srcs = dedup_sources(instr.srcs)
         banks = [s & 1 for s in srcs]
         same_bank = len(srcs) == 2 and banks[0] == banks[1]
         for idx, src in enumerate(srcs):
@@ -313,35 +310,3 @@ def schedule_dual_bank(instrs: Sequence[Instr],
                          note="loopback restores the value")
         cycle += 4 if same_bank else 2
     return schedule
-
-
-def issue_cycles_for(design_name: str, dest: Optional[int],
-                     srcs: Sequence[int]) -> int:
-    """Issue interval (in 53 ps RF cycles) one instruction occupies.
-
-    This is the static scheduling cost the CPU timing model charges per
-    instruction for register file access.
-    """
-    srcs = _dedup_sources(srcs)
-    if design_name == "ndro_rf":
-        return max(len(srcs), 1)
-    if design_name == "hiperrf":
-        return 3
-    if design_name in ("dual_bank_hiperrf", "dual_bank_hiperrf_ideal",
-                       "dual_bank_hiperrf_worst"):
-        if design_name.endswith("ideal"):
-            return 2
-        if design_name.endswith("worst"):
-            return 4 if len(srcs) == 2 else 2
-        if len(srcs) == 2 and (srcs[0] & 1) == (srcs[1] & 1):
-            return 4
-        return 2
-    match = re.fullmatch(r"hiperrf_x(\d+)", design_name)
-    if match:
-        banks = int(match.group(1))
-        if banks == 1:
-            return 3
-        if len(srcs) == 2 and (srcs[0] % banks) == (srcs[1] % banks):
-            return 4
-        return 2
-    raise ValueError(f"unknown design {design_name!r}")

@@ -20,6 +20,7 @@ from repro.experiments.figure14 import FIGURE14_WORKLOADS
 from repro.isa import Executor, Instruction, assemble
 from repro.isa.executor import ExecutedOp
 from repro.mem import DirectMappedCache
+from repro.rf import RFGeometry, design_for
 from repro.workloads import PASS_EXIT_CODE, get_workload
 from repro.workloads.generator import Lcg
 
@@ -293,8 +294,8 @@ class TestMemoEdges:
         """The clipped state is exact only while write-backs land at or
         after their issue; a model that breaks that is refused."""
         rf = RFTimingModel(name="ndro_rf", readout_cycles=-100,
-                           loopback_cycles=0, supports_forwarding=True,
-                           rf_cycle_gates=2)
+                           loopback_cycles=0, rf_cycle_gates=2,
+                           design=design_for("ndro_rf", RFGeometry(32, 32)))
         tape = OpTape.from_ops([hand_op((2,), 1), hand_op((1,), 3)])
         with pytest.raises(ConfigError, match="operand latencies"):
             replay_tape(tape, rf)

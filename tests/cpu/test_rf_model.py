@@ -31,11 +31,6 @@ class TestConstruction:
         # quantization the dual-bank collapses onto the baseline.
         assert base <= dual < hiper
 
-    def test_forwarding_only_on_baseline(self):
-        assert RFTimingModel.for_design("ndro_rf").supports_forwarding
-        for name in RF_DESIGN_NAMES[1:]:
-            assert not RFTimingModel.for_design(name).supports_forwarding
-
     def test_loopback_only_on_hiperrf_family(self):
         assert not RFTimingModel.for_design("ndro_rf").has_loopback
         for name in RF_DESIGN_NAMES[1:]:

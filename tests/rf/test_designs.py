@@ -8,6 +8,7 @@ Section 5 documents the calibration).
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.rf import (
     DualBankHiPerRF,
     HiPerRF,
@@ -154,10 +155,11 @@ class TestDesignInterfaces:
             assert key in summary
 
     def test_bank_of_parity(self):
-        assert DualBankHiPerRF.bank_of(3) == 1
-        assert DualBankHiPerRF.bank_of(8) == 0
-        with pytest.raises(ValueError):
-            DualBankHiPerRF.bank_of(-1)
+        dual = DualBankHiPerRF(GEOS["32x32"])
+        assert dual.bank_of(3) == 1
+        assert dual.bank_of(8) == 0
+        with pytest.raises(ConfigError):
+            dual.bank_of(-1)
 
     def test_compare_designs(self):
         geo = GEOS["32x32"]

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.rf import DualBankHiPerRF, HiPerRF, NdroRegisterFile, RFGeometry
+from repro.rf import (
+    DualBankHiPerRF,
+    HiPerRF,
+    NdroRegisterFile,
+    RFGeometry,
+    design_for,
+)
 from repro.rf.energy import (
     E_SWITCH_AJ,
     E_SWITCH_J,
@@ -45,6 +51,19 @@ class TestAccessEnergy:
         hiper = access_energy(HiPerRF(GEO))
         dual = access_energy(DualBankHiPerRF(GEO))
         assert dual.effective_read_aj < hiper.effective_read_aj
+
+    def test_banked_ladder_priced_by_bank_count(self):
+        """``hiperrf_x2`` costs what the dual-bank design costs, and each
+        doubling of the banks makes a read cheaper."""
+        x2 = access_energy(design_for("hiperrf_x2", GEO))
+        dual = access_energy(DualBankHiPerRF(GEO))
+        assert (x2.read_aj, x2.write_aj, x2.loopback_aj) == \
+            (dual.read_aj, dual.write_aj, dual.loopback_aj)
+        assert (round(dual.read_aj, 2), round(dual.write_aj, 2),
+                round(dual.loopback_aj, 2)) == (235.53, 196.03, 141.85)
+        reads = [access_energy(design_for(f"hiperrf_x{b}", GEO)).read_aj
+                 for b in (2, 4, 8)]
+        assert reads[0] > reads[1] > reads[2]
 
     def test_dynamic_energy_negligible_vs_static(self):
         """Why the paper reports static power only: at 1 GOPS the dynamic

@@ -4,7 +4,13 @@ import pytest
 
 from repro.cpu import RFTimingModel
 from repro.errors import ConfigError
-from repro.rf import DualBankHiPerRF, HiPerRF, NdroRegisterFile, RFGeometry
+from repro.rf import (
+    DualBankHiPerRF,
+    HiPerRF,
+    NdroRegisterFile,
+    RFGeometry,
+    design_for,
+)
 from repro.rf.multibank import MultiBankHiPerRF
 
 GEO = RFGeometry(32, 32)
@@ -18,17 +24,17 @@ class TestStructure:
 
     def test_one_bank_close_to_single_port(self):
         single = HiPerRF(GEO).jj_count()
-        one_bank = MultiBankHiPerRF(GEO, banks=1).jj_count()
+        one_bank = design_for("hiperrf_x1", GEO).jj_count()
         assert one_bank == single  # no glue for a single bank
 
     def test_jj_premium_grows_with_banks(self):
-        counts = [MultiBankHiPerRF(GEO, banks=b).jj_count()
+        counts = [design_for(f"hiperrf_x{b}", GEO).jj_count()
                   for b in (1, 2, 4, 8)]
         assert counts == sorted(counts)
         assert counts[-1] > counts[0]
 
     def test_readout_shrinks_with_banks(self):
-        delays = [MultiBankHiPerRF(GEO, banks=b).readout_delay_ps()
+        delays = [design_for(f"hiperrf_x{b}", GEO).readout_delay_ps()
                   for b in (1, 2, 4, 8)]
         assert delays == sorted(delays, reverse=True)
 
@@ -40,7 +46,7 @@ class TestStructure:
         design = MultiBankHiPerRF(GEO, banks=4)
         assert design.read_ports == design.write_ports == 4
 
-    @pytest.mark.parametrize("banks", [0, 3, 5, 32])
+    @pytest.mark.parametrize("banks", [0, 1, 3, 5, 32])
     def test_invalid_bank_counts(self, banks):
         with pytest.raises(ConfigError):
             MultiBankHiPerRF(GEO, banks=banks)
@@ -81,6 +87,19 @@ class TestCpuModelIntegration:
         """x8 treats (2,6) as cross-bank where x4 serialises it."""
         x8 = RFTimingModel.for_design("hiperrf_x8")
         assert x8.issue_gap_gates((2, 6), 1) == 4
+
+    def test_one_bank_times_like_hiperrf(self):
+        """``hiperrf_x1`` is plain HiPerRF: the same issue gaps, read
+        slots, readout and loopback."""
+        x1 = RFTimingModel.for_design("hiperrf_x1")
+        hiperrf = RFTimingModel.for_design("hiperrf")
+        for sources in ((), (1,), (1, 2), (1, 3), (2, 2)):
+            assert x1.issue_gap_gates(sources, 1) == \
+                hiperrf.issue_gap_gates(sources, 1)
+            assert x1.read_slots_gates(sources) == \
+                hiperrf.read_slots_gates(sources)
+        assert x1.readout_cycles == hiperrf.readout_cycles
+        assert x1.loopback_cycles == hiperrf.loopback_cycles
 
     def test_unknown_name_still_rejected(self):
         with pytest.raises(ConfigError):

@@ -2,11 +2,12 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.rf import DualBankHiPerRF, HiPerRF, NdroRegisterFile, RFGeometry
+from repro.rf import DualBankHiPerRF, HiPerRF, NdroRegisterFile, RFGeometry, \
+    design_for
 from repro.rf.census import demux_census, fanout_splitters, \
     merger_tree_mergers
-from repro.rf.timing import Instr, issue_cycles_for, schedule_dual_bank, \
-    schedule_hiperrf, schedule_ndro
+from repro.rf.timing import Instr, Signal, dedup_sources, \
+    schedule_dual_bank, schedule_hiperrf, schedule_ndro
 
 geometries = st.builds(
     RFGeometry,
@@ -105,15 +106,28 @@ class TestScheduleProperties:
     @settings(max_examples=40, deadline=None)
     @given(stream=instr_streams)
     def test_issue_cycles_match_schedule(self, stream):
-        """The closed-form issue cost must match the generated schedule."""
+        """Each design's closed-form schedule must match the generated
+        one: the issue intervals, and the cycle after issue at which each
+        distinct source is read (the destination's reset-read excluded)."""
         for builder, name in ((schedule_ndro, "ndro_rf"),
                               (schedule_hiperrf, "hiperrf"),
                               (schedule_dual_bank, "dual_bank_hiperrf")):
+            design = design_for(name, RFGeometry(32, 32))
             schedule = builder(stream)
             intervals = schedule.issue_intervals()
-            expected = [issue_cycles_for(name, instr.dest, instr.srcs)
+            expected = [design.issue_cycles(instr.srcs)
                         for instr in stream[:-1]]
             assert intervals == expected
+            reads = [(e.register, e.cycle) for e in schedule.events
+                     if e.signal is Signal.REN and "reset" not in e.note]
+            expected_reads = []
+            for instr, issue in zip(stream, schedule.issue_cycles):
+                srcs = dedup_sources(instr.srcs)
+                slots = design.read_slots(instr.srcs)
+                assert len(slots) == len(srcs)
+                expected_reads += [(src, issue + slot)
+                                   for src, slot in zip(srcs, slots)]
+            assert reads == expected_reads
 
     @settings(max_examples=40, deadline=None)
     @given(stream=instr_streams)

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.cells import params
-from repro.errors import TimingViolationError
+from repro.errors import ConfigError, TimingViolationError
+from repro.rf import RFGeometry, design_for
 from repro.rf.timing import (
     Instr,
     PortSchedule,
     Signal,
-    issue_cycles_for,
     schedule_dual_bank,
     schedule_hiperrf,
     schedule_ndro,
@@ -124,27 +124,31 @@ class TestDualBankSchedule:
 
 
 class TestIssueCyclesFor:
+    @staticmethod
+    def issue_cycles(name, srcs):
+        return design_for(name, RFGeometry(32, 32)).issue_cycles(srcs)
+
     def test_baseline(self):
-        assert issue_cycles_for("ndro_rf", 1, (2, 3)) == 2
-        assert issue_cycles_for("ndro_rf", 1, (2,)) == 1
-        assert issue_cycles_for("ndro_rf", 1, ()) == 1
-        assert issue_cycles_for("ndro_rf", 1, (3, 3)) == 1  # RAR dedup
+        assert self.issue_cycles("ndro_rf", (2, 3)) == 2
+        assert self.issue_cycles("ndro_rf", (2,)) == 1
+        assert self.issue_cycles("ndro_rf", ()) == 1
+        assert self.issue_cycles("ndro_rf", (3, 3)) == 1  # RAR dedup
 
     def test_hiperrf_always_three(self):
-        assert issue_cycles_for("hiperrf", 1, (2, 3)) == 3
-        assert issue_cycles_for("hiperrf", None, ()) == 3
+        assert self.issue_cycles("hiperrf", (2, 3)) == 3
+        assert self.issue_cycles("hiperrf", ()) == 3
 
     def test_dual_bank(self):
-        assert issue_cycles_for("dual_bank_hiperrf", 1, (2, 3)) == 2
-        assert issue_cycles_for("dual_bank_hiperrf", 1, (2, 4)) == 4
-        assert issue_cycles_for("dual_bank_hiperrf", 1, (3, 3)) == 2
+        assert self.issue_cycles("dual_bank_hiperrf", (2, 3)) == 2
+        assert self.issue_cycles("dual_bank_hiperrf", (2, 4)) == 4
+        assert self.issue_cycles("dual_bank_hiperrf", (3, 3)) == 2
 
     def test_ideal_dual_bank_always_two(self):
-        assert issue_cycles_for("dual_bank_hiperrf_ideal", 1, (2, 4)) == 2
+        assert self.issue_cycles("dual_bank_hiperrf_ideal", (2, 4)) == 2
 
     def test_unknown_design(self):
-        with pytest.raises(ValueError):
-            issue_cycles_for("cmos_rf", 1, (2, 3))
+        with pytest.raises(ConfigError):
+            self.issue_cycles("cmos_rf", (2, 3))
 
 
 class TestRendering:

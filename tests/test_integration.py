@@ -72,12 +72,13 @@ class TestTimingModelConsistency:
                 params.GATE_CYCLE_PS
 
     def test_issue_gaps_match_schedule_module(self):
-        from repro.rf.timing import issue_cycles_for
+        from repro.rf import design_for
 
         for name in ("ndro_rf", "hiperrf", "dual_bank_hiperrf"):
             model = RFTimingModel.for_design(name)
+            design = design_for(name, RFGeometry(32, 32))
             for sources in ((), (1,), (1, 2), (1, 3)):
-                expected = issue_cycles_for(name, 5, sources) \
+                expected = design.issue_cycles(sources) \
                     * params.RF_ACCESS_GATE_CYCLES
                 assert model.issue_gap_gates(sources, 5) == expected
 
