@@ -258,9 +258,9 @@ def test_netlist_reuse_speedup(benchmark):
     geometry = RFGeometry(32, 32)
 
     def cached_run():
-        rf = PulseHiPerRF.build_cached(geometry, 600.0, cache=cache)
-        rf.write_word(5, 0xDEADBEEF, 50.0)
-        assert rf.stored_word(5) == 0xDEADBEEF
+        with PulseHiPerRF.checkout_cached(geometry, 600.0, cache=cache) as rf:
+            rf.write_word(5, 0xDEADBEEF, 50.0)
+            assert rf.stored_word(5) == 0xDEADBEEF
 
     cached_run()  # prime the cache: the build happens once, here
 

@@ -170,8 +170,8 @@ def _build_design_tables(tape: OpTape,
 _Ops = List[List[int]]
 
 #: Per-lane constants: ``(has_loopback, loopback_busy_gates,
-#: write_visible_extra_gates, writeback_depth, branch_redirect_penalty)``.
-_Timing = Tuple[bool, int, int, int, int]
+#: writeback_depth, branch_redirect_penalty)``.
+_Timing = Tuple[bool, int, int, int]
 
 
 def _run_segment(ops: _Ops, ready_at: List[int], ready_loopback: List[bool],
@@ -190,7 +190,7 @@ def _run_segment(ops: _Ops, ready_at: List[int], ready_loopback: List[bool],
     last_completion, port, raw, loopback, branch)`` at the slice's exit.
     """
     src0, src1, dest, gaps, path_add, redirects = ops
-    has_loopback, loop_busy, write_extra, wb_depth, redirect_penalty = timing
+    has_loopback, loop_busy, wb_depth, redirect_penalty = timing
     use_mem = memory is not None
     if use_mem:
         load_list, store_list, addr_list, access = memory  # type: ignore[misc]
@@ -253,7 +253,7 @@ def _run_segment(ops: _Ops, ready_at: List[int], ready_loopback: List[bool],
         writeback = exec_done + wb_depth
         d = dest[i]
         if d >= 0:
-            ready_at[d] = writeback + write_extra
+            ready_at[d] = writeback
             ready_loopback[d] = False
         if redirects[i]:
             front_ready = exec_done + redirect_penalty
@@ -352,8 +352,7 @@ def _segment(tape: OpTape) -> _Blocks:
 
 def _lane_timing(rf: RFTimingModel, config: CoreConfig) -> _Timing:
     return (rf.has_loopback, rf.loopback_busy_gates(),
-            rf.write_visible_extra_gates(), config.writeback_depth,
-            config.branch_redirect_penalty)
+            config.writeback_depth, config.branch_redirect_penalty)
 
 
 def _lane_rows(tape: OpTape, gap_table: np.ndarray, path_table: np.ndarray,

@@ -173,8 +173,10 @@ class GateLevelPipeline:
         writeback = exec_done + config.writeback_depth
 
         if op.destination is not None:
-            visible = writeback + rf.write_visible_extra_gates()
-            self._ready_at[op.destination] = visible
+            # Readable at write-back: the baseline forwards internally
+            # (Section III-E), and HiPerRF's lack of forwarding (Section
+            # IV-D) is already carried by its static issue pattern.
+            self._ready_at[op.destination] = writeback
             self._ready_loopback[op.destination] = False
 
         if op.branch_taken or (op.instr.is_branch

@@ -84,18 +84,6 @@ class RFTimingModel:
     def has_loopback(self) -> bool:
         return self.loopback_cycles > 0
 
-    def write_visible_extra_gates(self) -> int:
-        """Gate cycles after write-back before the value is readable.
-
-        Zero for every design: the baseline forwards internally
-        (write-before-read within one 53 ps cycle, Section III-E), and
-        HiPerRF's inability to forward (Section IV-D) is carried by its
-        static issue pattern - the reset-read and WEN cycles it reserves
-        before any dependent read slot can fire - so charging it again
-        here would double count.
-        """
-        return 0
-
     def loopback_busy_gates(self) -> int:
         """Gate cycles a just-read register stays unreadable.
 

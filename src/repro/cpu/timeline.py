@@ -37,13 +37,11 @@ class RecordingPipeline(GateLevelPipeline):
     """GateLevelPipeline that also records per-instruction anchors."""
 
     def __init__(self, rf: RFTimingModel,
-                 config: Optional[CoreConfig] = None,
-                 memory_model=None) -> None:
-        super().__init__(rf, config, memory_model)
+                 config: Optional[CoreConfig] = None) -> None:
+        super().__init__(rf, config)
         self.records: List[InstructionTiming] = []
 
     def feed(self, op: ExecutedOp) -> int:
-        before_loads = self._loads
         t_issue = super().feed(op)
         # Reconstruct the anchors the parent computed (same formulas).
         rf = self.rf
@@ -57,12 +55,7 @@ class RecordingPipeline(GateLevelPipeline):
             operands = t_issue + rf.rf_cycle_gates
         exec_done = operands + config.execute_depth
         if op.is_load:
-            if self.memory_model is not None:
-                # The parent already charged the access; approximate the
-                # recorded latency with the flat figure for display.
-                exec_done += config.memory_latency
-            else:
-                exec_done += config.memory_latency
+            exec_done += config.memory_latency
         writeback = exec_done + config.writeback_depth
         self.records.append(InstructionTiming(
             index=len(self.records),

@@ -50,37 +50,30 @@ def loopback_read_sweep(read_counts: List[int] | None = None
     passes if every read returned the value and the register still
     holds it.
     """
-    from repro.pulse import capture_stimulus, install_lane
     from repro.rf.netlist import PulseHiPerRF
 
     counts = read_counts if read_counts is not None else list(range(1, 17))
     value = 0xE4
     register = 1
-    rf = PulseHiPerRF.build_cached(RFGeometry(4, 8), 600.0)
-    engine = rf.engine
-    stimuli = []
-    settles = []
-    for k in counts:
-        with capture_stimulus(engine) as capture:
-            t = rf.write_word(register, value, 0.0)
-            lane_settles = []
-            for _ in range(k):
-                lane_settles.append(rf.probed_read(register, t))
-                t += 2 * rf.op_period_ps
-        stimuli.append(capture.stimulus())
-        settles.append(lane_settles)
-    outcomes = engine.run_lanes(stimuli, on_error="raise")
-    compiled = engine.compile()
-    rows = []
-    for k, lane_settles, outcome in zip(counts, settles, outcomes):
-        install_lane(compiled, outcome)
-        reads_ok = all(rf.probe_word(settle) == value
-                       for settle in lane_settles)
+
+    def schedule(rf: PulseHiPerRF, k: int) -> List[float]:
+        t = rf.write_word(register, value, 0.0)
+        settles = []
+        for _ in range(k):
+            settles.append(rf.probed_read(register, t))
+            t += 2 * rf.op_period_ps
+        return settles
+
+    def observe(rf: PulseHiPerRF, k: int,
+                settles: List[float]) -> Dict[str, float]:
+        reads_ok = all(rf.probe_word(settle) == value for settle in settles)
         restored = rf.stored_word(register) == value
-        rows.append({"reads": float(k),
-                     "reads_ok": float(reads_ok),
-                     "restored": float(restored)})
-    return rows
+        return {"reads": float(k),
+                "reads_ok": float(reads_ok),
+                "restored": float(restored)}
+
+    return PulseHiPerRF.run_trials(RFGeometry(4, 8), 600.0, counts,
+                                   schedule, observe)
 
 
 def render(result: Dict[str, float] | None = None) -> str:

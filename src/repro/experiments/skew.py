@@ -8,15 +8,15 @@ and maps the skew range over which a read still restores the register
 intact - the timing margin a physical implementation has to hold.
 
 The netlist is built once through the compiled-netlist cache and every
-skew trial replays as one stimulus lane (:meth:`Engine.run_lanes`), so
-a whole sweep costs one elaboration plus one lane-set replay.
+skew trial replays as one stimulus lane
+(:meth:`~repro.rf.netlist.PulseHiPerRF.run_trials`), so a whole sweep
+costs one elaboration plus one lane-set replay.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.pulse import capture_stimulus, install_lane
 from repro.rf.geometry import RFGeometry
 from repro.rf.netlist import PulseHiPerRF
 
@@ -27,7 +27,8 @@ _PERIOD_PS = 600.0
 _REGISTER = 1
 
 
-def _schedule_trial(rf: PulseHiPerRF, skew_ps: float, value: int) -> None:
+def _schedule_trial(rf: PulseHiPerRF, skew_ps: float,
+                    value: int = TEST_VALUE) -> None:
     """Write, then read with a skewed WEN train (live or under capture)."""
     t = rf.write_word(_REGISTER, value, 0.0)
     rf.schedule_read(_REGISTER, t, loopback=True, loopback_skew_ps=skew_ps)
@@ -36,29 +37,21 @@ def _schedule_trial(rf: PulseHiPerRF, skew_ps: float, value: int) -> None:
 
 def restore_ok(skew_ps: float, value: int = TEST_VALUE) -> bool:
     """One trial: write, read with skewed loopback, check the restore."""
-    rf = PulseHiPerRF.build_cached(_GEOMETRY, _PERIOD_PS)
-    _schedule_trial(rf, skew_ps, value)
-    return rf.stored_word(_REGISTER) == value
+    with PulseHiPerRF.checkout_cached(_GEOMETRY, _PERIOD_PS) as rf:
+        _schedule_trial(rf, skew_ps, value)
+        return rf.stored_word(_REGISTER) == value
 
 
 def run(skews_ps: List[float] | None = None) -> List[Dict[str, float]]:
     skews = skews_ps if skews_ps is not None else \
         [-16.0, -12.0, -8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0, 12.0, 16.0]
-    rf = PulseHiPerRF.build_cached(_GEOMETRY, _PERIOD_PS)
-    engine = rf.engine
-    stimuli = []
-    for skew in skews:
-        with capture_stimulus(engine) as capture:
-            _schedule_trial(rf, skew, TEST_VALUE)
-        stimuli.append(capture.stimulus())
-    outcomes = engine.run_lanes(stimuli, on_error="raise")
-    compiled = engine.compile()
-    rows = []
-    for skew, outcome in zip(skews, outcomes):
-        install_lane(compiled, outcome)
+
+    def observe(rf: PulseHiPerRF, skew: float, _: None) -> Dict[str, float]:
         restored = rf.stored_word(_REGISTER) == TEST_VALUE
-        rows.append({"skew_ps": skew, "restored": float(restored)})
-    return rows
+        return {"skew_ps": skew, "restored": float(restored)}
+
+    return PulseHiPerRF.run_trials(_GEOMETRY, _PERIOD_PS, skews,
+                                   _schedule_trial, observe)
 
 
 def working_window_ps(rows: List[Dict[str, float]]) -> Dict[str, float]:

@@ -106,8 +106,8 @@ def pulse_graphs(name: str,
         for i, bank in enumerate(dual.banks):
             graphs.append((
                 graph_from_engine(bank.engine, f"{name}.bank{i}",
-                                  bank.rf.external_inputs()),
-                (bank.rf,)))
+                                  bank.external_inputs()),
+                (bank,)))
         return graphs
     raise ConfigError(f"unknown design {name!r}; "
                       f"built-ins: {', '.join(BUILTIN_DESIGNS)}")

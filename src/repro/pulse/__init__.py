@@ -27,7 +27,7 @@ from repro.pulse.batched import (
     install_lane,
     run_lanes,
 )
-from repro.pulse.cache import CompiledNetlistCache, build_once
+from repro.pulse.cache import CompiledNetlistCache
 from repro.pulse.compiled import CompiledEngine, PulseSnapshot
 from repro.pulse.engine import Component, Engine, Wire
 from repro.pulse.monitor import Probe
@@ -67,7 +67,6 @@ __all__ = [
     "StimulusCapture",
     "TFF",
     "Wire",
-    "build_once",
     "capture_stimulus",
     "install_lane",
     "run_lanes",

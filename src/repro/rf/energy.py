@@ -18,8 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cells import get_cell
+from repro.errors import ConfigError
 from repro.rf.base import RegisterFileDesign
 from repro.rf.geometry import log2_int
+from repro.rf.hiperrf import HiPerRF
+from repro.rf.multibank import MultiBankHiPerRF
+from repro.rf.ndro_rf import NdroRegisterFile
 from repro.units import PHI0_WB
 
 #: Typical junction critical current in the cell library (amperes).
@@ -66,12 +70,17 @@ def _demux_switches(num_registers: int) -> int:
 
 
 def access_energy(design: RegisterFileDesign) -> AccessEnergy:
-    """Estimate per-read/write switching energy for a design."""
+    """Estimate per-read/write switching energy for a design.
+
+    Priced by storage type: the NDRO baseline, and the HC-DRO formula
+    for HiPerRF and its banked variants.  Any other design raises
+    :class:`~repro.errors.ConfigError`.
+    """
     geo = design.geometry
     n = geo.num_registers
     name = design.name
 
-    if name == "ndro_rf":
+    if isinstance(design, NdroRegisterFile):
         columns = geo.width_bits
         read = (_demux_switches(n)
                 + (columns - 1) * _cell_switch_jj("splitter")   # enable fan
@@ -85,6 +94,8 @@ def access_energy(design: RegisterFileDesign) -> AccessEnergy:
         return AccessEnergy(name, read * E_SWITCH_AJ, write * E_SWITCH_AJ,
                             loopback)
 
+    if not isinstance(design, (HiPerRF, MultiBankHiPerRF)):
+        raise ConfigError(f"no access-energy model for design {name!r}")
     # HiPerRF family: per-column pulse trains carry up to 3 pulses; use
     # the average occupancy of 1.5 pulses per 2-bit column.
     columns = geo.hc_cells_per_register

@@ -27,7 +27,6 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.pulse import capture_stimulus, install_lane
 from repro.rf.geometry import RFGeometry
 from repro.rf.netlist import PulseHiPerRF, PulseNdroRF
 
@@ -122,19 +121,9 @@ def _schedule_hiperrf_trial(rf: PulseHiPerRF,
     return settle
 
 
-def _decode_probe_word(rf: PulseHiPerRF, settle: float) -> int:
-    """Read value from the b0/b1 probe pulses of the post-settle readout."""
-    value = 0
-    for c in range(rf.columns):
-        b0 = bool(rf.b0_probes[c].pulses_in_window(settle, float("inf")))
-        b1 = bool(rf.b1_probes[c].pulses_in_window(settle, float("inf")))
-        value |= (int(b0) | (int(b1) << 1)) << (2 * c)
-    return value
-
-
 def _hiperrf_outcome(rf: PulseHiPerRF, trial: FaultTrial,
                      settle: Optional[float]) -> FaultOutcome:
-    read = None if settle is None else _decode_probe_word(rf, settle)
+    read = None if settle is None else rf.probe_word(settle)
     return FaultOutcome(
         design="hiperrf",
         fault=trial.fault,
@@ -152,72 +141,60 @@ def run_hiperrf_trials(trials: Sequence[FaultTrial],
     """Dispatch many HiPerRF fault trials as one lane set.
 
     The netlist is built (or fetched) once through the compiled-netlist
-    cache; each trial is captured as a :class:`~repro.pulse.LaneStimulus`
-    and the whole sweep replays in a single :meth:`Engine.run_lanes`
-    call, one snapshot/restore replay per trial.
+    cache, and every trial replays as one stimulus lane of a single
+    :meth:`~repro.rf.netlist.PulseHiPerRF.run_trials` sweep.
     """
     geom = geometry if geometry is not None else _DEFAULT_GEOMETRY
-    rf = PulseHiPerRF.build_cached(geom, _HIPERRF_PERIOD_PS)
-    engine = rf.engine
-    stimuli = []
-    settles = []
-    for trial in trials:
-        with capture_stimulus(engine) as capture:
-            settles.append(_schedule_hiperrf_trial(rf, trial))
-        stimuli.append(capture.stimulus())
-    lane_outcomes = engine.run_lanes(stimuli, on_error="raise")
-    compiled = engine.compile()
-    outcomes = []
-    for trial, settle, lane in zip(trials, settles, lane_outcomes):
-        install_lane(compiled, lane)
-        outcomes.append(_hiperrf_outcome(rf, trial, settle))
-    return outcomes
+    return PulseHiPerRF.run_trials(geom, _HIPERRF_PERIOD_PS, trials,
+                                   _schedule_hiperrf_trial, _hiperrf_outcome)
 
 
 def inject_hiperrf_fault(fault: FaultKind, register: int = 1,
                          value: int = 0xE4,
                          column: Optional[int] = None) -> FaultOutcome:
     """Write, then read once with one injected fault; inspect the damage."""
-    rf = PulseHiPerRF.build_cached(_DEFAULT_GEOMETRY, _HIPERRF_PERIOD_PS)
     if column is None:
         # Historical defaults: drop the loopback of column 1, strike the
         # data input of column 0.
         column = 1 if fault is FaultKind.DROP_LOOPBACK_PULSE else 0
     trial = FaultTrial(fault, register, column, value)
-    settle = _schedule_hiperrf_trial(rf, trial)
-    return _hiperrf_outcome(rf, trial, settle)
+    with PulseHiPerRF.checkout_cached(_DEFAULT_GEOMETRY,
+                                      _HIPERRF_PERIOD_PS) as rf:
+        settle = _schedule_hiperrf_trial(rf, trial)
+        return _hiperrf_outcome(rf, trial, settle)
 
 
 def inject_ndro_fault(fault: FaultKind, register: int = 1,
                       value: int = 0xE4) -> FaultOutcome:
     """The baseline under the same fault models (loopback N/A)."""
-    rf = PulseNdroRF.build_cached(_DEFAULT_GEOMETRY, _NDRO_PERIOD_PS)
-    engine = rf.engine
-    rf.schedule_write(register, value, 0.0)
-    engine.run(until_ps=rf.op_period_ps)
-    t = rf.op_period_ps
+    with PulseNdroRF.checkout_cached(_DEFAULT_GEOMETRY,
+                                     _NDRO_PERIOD_PS) as rf:
+        engine = rf.engine
+        rf.schedule_write(register, value, 0.0)
+        engine.run(until_ps=rf.op_period_ps)
+        t = rf.op_period_ps
 
-    if fault is FaultKind.EXTRA_DATA_PULSE:
-        # A spurious SET pulse on bit 0: NDRO absorbs it if already 1.
-        cell = rf.cells[register][0]
-        engine.schedule(cell, "set", t + 50.0)
-        engine.run(until_ps=t + 100.0)
-        read = rf.read_word(register, t + 200.0)
-    elif fault is FaultKind.DROP_READ_ENABLE:
-        engine.run(until_ps=t + rf.op_period_ps)
-        read = None
-    else:
-        raise ValueError(f"{fault} does not apply to the NDRO baseline")
+        if fault is FaultKind.EXTRA_DATA_PULSE:
+            # A spurious SET pulse on bit 0: NDRO absorbs it if already 1.
+            cell = rf.cells[register][0]
+            engine.schedule(cell, "set", t + 50.0)
+            engine.run(until_ps=t + 100.0)
+            read = rf.read_word(register, t + 200.0)
+        elif fault is FaultKind.DROP_READ_ENABLE:
+            engine.run(until_ps=t + rf.op_period_ps)
+            read = None
+        else:
+            raise ValueError(f"{fault} does not apply to the NDRO baseline")
 
-    return FaultOutcome(
-        design="ndro_rf",
-        fault=fault,
-        read_value=read,
-        stored_after=rf.stored_word(register),
-        expected=_expected_after_ndro(fault, value),
-        register=register,
-        column=0,
-    )
+        return FaultOutcome(
+            design="ndro_rf",
+            fault=fault,
+            read_value=read,
+            stored_after=rf.stored_word(register),
+            expected=_expected_after_ndro(fault, value),
+            register=register,
+            column=0,
+        )
 
 
 def _expected_after(fault: FaultKind, value: int, column: int = 0) -> int:

@@ -15,7 +15,8 @@ and write-data coincidence.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cells import params
 from repro.errors import ConfigError
@@ -32,10 +33,8 @@ from repro.pulse import (
     Probe,
     SplitTree,
 )
+from repro.pulse.cache import DEFAULT_CACHE, CompiledNetlistCache
 from repro.rf.geometry import RFGeometry, log2_int
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.pulse.cache import CompiledNetlistCache
 
 _SPL = params.DELAY_PS["splitter"]
 _MRG = params.DELAY_PS["merger"]
@@ -49,67 +48,78 @@ _HCW_FIRST = 2 * _MRG
 
 
 class _CachedBuildMixin:
-    """Build-once construction through :mod:`repro.pulse.cache`.
+    """Exclusive use of the one cached compiled build
+    (:mod:`repro.pulse.cache`).
 
-    ``build_cached`` returns a *shared*, compiled instance: the first
-    call elaborates the netlist, later calls with the same key restore
-    the pristine snapshot (state, queue and clock rewind) instead of
-    re-elaborating.  Callers must finish with the instance before
-    requesting the same key again.
+    ``checkout_cached`` leases the build for a geometry and op period:
+    the first lease elaborates the netlist, later ones restore its
+    pristine snapshot (state, queue and clock rewind).  ``run_trials``
+    replays a sweep of trials as stimulus lanes over one lease.
     """
 
     @classmethod
-    def build_key(cls, geometry: RFGeometry, op_period_ps: float,
-                  strict_timing: bool = True) -> Tuple[object, ...]:
-        """Hashable identity of one build: topology + engine semantics."""
-        return (cls.__name__, geometry, op_period_ps, strict_timing)
+    def build_key(cls, geometry: RFGeometry,
+                  op_period_ps: float) -> Tuple[object, ...]:
+        """Hashable identity of one build: its topology."""
+        return (cls.__name__, geometry, op_period_ps)
 
     @classmethod
-    def build_cached(cls, geometry: RFGeometry, op_period_ps: float,
-                     strict_timing: bool = True,
-                     cache: Optional["CompiledNetlistCache"] = None):
-        from repro.pulse.cache import DEFAULT_CACHE
-
-        store = DEFAULT_CACHE if cache is None else cache
-
-        def builder() -> Tuple[Engine, object]:
-            engine = Engine(strict_timing=strict_timing)
-            return engine, cls(engine, geometry, op_period_ps)  # type: ignore[call-arg]
-
-        _engine, rf = store.build_once(
-            cls.build_key(geometry, op_period_ps, strict_timing), builder)
-        return rf
-
-    @classmethod
+    @contextmanager
     def checkout_cached(cls, geometry: RFGeometry, op_period_ps: float,
-                        strict_timing: bool = True,
-                        cache: Optional["CompiledNetlistCache"] = None):
+                        cache: Optional[CompiledNetlistCache] = None
+                        ) -> Iterator[Any]:
         """Context manager: exclusive pristine use of the cached build.
 
-        Thread-safe variant of ``build_cached`` for concurrent jobs
-        (the simulation service): a per-key lock serialises users of
-        one netlist and every checkout restores the pristine snapshot,
-        so interleaved jobs cannot leak state into each other.  Yields
-        the driver object; do not use it after the ``with`` block.
+        A per-key lock serialises users of one netlist - concurrent
+        service jobs, or a study sharing a job's key - and every
+        checkout restores the pristine snapshot, so interleaved users
+        cannot leak state into each other.  Yields the driver object;
+        do not use it after the ``with`` block.
         """
-        from contextlib import contextmanager
-
-        from repro.pulse.cache import DEFAULT_CACHE
-
         store = DEFAULT_CACHE if cache is None else cache
 
         def builder() -> Tuple[Engine, object]:
-            engine = Engine(strict_timing=strict_timing)
+            engine = Engine()
             return engine, cls(engine, geometry, op_period_ps)  # type: ignore[call-arg]
 
-        @contextmanager
-        def lease():
-            with store.checkout(
-                    cls.build_key(geometry, op_period_ps, strict_timing),
-                    builder) as (_engine, rf):
-                yield rf
+        with store.checkout(cls.build_key(geometry, op_period_ps),
+                            builder) as (_engine, rf):
+            yield rf
 
-        return lease()
+    @classmethod
+    def run_trials(cls, geometry: RFGeometry, op_period_ps: float,
+                   trials: Sequence[Any],
+                   schedule: Callable[[Any, Any], Any],
+                   observe: Callable[[Any, Any, Any], Any]) -> List[Any]:
+        """Replay each trial as one stimulus lane over a single checkout.
+
+        ``schedule(rf, trial)`` drives one trial under
+        :func:`~repro.pulse.capture_stimulus`, so it records a lane
+        instead of simulating; its return value is kept.  Every lane
+        replays in one :meth:`~repro.pulse.engine.Engine.run_lanes`
+        call (a lane error raises), then each lane's final state is
+        installed and ``observe(rf, trial, kept)`` reads it.  Returns
+        the observations in trial order.
+        """
+        # Looked up per call: perfbench's traced run patches
+        # ``repro.pulse.capture_stimulus``.
+        from repro.pulse import capture_stimulus, install_lane
+
+        with cls.checkout_cached(geometry, op_period_ps) as rf:
+            engine = rf.engine
+            stimuli = []
+            kept = []
+            for trial in trials:
+                with capture_stimulus(engine) as capture:
+                    kept.append(schedule(rf, trial))
+                stimuli.append(capture.stimulus())
+            outcomes = engine.run_lanes(stimuli, on_error="raise")
+            compiled = engine.compile()
+            observed = []
+            for trial, value, outcome in zip(trials, kept, outcomes):
+                install_lane(compiled, outcome)
+                observed.append(observe(rf, trial, value))
+            return observed
 
 
 class PulseNdroRF(_CachedBuildMixin):
@@ -226,7 +236,7 @@ class PulseNdroRF(_CachedBuildMixin):
     def read_word(self, address: int, t: float) -> int:
         """Convenience: run a read to completion and decode the output word."""
         start_counts = [probe.count for probe in self.out_probes]
-        done = self.schedule_read(address, t)
+        self.schedule_read(address, t)
         self.engine.run(until_ps=t + self.op_period_ps)
         value = 0
         for b, probe in enumerate(self.out_probes):
@@ -529,39 +539,9 @@ class PulseDualBankHiPerRF:
             raise ConfigError("dual-bank model needs >= 4 registers")
         self.geometry = geometry
         bank_geometry = geometry.halved()
-        self.banks = [_BankShim(bank_geometry, op_period_ps) for _ in range(2)]
+        self.banks = [PulseHiPerRF(Engine(), bank_geometry, op_period_ps)
+                      for _ in range(2)]
         self.op_period_ps = op_period_ps
-
-    @classmethod
-    def build_key(cls, geometry: RFGeometry, op_period_ps: float = 600.0,
-                  bank: int = 0) -> Tuple[object, ...]:
-        """Per-bank key: the two banks are independent netlists."""
-        return (cls.__name__, geometry, op_period_ps, bank)
-
-    @classmethod
-    def build_cached(cls, geometry: RFGeometry, op_period_ps: float = 600.0,
-                     cache: Optional["CompiledNetlistCache"] = None
-                     ) -> "PulseDualBankHiPerRF":
-        """Build-once variant: each bank goes through the netlist cache."""
-        from repro.pulse.cache import DEFAULT_CACHE
-
-        store = DEFAULT_CACHE if cache is None else cache
-        if geometry.num_registers < 4:
-            raise ConfigError("dual-bank model needs >= 4 registers")
-        self = cls.__new__(cls)
-        self.geometry = geometry
-        self.op_period_ps = op_period_ps
-        bank_geometry = geometry.halved()
-        banks = []
-        for index in range(2):
-            def builder(g: RFGeometry = bank_geometry) -> Tuple[Engine, object]:
-                shim = _BankShim(g, op_period_ps)
-                return shim.engine, shim
-            _engine, shim = store.build_once(
-                cls.build_key(geometry, op_period_ps, index), builder)
-            banks.append(shim)
-        self.banks = banks
-        return self
 
     @staticmethod
     def _locate(register: int) -> tuple[int, int]:
@@ -570,20 +550,12 @@ class PulseDualBankHiPerRF:
 
     def read_word(self, register: int, t: float) -> int:
         bank, local = self._locate(register)
-        return self.banks[bank].rf.read_word(local, t)
+        return self.banks[bank].read_word(local, t)
 
     def write_word(self, register: int, value: int, t: float) -> float:
         bank, local = self._locate(register)
-        return self.banks[bank].rf.write_word(local, value, t)
+        return self.banks[bank].write_word(local, value, t)
 
     def stored_word(self, register: int) -> int:
         bank, local = self._locate(register)
-        return self.banks[bank].rf.stored_word(local)
-
-
-class _BankShim:
-    """One bank: a PulseHiPerRF on its own private engine."""
-
-    def __init__(self, geometry: RFGeometry, op_period_ps: float) -> None:
-        self.engine = Engine()
-        self.rf = PulseHiPerRF(self.engine, geometry, op_period_ps)
+        return self.banks[bank].stored_word(local)

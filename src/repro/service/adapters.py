@@ -386,8 +386,7 @@ def _decompose_pulse_rf(params: Params) -> DecomposedJob:
     return DecomposedJob(items=(item,), recompose=_first)
 
 
-def _pulse_schedule_one(rf: Any, op_period_ps: float,
-                        pattern: List[List[int]]) -> List[float]:
+def _pulse_schedule(rf: Any, pattern: List[List[int]]) -> List[float]:
     """Schedule one item's write/read program (live or under capture).
 
     Writes every pattern word (each one op period after the previous
@@ -396,60 +395,46 @@ def _pulse_schedule_one(rf: Any, op_period_ps: float,
     apart, so each value survives in the lane record.  Returns the
     settle time of every read, in pattern order.
     """
-    t = op_period_ps
+    t = rf.op_period_ps
     for register, value in pattern:
-        t = rf.write_word(register, value, t) + op_period_ps
+        t = rf.write_word(register, value, t) + rf.op_period_ps
     settles = []
     for register, _ in pattern:
         settles.append(rf.probed_read(register, t))
-        t += 4 * op_period_ps
+        t += 4 * rf.op_period_ps
     return settles
+
+
+def _pulse_observe(rf: Any, pattern: List[List[int]],
+                   settles: List[float]) -> Dict[str, Any]:
+    """One item's value from its installed lane state."""
+    return {"stored": {str(register): rf.stored_word(register)
+                       for register, _ in pattern},
+            "read": {str(register): rf.probe_word(settle)
+                     for (register, _), settle in zip(pattern, settles)}}
 
 
 def _pulse_compute(payloads: Sequence[Any]) -> List[Dict[str, Any]]:
     """One lane set over the group's shared cached netlist.
 
     Every payload in a group shares the build key, so the whole batch
-    is one exclusive checkout: each item's program is captured as a
-    stimulus lane and the group replays in a single
-    :meth:`~repro.pulse.engine.Engine.run_lanes` call, one
-    snapshot/restore replay per item.  Per-item values decode
-    from the installed lane state and are identical whether the item
-    dispatches alone or with strangers - the equivalence the service
-    benchmark enforces.
+    is one :meth:`~repro.rf.netlist.PulseHiPerRF.run_trials` sweep:
+    one exclusive checkout, one stimulus lane per item.  Per-item
+    values are identical whether the item dispatches alone or with
+    strangers - the equivalence the service benchmark enforces.
     """
-    from repro.pulse import capture_stimulus, install_lane
     from repro.rf import RFGeometry
     from repro.rf.netlist import PulseHiPerRF
 
     if not payloads:
         return []
     registers, width, op_period_ps, _ = payloads[0]
-    geometry = RFGeometry(registers, width)
-    with PulseHiPerRF.checkout_cached(geometry, op_period_ps) as rf:
-        engine = rf.engine
-        stimuli = []
-        settle_lists = []
-        for _, _, _, pattern in payloads:
-            with capture_stimulus(engine) as capture:
-                settle_lists.append(
-                    _pulse_schedule_one(rf, op_period_ps, pattern))
-            stimuli.append(capture.stimulus())
-        outcomes = engine.run_lanes(stimuli, on_error="raise")
-        PULSE_LANE_METRICS.record(len(stimuli))
-        compiled = engine.compile()
-        values: List[Dict[str, Any]] = []
-        for payload, settles, outcome in zip(payloads, settle_lists,
-                                             outcomes):
-            pattern = payload[3]
-            install_lane(compiled, outcome)
-            stored = {str(register): rf.stored_word(register)
-                      for register, _ in pattern}
-            read_back = {}
-            for (register, _), settle in zip(pattern, settles):
-                read_back[str(register)] = rf.probe_word(settle)
-            values.append({"stored": stored, "read": read_back})
-        return values
+    values = PulseHiPerRF.run_trials(
+        RFGeometry(registers, width), op_period_ps,
+        [payload[3] for payload in payloads], _pulse_schedule,
+        _pulse_observe)
+    PULSE_LANE_METRICS.record(len(payloads))
+    return values
 
 
 class _LaneMetrics:

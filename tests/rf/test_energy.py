@@ -2,12 +2,18 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.rf import (
     DualBankHiPerRF,
     HiPerRF,
     NdroRegisterFile,
     RFGeometry,
     design_for,
+)
+from repro.rf.alternatives import (
+    ShiftRegisterRF,
+    SingleBitLoopbackRF,
+    TrueTwoPortHiPerRF,
 )
 from repro.rf.energy import (
     E_SWITCH_AJ,
@@ -64,6 +70,15 @@ class TestAccessEnergy:
         reads = [access_energy(design_for(f"hiperrf_x{b}", GEO)).read_aj
                  for b in (2, 4, 8)]
         assert reads[0] > reads[1] > reads[2]
+
+    @pytest.mark.parametrize("cls", [ShiftRegisterRF, SingleBitLoopbackRF,
+                                     TrueTwoPortHiPerRF])
+    def test_unmodelled_designs_raise(self, cls):
+        """Designs whose cells no formula prices are refused by type, not
+        priced as HiPerRF under another name."""
+        design = cls(GEO)
+        with pytest.raises(ConfigError, match=design.name):
+            access_energy(design)
 
     def test_dynamic_energy_negligible_vs_static(self):
         """Why the paper reports static power only: at 1 GOPS the dynamic
