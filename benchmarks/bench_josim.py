@@ -23,8 +23,9 @@ import pytest
 
 from repro.experiments import josim_cells
 from repro.josim import sweep, testbench
-from repro.josim.margins import sweep_margin_grid, sweep_read_amplitude
-from repro.josim.testbench import HCDROTestbench
+from repro.josim.margins import sweep_margin_grid
+from repro.josim.sweep import HCDROConfig
+from repro.josim.testbench import run_hcdro_batch
 
 #: Read/bias scale axes of the margin-grid benchmark: the Section II-D
 #: grid, 25 operating points x 3 write counts = 75 testbench lanes.
@@ -63,7 +64,7 @@ def _best_of(fn, reps: int = TIMING_REPS) -> float:
 
 def test_hcdro_analog_study(benchmark):
     def full_capacity_roundtrip():
-        return HCDROTestbench().run(writes=3, reads=4)
+        return run_hcdro_batch([HCDROConfig(writes=3, reads=4)])[0]
 
     report = benchmark(full_capacity_roundtrip)
     benchmark.extra_info["stored"] = report.stored_after_writes
@@ -85,7 +86,7 @@ def test_hcdro_reference_solver(benchmark):
         original = tb.TransientSolver
         tb.TransientSolver = _ReferenceSolver
         try:
-            return HCDROTestbench().run(writes=3, reads=4)
+            return run_hcdro_batch([HCDROConfig(writes=3, reads=4)])[0]
         finally:
             tb.TransientSolver = original
 
@@ -109,7 +110,7 @@ def test_batched_margin_grid_speedup(benchmark):
     default three write counts (75 lanes), uncached so every lane is
     simulated.  The batched path groups the 75 configs into
     three 25-lane topology batches; the scalar path lifts the lane-count
-    rule above 25 lanes, so the scalar testbench runs once per grid
+    rule above 25 lanes, so the scalar solver runs once per grid
     config.  Verdicts must agree point-for-point - the two tiers share
     one formulation.
     """
@@ -226,11 +227,11 @@ def test_megabatch_monte_carlo_yield(benchmark):
 def test_margin_sweep_cached_revisit(benchmark, tmp_path, monkeypatch):
     """A margin sweep revisiting cached points must be near-free."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    points = sweep_read_amplitude(scales=(0.95, 1.0, 1.05))
+    points = sweep_margin_grid((0.95, 1.0, 1.05))
     assert points[1].correct
 
     def revisit():
-        return sweep_read_amplitude(scales=(0.95, 1.0, 1.05))
+        return sweep_margin_grid((0.95, 1.0, 1.05))
 
     again = benchmark(revisit)
     benchmark.extra_info["cache_entries"] = len(list(

@@ -1,6 +1,7 @@
 """HC-DRO operating margins (Section II-D robustness claim).
 
-The read-amplitude sweep goes through the parallel sweep engine in
+The read-amplitude sweep is :func:`repro.josim.margins.sweep_margin_grid`
+at the nominal bias, run by the parallel sweep engine in
 :mod:`repro.josim.sweep`; pass ``workers=1`` (or set
 ``REPRO_SWEEP_WORKERS=1``) to force serial execution.
 """
@@ -10,15 +11,16 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.josim.margins import (
+    DEFAULT_READ_SCALES,
     MarginPoint,
-    sweep_read_amplitude,
+    sweep_margin_grid,
     working_margin_percent,
 )
 
 
-def run(scales=(0.90, 0.95, 1.0, 1.05, 1.10),
+def run(scales=DEFAULT_READ_SCALES,
         workers: Optional[int] = None) -> List[MarginPoint]:
-    return sweep_read_amplitude(scales=scales, workers=workers)
+    return sweep_margin_grid(scales, workers=workers)
 
 
 def render(points: List[MarginPoint] | None = None) -> str:

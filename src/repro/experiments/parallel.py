@@ -43,6 +43,8 @@ behaviour).
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import hashlib
 import json
 import os
@@ -244,6 +246,21 @@ def _key_fallback(value: Any) -> Any:
     if hasattr(value, "__dataclass_fields__"):
         return {"__class__": type(value).__name__, **vars(value)}
     raise TypeError(f"cache key element {value!r} is not serialisable")
+
+
+def jsonable(value: Any) -> Any:
+    """Cache- and wire-safe view: dataclasses/enums/numpy scalars out."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return jsonable(dataclasses.asdict(value))
+    if isinstance(value, enum.Enum):
+        return jsonable(value.value)
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if hasattr(value, "item") and type(value).__module__ == "numpy":
+        return value.item()
+    return value
 
 
 class ResultCache:

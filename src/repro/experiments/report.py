@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+
+from repro.experiments import paper_data
+from repro.rf import PAPER_DESIGNS, RFGeometry, design_for
+
+#: ``{design: {geometry: {key: ..., "percent_of_baseline": ...,
+#: "paper_<key>": ...}}}``: one of Tables I-III.
+DesignTable = Dict[str, Dict[str, Dict[str, float]]]
 
 
 @dataclass(frozen=True)
@@ -42,3 +49,36 @@ def max_abs_delta_percent(rows: Sequence[ComparisonRow]) -> float:
     deltas = [abs(row.delta_percent) for row in rows
               if row.delta_percent is not None]
     return max(deltas) if deltas else 0.0
+
+
+def design_table(measure: Callable[[Any], float],
+                 paper: Mapping[str, Mapping[str, float]],
+                 key: str) -> DesignTable:
+    """Measure one quantity of every paper design at every geometry.
+
+    Each value sits beside its percentage of the NDRO baseline at the
+    same geometry (measured once) and the paper's published value.
+    """
+    geometries = {label: RFGeometry(*(int(x) for x in label.split("x")))
+                  for label in paper_data.GEOMETRY_LABELS}
+    measured = {name: {label: float(measure(design_for(name, geometry)))
+                       for label, geometry in geometries.items()}
+                for name in PAPER_DESIGNS}
+    baseline = measured["ndro_rf"]
+    return {name: {label: {key: value,
+                           "percent_of_baseline":
+                               100.0 * value / baseline[label],
+                           f"paper_{key}": float(paper[name][label])}
+                   for label, value in row.items()}
+            for name, row in measured.items()}
+
+
+def render_design_table(title: str, result: DesignTable, key: str,
+                        unit: str, precision: int) -> str:
+    """:func:`format_table` of a :func:`design_table`, paper order."""
+    return format_table(title, [
+        ComparisonRow(label=f"{paper_data.PAPER_NAMES[name]} {label}",
+                      measured=result[name][label][key],
+                      paper=result[name][label][f"paper_{key}"], unit=unit)
+        for name in paper_data.DESIGN_ORDER
+        for label in paper_data.GEOMETRY_LABELS], precision=precision)

@@ -7,15 +7,18 @@ Usage::
     hiperrf-experiments figure14 --scale 2.0
     hiperrf-experiments table1 --json # machine-readable output
     python -m repro.experiments.runner all
+
+Each name maps to its experiment's ``run`` and ``render``; ``--json``
+works for every name and prints the raw ``run()`` results.  Only
+``figure14`` takes ``--scale``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Tuple
 
 from repro.experiments import (
     ablations,
@@ -42,75 +45,42 @@ from repro.experiments import (
     timing_figs,
     wire_cpi,
 )
+from repro.experiments.parallel import jsonable
 
-EXPERIMENTS: Dict[str, Callable[..., str]] = {
-    "table1": lambda **_: table1.render(),
-    "table2": lambda **_: table2.render(),
-    "table3": lambda **_: table3.render(),
-    "table4": lambda **_: table4.render(),
-    "fullchip": lambda **_: fullchip.render(),
-    "figure14": lambda scale=1.0, **_: figure14.render(figure14.run(scale)),
-    "figure15": lambda **_: figure15.render(),
-    "timing": lambda **_: timing_figs.render(),
-    "josim": lambda **_: josim_cells.render(),
-    "scaling": lambda **_: scaling.render(),
-    "wire_cpi": lambda **_: wire_cpi.render(),
-    "alternatives": lambda **_: alternatives.render(),
-    "ablations": lambda **_: ablations.render(),
-    "margins": lambda **_: margins.render(),
-    "montecarlo": lambda **_: montecarlo.render(),
-    "synthesis": lambda **_: synthesis.render(),
-    "memory": lambda **_: memory_sensitivity.render(),
-    "energy": lambda **_: energy.render(),
-    "banking": lambda **_: banking.render(),
-    "skew": lambda **_: skew.render(),
-    "faults": lambda **_: fault_study.render(),
-    "scheduling": lambda **_: scheduling.render(),
-    "profiles": lambda **_: profiles.render(),
+#: Every experiment's ``(run, render)`` pair: the text report is
+#: ``render(run())`` and ``--json`` prints ``jsonable(run())``.
+EXPERIMENTS: Dict[str, Tuple[Callable[..., Any], Callable[[Any], str]]] = {
+    "table1": (table1.run, table1.render),
+    "table2": (table2.run, table2.render),
+    "table3": (table3.run, table3.render),
+    "table4": (table4.run, table4.render),
+    "fullchip": (fullchip.run, fullchip.render),
+    "figure14": (figure14.run, figure14.render),
+    "figure15": (figure15.run, figure15.render),
+    "timing": (timing_figs.run, timing_figs.render),
+    "josim": (josim_cells.run, josim_cells.render),
+    "scaling": (scaling.run, scaling.render),
+    "wire_cpi": (wire_cpi.run, wire_cpi.render),
+    "alternatives": (alternatives.run, alternatives.render),
+    "ablations": (ablations.run, ablations.render),
+    "margins": (margins.run, margins.render),
+    "montecarlo": (montecarlo.run, montecarlo.render),
+    "synthesis": (synthesis.run, synthesis.render),
+    "memory": (memory_sensitivity.run, memory_sensitivity.render),
+    "energy": (energy.run, energy.render),
+    "banking": (banking.run, banking.render),
+    "skew": (skew.run, skew.render),
+    "faults": (fault_study.run, fault_study.render),
+    "scheduling": (scheduling.run, scheduling.render),
+    "profiles": (profiles.run, profiles.render),
 }
 
 
-#: run() callables for --json output (experiments with structured results).
-RAW_RUNNERS: Dict[str, Callable[..., Any]] = {}
-
-
-def _register_raw() -> None:
-    from repro.experiments import (ablations as _ab, alternatives as _al,
-                                   banking as _bk, fault_study as _fs,
-                                   figure15 as _f15, fullchip as _fc,
-                                   josim_cells as _jc, margins as _mg,
-                                   montecarlo as _mc,
-                                   memory_sensitivity as _ms,
-                                   scaling as _sc, scheduling as _sd,
-                                   skew as _sk, synthesis as _sy,
-                                   profiles as _pf,
-                                   table1 as _t1, table2 as _t2,
-                                   table3 as _t3, table4 as _t4,
-                                   wire_cpi as _wc)
-
-    RAW_RUNNERS.update({
-        "table1": _t1.run, "table2": _t2.run, "table3": _t3.run,
-        "table4": _t4.run, "fullchip": _fc.run, "figure15": _f15.run,
-        "scaling": _sc.run, "alternatives": _al.run, "ablations": _ab.run,
-        "banking": _bk.run, "skew": _sk.run, "faults": _fs.run,
-        "scheduling": _sd.run, "synthesis": _sy.run, "margins": _mg.run,
-        "memory": _ms.run, "wire_cpi": _wc.run, "josim": _jc.run,
-        "montecarlo": _mc.run, "profiles": _pf.run,
-    })
-
-
-def _jsonable(value: Any) -> Any:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(dataclasses.asdict(value))
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    import enum
-
-    if isinstance(value, enum.Enum):
-        return value.value
-    return value
+def _run(name: str, scale: float) -> Any:
+    run, _ = EXPERIMENTS[name]
+    # Only Figure 14 takes --scale: the other CPU sweeps' own default
+    # scales are part of their artifacts.
+    return run(scale) if name == "figure14" else run()
 
 
 def main(argv: list | None = None) -> int:
@@ -133,16 +103,13 @@ def main(argv: list | None = None) -> int:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
 
     if args.json:
-        _register_raw()
-        unsupported = [n for n in selected if n not in RAW_RUNNERS]
-        if unsupported:
-            parser.error(
-                f"--json unsupported for: {', '.join(unsupported)}")
-        payload = {name: _jsonable(RAW_RUNNERS[name]()) for name in selected}
+        payload = {name: jsonable(_run(name, args.scale))
+                   for name in selected}
         print(json.dumps(payload, indent=2, default=str))
         return 0
     for name in selected:
-        print(EXPERIMENTS[name](scale=args.scale))
+        _, render = EXPERIMENTS[name]
+        print(render(_run(name, args.scale)))
         print()
     return 0
 

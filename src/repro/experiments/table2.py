@@ -2,46 +2,23 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 from repro.experiments import paper_data
-from repro.experiments.report import ComparisonRow, format_table
-from repro.rf import PAPER_DESIGNS, NdroRegisterFile, RFGeometry, design_for
+from repro.experiments.report import (
+    DesignTable,
+    design_table,
+    render_design_table,
+)
 
 
-def run() -> Dict[str, Dict[str, Dict[str, float]]]:
+def run() -> DesignTable:
     """Measure static power for every design and geometry."""
-    result: Dict[str, Dict[str, Dict[str, float]]] = {}
-    baselines: Dict[str, float] = {}
-    for label in paper_data.GEOMETRY_LABELS:
-        n, w = (int(x) for x in label.split("x"))
-        baselines[label] = NdroRegisterFile(RFGeometry(n, w)).static_power_uw()
-    for name in PAPER_DESIGNS:
-        result[name] = {}
-        for label in paper_data.GEOMETRY_LABELS:
-            n, w = (int(x) for x in label.split("x"))
-            power = design_for(name, RFGeometry(n, w)).static_power_uw()
-            result[name][label] = {
-                "power_uw": power,
-                "percent_of_baseline": 100.0 * power / baselines[label],
-                "paper_power_uw": paper_data.TABLE2_POWER_UW[name][label],
-            }
-    return result
+    return design_table(lambda rf: rf.static_power_uw(),
+                        paper_data.TABLE2_POWER_UW, "power_uw")
 
 
-def render(result: Dict[str, Dict[str, Dict[str, float]]] | None = None) -> str:
-    result = result or run()
-    rows: List[ComparisonRow] = []
-    for name in paper_data.DESIGN_ORDER:
-        for label in paper_data.GEOMETRY_LABELS:
-            cell = result[name][label]
-            rows.append(ComparisonRow(
-                label=f"{paper_data.PAPER_NAMES[name]} {label}",
-                measured=cell["power_uw"],
-                paper=cell["paper_power_uw"],
-                unit="uW",
-            ))
-    return format_table("Table II: static power", rows)
+def render(result: DesignTable | None = None) -> str:
+    return render_design_table("Table II: static power", result or run(),
+                               "power_uw", "uW", precision=2)
 
 
 if __name__ == "__main__":

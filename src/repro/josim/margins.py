@@ -7,33 +7,36 @@ pulse amplitude and the J2 bias around the nominal drive point and maps
 where the cell still behaves perfectly (stores exactly ``min(w, 3)``
 fluxons, pops exactly one per clock, empty reads silent).
 
-All sweeps are dispatched through :mod:`repro.josim.sweep`: operating
-points are grouped by topology (write/read counts and timestep) and
-each group's lane count picks the solver
-(:func:`repro.josim.testbench.run_hcdro_batch`) — groups of
-``BATCHED_MIN_LANES`` or more run as one lane-parallel batched
-transient, smaller ones config by config on the scalar solver.  On a
-1-CPU host the whole grid executes in-process; with more workers,
-whole groups fan out across processes.  A configuration repeated
-within one sweep is simulated once; with ``REPRO_CACHE_DIR`` set, one
-already in its ``hcdro-v1`` namespace (written by an earlier sweep or a
-service ``margins`` job) is not simulated again.  Callers hand over
-grids of scales and get :class:`MarginPoint` verdicts back.
+One margin grid serves every front end: :func:`margin_configs` turns
+``(read amplitude, J2 bias)`` points into one
+:class:`~repro.josim.sweep.HCDROConfig` per (point, write count), and
+:func:`margin_points` folds the runs' verdicts back into one
+:class:`MarginPoint` per point.  :func:`sweep_margin_grid` (the
+``margins`` experiment and the josim benchmark) runs them through
+:func:`repro.josim.sweep.run_configs`; the service's ``margins`` jobs
+run the same configs as ``hcdro`` items.  Either way operating points
+are grouped by topology (write/read counts and timestep) and each
+group's lane count picks the solver
+(:func:`repro.josim.testbench.run_hcdro_batch`).  A configuration
+repeated within one sweep is simulated once; with ``REPRO_CACHE_DIR``
+set, one already in its ``hcdro-v1`` namespace (written by an earlier
+sweep or a service ``margins`` job) is not simulated again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.josim.montecarlo import YieldReport
+from typing import List, Optional, Sequence, Tuple
 
 from repro.josim.cells import (
     RECOMMENDED_J2_BIAS_UA,
     RECOMMENDED_READ_PULSE_UA,
 )
 from repro.josim.sweep import HCDROConfig, run_configs
+
+#: Read-amplitude scales of the ``margins`` experiment and of a service
+#: ``margins`` job that names none: nominal and +/-5% and +/-10%.
+DEFAULT_READ_SCALES = (0.90, 0.95, 1.0, 1.05, 1.10)
 
 #: Write counts exercised per operating point: empty cell, a partial
 #: fill and the full 3-fluxon capacity.
@@ -53,78 +56,50 @@ class MarginPoint:
     correct: bool
 
 
-def _point_configs(read_amplitude_ua: float, j2_bias_ua: float,
-                   write_counts: Sequence[int]) -> List[HCDROConfig]:
-    return [HCDROConfig(writes=writes, reads=DEFAULT_READS,
-                        read_amplitude_ua=read_amplitude_ua,
-                        j2_bias_ua=j2_bias_ua)
-            for writes in write_counts]
+def margin_configs(points: Sequence[Tuple[float, float]],
+                   write_counts: Sequence[int] = DEFAULT_WRITE_COUNTS,
+                   reads: int = DEFAULT_READS,
+                   **program: float) -> List[HCDROConfig]:
+    """One config per (point, write count), point-major.
 
-
-def point_is_correct(read_amplitude_ua: float, j2_bias_ua: float,
-                     write_counts: Sequence[int] = DEFAULT_WRITE_COUNTS,
-                     workers: Optional[int] = None) -> bool:
-    """Exhaustive pass/fail of one operating point.
-
-    For each write count the cell must store exactly ``min(w, 3)``
-    fluxons, emit exactly that many output pulses over 4 reads, and end
-    empty.
+    Each point is a ``(read amplitude, J2 bias)`` pair in uA;
+    ``program`` passes the other :class:`HCDROConfig` fields (settle,
+    spacing, width, timestep).
     """
-    summaries = run_configs(
-        _point_configs(read_amplitude_ua, j2_bias_ua, write_counts),
-        workers=workers)
-    return all(summary.correct for summary in summaries)
+    return [HCDROConfig(writes=writes, reads=reads,
+                        read_amplitude_ua=amplitude, j2_bias_ua=bias,
+                        **program)
+            for amplitude, bias in points for writes in write_counts]
 
 
-def sweep_read_amplitude(scales: Sequence[float] = (0.90, 0.95, 1.0, 1.05,
-                                                    1.10),
-                         j2_bias_ua: float = RECOMMENDED_J2_BIAS_UA,
-                         write_counts: Sequence[int] = DEFAULT_WRITE_COUNTS,
-                         workers: Optional[int] = None) -> List[MarginPoint]:
-    """Sweep the read amplitude at fixed bias.
+def margin_points(points: Sequence[Tuple[float, float]],
+                  verdicts: Sequence[bool]) -> List[MarginPoint]:
+    """One :class:`MarginPoint` per point, correct when all its runs are.
 
-    All ``len(scales) * len(write_counts)`` testbench runs are batched
-    into one parallel dispatch.
+    ``verdicts`` holds one :func:`~repro.josim.sweep.hcdro_correct`
+    per config, in :func:`margin_configs` order.
     """
-    amplitudes = [RECOMMENDED_READ_PULSE_UA * scale for scale in scales]
-    configs: List[HCDROConfig] = []
-    for amplitude in amplitudes:
-        configs.extend(_point_configs(amplitude, j2_bias_ua, write_counts))
-    summaries = run_configs(configs, workers=workers)
-    points = []
-    stride = len(write_counts)
-    for index, amplitude in enumerate(amplitudes):
-        verdicts = summaries[index * stride:(index + 1) * stride]
-        points.append(MarginPoint(
-            read_amplitude_ua=amplitude,
-            j2_bias_ua=j2_bias_ua,
-            correct=all(summary.correct for summary in verdicts),
-        ))
-    return points
+    stride = len(verdicts) // len(points) if points else 0
+    return [MarginPoint(read_amplitude_ua=amplitude, j2_bias_ua=bias,
+                        correct=all(verdicts[k * stride:(k + 1) * stride]))
+            for k, (amplitude, bias) in enumerate(points)]
 
 
 def sweep_margin_grid(read_scales: Sequence[float],
-                      bias_scales: Sequence[float],
+                      bias_scales: Sequence[float] = (1.0,),
                       write_counts: Sequence[int] = DEFAULT_WRITE_COUNTS,
                       workers: Optional[int] = None) -> List[MarginPoint]:
-    """2-D margin map over (read amplitude, J2 bias), row-major order.
+    """Margin map over (read amplitude, J2 bias) scales, row-major order.
 
     The full grid is dispatched as one batch so the sweep engine can
-    keep every worker busy and deduplicate shared configurations.
+    keep every worker busy and deduplicate shared configurations.  The
+    default bias axis is the nominal bias alone: a read-amplitude sweep.
     """
-    grid = [(RECOMMENDED_READ_PULSE_UA * rs, RECOMMENDED_J2_BIAS_UA * bs)
-            for rs in read_scales for bs in bias_scales]
-    configs: List[HCDROConfig] = []
-    for amplitude, bias in grid:
-        configs.extend(_point_configs(amplitude, bias, write_counts))
-    summaries = run_configs(configs, workers=workers)
-    stride = len(write_counts)
-    return [MarginPoint(
-        read_amplitude_ua=amplitude,
-        j2_bias_ua=bias,
-        correct=all(s.correct
-                    for s in summaries[k * stride:(k + 1) * stride]))
-        for k, (amplitude, bias) in enumerate(grid)]
+    points = [(RECOMMENDED_READ_PULSE_UA * rs, RECOMMENDED_J2_BIAS_UA * bs)
+              for rs in read_scales for bs in bias_scales]
+    summaries = run_configs(margin_configs(points, write_counts),
+                            workers=workers)
+    return margin_points(points, [summary.correct for summary in summaries])
 
 
 def working_margin_percent(points: Sequence[MarginPoint]) -> float:
@@ -153,31 +128,3 @@ def working_margin_percent(points: Sequence[MarginPoint]) -> float:
         else:
             break
     return 100.0 * min(1.0 - low, high - 1.0)
-
-
-def monte_carlo_yield(samples: int = 1000, seed: int = 1234,
-                      sigma_ic: float = 0.02, sigma_l: float = 0.03,
-                      sigma_bias: float = 0.02,
-                      read_scales: Tuple[float, ...] = (0.95, 1.0, 1.05),
-                      workers: Optional[int] = None) -> "YieldReport":
-    """Statistical complement to the worst-case grid: parametric yield.
-
-    Where :func:`sweep_margin_grid` asks "over what drive window does
-    the *nominal* cell work", this asks "what fraction of *fabricated*
-    cells work at nominal drive" by sampling Gaussian process spreads
-    over every junction Ic, inductance and bias source and running one
-    testbench lane per (sample, read scale) through the mega-batch
-    Monte Carlo tier (:mod:`repro.josim.montecarlo`).
-    """
-    from repro.josim.montecarlo import (
-        SpreadSpec,
-        YieldConfig,
-        run_yield_analysis,
-    )
-
-    config = YieldConfig(
-        samples=samples, seed=seed,
-        spreads=SpreadSpec(sigma_ic=sigma_ic, sigma_l=sigma_l,
-                           sigma_bias=sigma_bias),
-        read_scales=read_scales)
-    return run_yield_analysis(config, workers=workers)

@@ -1,41 +1,31 @@
-"""Testbench driver for analog cell simulations.
+"""Run HC-DRO write/read programs on the RCSJ solvers.
 
-Builds pulse stimulus decks around the prebuilt cell netlists and runs
-the transient solver - the analog analogue of the pulse-level drivers in
-:mod:`repro.rf.netlist`.
+Builds the pulse stimulus deck around the prebuilt HC-DRO cell netlist
+and runs the transient - the analog analogue of the pulse-level drivers
+in :mod:`repro.rf.netlist`.
 
-Two entry points share one stimulus-deck builder:
-
-* :meth:`HCDROTestbench.run` - one cell, one transient (the compiled
-  scalar solver).
-* :func:`run_hcdro_batch` - many same-topology ``(write, read, bias)``
-  programs, and the only place that picks an RCSJ solver path: the
-  lane count alone decides.  Below :data:`BATCHED_MIN_LANES` lanes each
-  config runs through :meth:`HCDROTestbench.run`; from there on all of
-  them run as lanes of one
-  :class:`~repro.josim.solver.BatchedTransientSolver` transient.  The
-  two solvers share one formulation, so the choice moves speed only:
-  either path gives bitwise the same trajectories.  Lanes
-  may differ in drive amplitudes, bias, pulse timing and total
-  duration (shorter programs retire early); they must agree on the
-  write/read counts and the timestep so every lane shares the batch
-  topology signature.
+:func:`run_hcdro_batch` is the one entry point.  Each
+:class:`~repro.josim.sweep.HCDROConfig` describes one run, and every
+lane's cell and stimulus deck is built the same way; the lane count
+alone picks the solver those lanes go to.  Below
+:data:`BATCHED_MIN_LANES` lanes each config runs alone on the scalar
+:class:`~repro.josim.solver.TransientSolver`; from there on all of them
+run as lanes of one :class:`~repro.josim.solver.BatchedTransientSolver`
+transient.  The two solvers share one formulation, so the choice moves
+speed only: either path gives bitwise the same trajectories.  Lanes may
+differ in drive amplitudes, bias, pulse timing and total duration
+(shorter programs retire early); they must agree on the write/read
+counts and the timestep so every lane shares the batch topology
+signature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.errors import SimulationError
-from repro.josim.cells import (
-    CellHandles,
-    RECOMMENDED_J2_BIAS_UA,
-    RECOMMENDED_PULSE_WIDTH_PS,
-    RECOMMENDED_READ_PULSE_UA,
-    RECOMMENDED_WRITE_PULSE_UA,
-    build_hcdro_cell,
-)
+from repro.josim.cells import CellHandles, build_hcdro_cell
 from repro.josim.fluxon import junction_fluxons, loop_fluxons
 from repro.josim.solver import (
     BatchedTransientSolver,
@@ -63,11 +53,6 @@ class HCDRORunReport:
     stored_at_end: int
     output_pulses: int
 
-    @property
-    def popped(self) -> int:
-        """Fluxons that left the cell during the read phase."""
-        return self.stored_after_writes - self.stored_at_end
-
 
 def _stamp_stimulus(handles: CellHandles, writes: int, reads: int,
                     write_amplitude_ua: float, read_amplitude_ua: float,
@@ -75,8 +60,9 @@ def _stamp_stimulus(handles: CellHandles, writes: int, reads: int,
                     settle_ps: float) -> tuple:
     """Stamp the write/read pulse deck into a cell; return time marks.
 
-    Shared by the scalar and batched entry points so both drive
-    byte-identical stimulus decks.  Returns ``(read_start_ps, end_ps)``.
+    Shared by :func:`run_hcdro_batch` and the Monte Carlo tier so every
+    lane gets a byte-identical stimulus deck.  Returns
+    ``(read_start_ps, end_ps)``.
     """
     if writes < 0 or reads < 0:
         raise ValueError("writes and reads must be non-negative")
@@ -100,7 +86,7 @@ def _stamp_stimulus(handles: CellHandles, writes: int, reads: int,
 def _reduce_report(result: TransientResult, handles: CellHandles,
                    writes: int, reads: int,
                    read_start_ps: float) -> HCDRORunReport:
-    """Fluxon bookkeeping shared by the scalar and batched drivers."""
+    """Fluxon bookkeeping shared by every HC-DRO lane."""
     stored_mid = loop_fluxons(result, handles.input_jj, handles.output_jj,
                               at_ps=read_start_ps - 5.0)
     stored_end = loop_fluxons(result, handles.input_jj, handles.output_jj)
@@ -113,75 +99,6 @@ def _reduce_report(result: TransientResult, handles: CellHandles,
         stored_at_end=stored_end,
         output_pulses=out,
     )
-
-
-class HCDROTestbench:
-    """Drive an HC-DRO cell with write/read pulse sequences.
-
-    >>> report = HCDROTestbench().run(writes=2, reads=3)
-    >>> (report.stored_after_writes, report.output_pulses)
-    (2, 2)
-    """
-
-    def __init__(self, handles: Optional[CellHandles] = None,
-                 write_amplitude_ua: float = RECOMMENDED_WRITE_PULSE_UA,
-                 read_amplitude_ua: float = RECOMMENDED_READ_PULSE_UA,
-                 pulse_width_ps: float = RECOMMENDED_PULSE_WIDTH_PS,
-                 pulse_spacing_ps: float = 25.0,
-                 timestep_ps: float = 0.05) -> None:
-        self.handles = handles or build_hcdro_cell(
-            j2_bias_ua=RECOMMENDED_J2_BIAS_UA)
-        self.write_amplitude_ua = write_amplitude_ua
-        self.read_amplitude_ua = read_amplitude_ua
-        self.pulse_width_ps = pulse_width_ps
-        self.pulse_spacing_ps = pulse_spacing_ps
-        self.timestep_ps = timestep_ps
-        self._consumed = False
-
-    def run(self, writes: int = 0, reads: int = 0,
-            settle_ps: float = 30.0, record_every: int = 1) -> HCDRORunReport:
-        """Apply ``writes`` D pulses then ``reads`` CLK pulses.
-
-        A testbench owns its cell netlist and stamps the stimulus deck
-        into it, so each instance drives exactly one transient; build a
-        fresh testbench (or go through :mod:`repro.josim.sweep`) for the
-        next operating point.
-        """
-        if self._consumed:
-            raise SimulationError(
-                "testbench already ran; its circuit now contains the "
-                "previous stimulus deck - build a new HCDROTestbench")
-        read_start, end = _stamp_stimulus(
-            self.handles, writes, reads,
-            write_amplitude_ua=self.write_amplitude_ua,
-            read_amplitude_ua=self.read_amplitude_ua,
-            pulse_width_ps=self.pulse_width_ps,
-            pulse_spacing_ps=self.pulse_spacing_ps,
-            settle_ps=settle_ps)
-        self._consumed = True
-        solver = TransientSolver(self.handles.circuit,
-                                 timestep_ps=self.timestep_ps)
-        result = solver.run(end, record_every=record_every)
-        return _reduce_report(result, self.handles, writes, reads,
-                              read_start)
-
-
-def _run_scalar(lane: int, config: "HCDROConfig",
-                record_every: int) -> HCDRORunReport:
-    """One config through :meth:`HCDROTestbench.run`; errors name the lane."""
-    bench = HCDROTestbench(
-        handles=build_hcdro_cell(j2_bias_ua=config.j2_bias_ua),
-        write_amplitude_ua=config.write_amplitude_ua,
-        read_amplitude_ua=config.read_amplitude_ua,
-        pulse_width_ps=config.pulse_width_ps,
-        pulse_spacing_ps=config.pulse_spacing_ps,
-        timestep_ps=config.timestep_ps)
-    try:
-        return bench.run(writes=config.writes, reads=config.reads,
-                         settle_ps=config.settle_ps,
-                         record_every=record_every)
-    except SimulationError as exc:
-        raise SimulationError(f"lane {lane} ({config!r}): {exc}") from exc
 
 
 def run_hcdro_batch(configs: Sequence["HCDROConfig"],
@@ -202,6 +119,11 @@ def run_hcdro_batch(configs: Sequence["HCDROConfig"],
     raises :class:`SimulationError` naming the lane index and its
     config on either path, so a poisoned operating point in a margin
     grid is identifiable from the exception alone.
+
+    >>> from repro.josim.sweep import HCDROConfig
+    >>> report = run_hcdro_batch([HCDROConfig(writes=2, reads=3)])[0]
+    >>> (report.stored_after_writes, report.output_pulses)
+    (2, 2)
     """
     configs = list(configs)
     if not configs:
@@ -219,9 +141,6 @@ def run_hcdro_batch(configs: Sequence["HCDROConfig"],
                 f"lane {lane} ({config!r}) has timestep "
                 f"{config.timestep_ps} ps but the batch runs at "
                 f"{head.timestep_ps} ps")
-    if len(configs) < BATCHED_MIN_LANES:
-        return [_run_scalar(lane, config, record_every)
-                for lane, config in enumerate(configs)]
     lanes = []
     for config in configs:
         handles = build_hcdro_cell(j2_bias_ua=config.j2_bias_ua)
@@ -233,14 +152,25 @@ def run_hcdro_batch(configs: Sequence["HCDROConfig"],
             pulse_spacing_ps=config.pulse_spacing_ps,
             settle_ps=config.settle_ps)
         lanes.append((handles, read_start, end))
-    solver = BatchedTransientSolver(
-        [handles.circuit for handles, _, _ in lanes],
-        timestep_ps=head.timestep_ps,
-        labels=[repr(config) for config in configs])
-    results = solver.run([end for _, _, end in lanes],
-                         record_every=record_every)
+    if len(configs) < BATCHED_MIN_LANES:
+        results = []
+        for lane, (config, (handles, _, end)) in enumerate(
+                zip(configs, lanes)):
+            try:
+                results.append(TransientSolver(
+                    handles.circuit, timestep_ps=config.timestep_ps).run(
+                        end, record_every=record_every))
+            except SimulationError as exc:
+                raise SimulationError(
+                    f"lane {lane} ({config!r}): {exc}") from exc
+    else:
+        solver = BatchedTransientSolver(
+            [handles.circuit for handles, _, _ in lanes],
+            timestep_ps=head.timestep_ps,
+            labels=[repr(config) for config in configs])
+        results = solver.run([end for _, _, end in lanes],
+                             record_every=record_every)
     return [_reduce_report(result, handles, config.writes, config.reads,
                            read_start)
             for result, config, (handles, read_start, _)
             in zip(results, configs, lanes)]
-

@@ -36,14 +36,12 @@ a bitwise-identical artifact (the service benchmark enforces this).
 from __future__ import annotations
 
 import collections
-import dataclasses
-import enum
 import math
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.experiments.parallel import stable_key
+from repro.experiments.parallel import jsonable, stable_key
 
 Params = Dict[str, Any]
 Recompose = Callable[[List[Any]], Any]
@@ -78,21 +76,6 @@ class DecomposedJob:
 
     items: Tuple[WorkItem, ...]
     recompose: Recompose
-
-
-def jsonable(value: Any) -> Any:
-    """Cache- and wire-safe view: dataclasses/enums/numpy scalars out."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return jsonable(dataclasses.asdict(value))
-    if isinstance(value, enum.Enum):
-        return jsonable(value.value)
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if hasattr(value, "item") and type(value).__module__ == "numpy":
-        return value.item()
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -193,30 +176,33 @@ def _decompose_figure14(params: Params) -> DecomposedJob:
 # margins: one item per HC-DRO operating point, topology-grouped batching.
 
 
-def _margin_configs(params: Params) -> Tuple[List[Any], List[float], List[int]]:
+def _margin_configs(params: Params) -> Tuple[List[Any], List[float], List[Any]]:
     from repro.josim.cells import (
         RECOMMENDED_J2_BIAS_UA,
         RECOMMENDED_READ_PULSE_UA,
     )
-    from repro.josim.sweep import HCDROConfig
+    from repro.josim.margins import (
+        DEFAULT_READ_SCALES,
+        DEFAULT_READS,
+        DEFAULT_WRITE_COUNTS,
+        margin_configs,
+    )
 
-    scales = [float(s) for s in params.get("scales",
-                                           (0.90, 0.95, 1.0, 1.05, 1.10))]
-    write_counts = [int(w) for w in params.get("write_counts", (0, 2, 3))]
-    reads = int(params.get("reads", 4))
+    scales = [float(s) for s in params.get("scales", DEFAULT_READ_SCALES)]
+    write_counts = [int(w) for w in params.get("write_counts",
+                                               DEFAULT_WRITE_COUNTS)]
+    reads = int(params.get("reads", DEFAULT_READS))
     j2_bias_ua = float(params.get("j2_bias_ua", RECOMMENDED_J2_BIAS_UA))
-    extras: Params = {}
-    for field in ("settle_ps", "pulse_spacing_ps", "pulse_width_ps",
-                  "timestep_ps"):
-        if field in params:
-            extras[field] = float(params[field])
+    program = {field: float(params[field])
+               for field in ("settle_ps", "pulse_spacing_ps",
+                             "pulse_width_ps", "timestep_ps")
+               if field in params}
     if not scales or not write_counts:
         raise ValueError("margins needs non-empty scales and write_counts")
-    configs = [HCDROConfig(writes=writes, reads=reads,
-                           read_amplitude_ua=RECOMMENDED_READ_PULSE_UA * scale,
-                           j2_bias_ua=j2_bias_ua, **extras)
-               for scale in scales for writes in write_counts]
-    return configs, scales, write_counts
+    points = [(RECOMMENDED_READ_PULSE_UA * scale, j2_bias_ua)
+              for scale in scales]
+    return (margin_configs(points, write_counts, reads, **program), scales,
+            points)
 
 
 def _hcdro_item(config: Any) -> WorkItem:
@@ -235,32 +221,24 @@ def _hcdro_compute(payloads: Sequence[Any]) -> List[Dict[str, Any]]:
 
 
 def _decompose_margins(params: Params) -> DecomposedJob:
-    configs, scales, write_counts = _margin_configs(params)
+    configs, scales, points = _margin_configs(params)
     items = tuple(_hcdro_item(config) for config in configs)
-    stride = len(write_counts)
 
     def recompose(values: List[Any]) -> Any:
-        from repro.josim.margins import MarginPoint, working_margin_percent
+        from repro.josim.margins import margin_points, working_margin_percent
         from repro.josim.sweep import hcdro_correct
 
-        verdicts = [hcdro_correct(config.writes, **value)
-                    for config, value in zip(configs, values)]
-        points = []
-        rows = []
-        for index, scale in enumerate(scales):
-            config = configs[index * stride]
-            correct = all(verdicts[index * stride:(index + 1) * stride])
-            points.append(MarginPoint(
-                read_amplitude_ua=config.read_amplitude_ua,
-                j2_bias_ua=config.j2_bias_ua, correct=correct))
-            rows.append({"scale": scale,
-                         "read_amplitude_ua": config.read_amplitude_ua,
-                         "j2_bias_ua": config.j2_bias_ua,
-                         "correct": correct})
+        margins = margin_points(points, [
+            hcdro_correct(config.writes, **value)
+            for config, value in zip(configs, values)])
         return {
             "experiment": "margins",
-            "points": rows,
-            "working_margin_percent": working_margin_percent(points),
+            "points": [{"scale": scale,
+                        "read_amplitude_ua": point.read_amplitude_ua,
+                        "j2_bias_ua": point.j2_bias_ua,
+                        "correct": point.correct}
+                       for scale, point in zip(scales, margins)],
+            "working_margin_percent": working_margin_percent(margins),
         }
 
     return DecomposedJob(items=items, recompose=recompose)

@@ -66,13 +66,13 @@ from repro.experiments.parallel import (
     Resolved,
     ResultCache,
     cached_batch,
+    jsonable,
 )
 from repro.service.adapters import (
     WorkItem,
     cpu_lane_stats,
     decompose,
     dispatch_group,
-    jsonable,
     pulse_lane_stats,
 )
 from repro.service.jobs import Job, JobStore

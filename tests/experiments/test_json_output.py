@@ -36,9 +36,14 @@ class TestJsonOutput:
         for outcome in payload["faults"]:
             assert "FaultKind" not in str(outcome["fault"])
 
-    def test_unsupported_experiment_errors(self):
-        with pytest.raises(SystemExit):
-            main(["figure14", "--json"])
+    def test_every_experiment_has_a_payload(self, capsys):
+        from repro.experiments import figure14
+        from repro.experiments.parallel import jsonable
+
+        timing = run_json(["timing"], capsys)["timing"]
+        assert timing["figure8_ndro"]["cycle_time_ps"] > 0
+        payload = run_json(["figure14", "--scale", "0.3"], capsys)
+        assert payload["figure14"] == jsonable(figure14.run(0.3))
 
     def test_scaling_rows(self, capsys):
         payload = run_json(["scaling"], capsys)

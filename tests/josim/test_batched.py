@@ -34,7 +34,7 @@ from repro.josim.fluxon import junction_fluxons
 from repro.josim.montecarlo import YieldConfig, _build_lane, hcdro_parameter_specs
 from repro.josim.solver import topology_signature
 from repro.josim.sweep import HCDROConfig
-from repro.josim.testbench import HCDROTestbench, run_hcdro_batch
+from repro.josim.testbench import run_hcdro_batch
 
 
 def _jtl_deck(bias_fraction=0.7, ic_ua=100.0, amplitude_ua=500.0):
@@ -299,23 +299,15 @@ BOTH_PATHS = (1, 2**30)
 
 class TestBatchedTestbench:
     def test_batch_matches_scalar_testbench(self, monkeypatch):
-        monkeypatch.setattr(testbench, "BATCHED_MIN_LANES", 1)
         configs = [HCDROConfig(writes=2, reads=3),
                    HCDROConfig(writes=2, reads=3,
                                read_amplitude_ua=1.05
                                * RECOMMENDED_READ_PULSE_UA),
                    HCDROConfig(writes=2, reads=3, j2_bias_ua=73.0)]
+        alone = [run_hcdro_batch([config])[0] for config in configs]
+        monkeypatch.setattr(testbench, "BATCHED_MIN_LANES", 1)
         reports = run_hcdro_batch(configs)
-        for config, report in zip(configs, reports):
-            bench = HCDROTestbench(
-                handles=build_hcdro_cell(j2_bias_ua=config.j2_bias_ua),
-                write_amplitude_ua=config.write_amplitude_ua,
-                read_amplitude_ua=config.read_amplitude_ua,
-                pulse_width_ps=config.pulse_width_ps,
-                pulse_spacing_ps=config.pulse_spacing_ps,
-                timestep_ps=config.timestep_ps)
-            scalar = bench.run(writes=config.writes, reads=config.reads,
-                               settle_ps=config.settle_ps)
+        for config, report, scalar in zip(configs, reports, alone):
             assert report.stored_after_writes == scalar.stored_after_writes
             assert report.stored_at_end == scalar.stored_at_end
             assert report.output_pulses == scalar.output_pulses

@@ -17,7 +17,8 @@ from repro.josim.cells import (
     RECOMMENDED_READ_PULSE_UA,
     RECOMMENDED_WRITE_PULSE_UA,
 )
-from repro.josim.testbench import HCDROTestbench
+from repro.josim.sweep import HCDROConfig
+from repro.josim.testbench import run_hcdro_batch
 
 
 class TestJTL:
@@ -66,43 +67,47 @@ class TestDROCell:
 class TestHCDROCell:
     """The headline Section II-D behaviour, at the analog level."""
 
+    @staticmethod
+    def _run(**fields):
+        return run_hcdro_batch([HCDROConfig(**fields)])[0]
+
     @pytest.mark.parametrize("writes", [0, 1, 2, 3])
     def test_stores_up_to_three(self, writes):
-        report = HCDROTestbench().run(writes=writes, reads=0)
+        report = self._run(writes=writes, reads=0)
         assert report.stored_after_writes == writes
 
     def test_capacity_saturates_at_three(self):
-        report = HCDROTestbench().run(writes=5, reads=0)
+        report = self._run(writes=5, reads=0)
         assert report.stored_after_writes == 3
 
     @pytest.mark.parametrize("writes", [1, 2, 3])
     def test_reads_pop_exactly_stored_count(self, writes):
-        report = HCDROTestbench().run(writes=writes, reads=4)
+        report = self._run(writes=writes, reads=4)
         assert report.output_pulses == writes
         assert report.stored_at_end == 0
 
     def test_empty_reads_are_silent(self):
-        report = HCDROTestbench().run(writes=0, reads=3)
+        report = self._run(writes=0, reads=3)
         assert report.output_pulses == 0
         assert report.stored_at_end == 0
 
     def test_each_read_pops_one(self):
-        report = HCDROTestbench().run(writes=3, reads=1)
+        report = self._run(writes=3, reads=1)
         assert report.output_pulses == 1
         assert report.stored_at_end == 2
 
     def test_read_amplitude_margin(self):
         """The drive point has margin: +/-5% amplitude still works."""
         for scale in (0.95, 1.05):
-            bench = HCDROTestbench(
+            report = self._run(
+                writes=2, reads=3,
                 read_amplitude_ua=RECOMMENDED_READ_PULSE_UA * scale)
-            report = bench.run(writes=2, reads=3)
             assert report.output_pulses == 2
             assert report.stored_at_end == 0
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
-            HCDROTestbench().run(writes=-1)
+            HCDROConfig(writes=-1)
 
 
 class TestParameterSets:

@@ -4,8 +4,9 @@ import pytest
 
 from repro.josim.margins import (
     MarginPoint,
-    point_is_correct,
-    sweep_read_amplitude,
+    margin_configs,
+    margin_points,
+    sweep_margin_grid,
     working_margin_percent,
 )
 from repro.josim.cells import RECOMMENDED_J2_BIAS_UA, \
@@ -14,15 +15,14 @@ from repro.josim.cells import RECOMMENDED_J2_BIAS_UA, \
 
 class TestOperatingPoint:
     def test_nominal_point_works(self):
-        assert point_is_correct(RECOMMENDED_READ_PULSE_UA,
-                                RECOMMENDED_J2_BIAS_UA,
-                                write_counts=(0, 3))
+        [point] = sweep_margin_grid((1.0,), write_counts=(0, 3))
+        assert point == MarginPoint(RECOMMENDED_READ_PULSE_UA,
+                                    RECOMMENDED_J2_BIAS_UA, True)
 
     def test_gross_overdrive_fails(self):
         # A hugely overdriven read pops fluxons that were never stored.
-        assert not point_is_correct(RECOMMENDED_READ_PULSE_UA * 1.5,
-                                    RECOMMENDED_J2_BIAS_UA,
-                                    write_counts=(0,))
+        [point] = sweep_margin_grid((1.5,), write_counts=(0,))
+        assert not point.correct
 
 
 class TestMarginAccounting:
@@ -59,6 +59,19 @@ class TestMarginAccounting:
 
 class TestSweep:
     def test_small_sweep_has_working_nominal(self):
-        points = sweep_read_amplitude(scales=(1.0,))
+        points = sweep_margin_grid((1.0,))
         assert len(points) == 1
         assert points[0].correct
+
+
+class TestGridBuilders:
+    def test_configs_are_point_major_and_verdicts_fold_per_point(self):
+        points = [(430.0, 75.0), (450.0, 73.0)]
+        configs = margin_configs(points, write_counts=(0, 3), reads=2,
+                                 settle_ps=10.0)
+        assert [(c.read_amplitude_ua, c.j2_bias_ua, c.writes, c.reads,
+                 c.settle_ps) for c in configs] == [
+            (430.0, 75.0, 0, 2, 10.0), (430.0, 75.0, 3, 2, 10.0),
+            (450.0, 73.0, 0, 2, 10.0), (450.0, 73.0, 3, 2, 10.0)]
+        assert margin_points(points, [True, True, True, False]) == [
+            MarginPoint(430.0, 75.0, True), MarginPoint(450.0, 73.0, False)]

@@ -203,13 +203,3 @@ class TestSourceTableFallback:
         monkeypatch.setattr(solver_mod, "_SOURCE_TABLE_LIMIT", 0)
         TransientSolver(self._deck(), timestep_ps=0.05).run(5.0)
         assert len(calls) == 100  # one per step
-
-
-class TestTestbenchSingleUse:
-    def test_second_run_rejected(self):
-        from repro.josim.testbench import HCDROTestbench
-
-        bench = HCDROTestbench()
-        bench.run(writes=0, reads=0)
-        with pytest.raises(SimulationError, match="already ran"):
-            bench.run(writes=0, reads=0)

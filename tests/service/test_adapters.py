@@ -87,6 +87,20 @@ class TestMarginsAdapter:
         assert json.dumps(batched, sort_keys=True) == \
             json.dumps(naive, sort_keys=True)
 
+    def test_job_agrees_with_the_cli_sweep(self):
+        """The service job and the CLI sweep share one margin grid."""
+        from repro.josim.margins import sweep_margin_grid, \
+            working_margin_percent
+
+        job = run_job_naive("margins", {"scales": [0.95, 1.0],
+                                        "write_counts": [0]})
+        points = sweep_margin_grid((0.95, 1.0), write_counts=(0,), workers=1)
+        assert [(p["read_amplitude_ua"], p["j2_bias_ua"], p["correct"])
+                for p in job["points"]] == \
+            [(p.read_amplitude_ua, p.j2_bias_ua, p.correct) for p in points]
+        assert job["working_margin_percent"] == \
+            working_margin_percent(points)
+
 
 class TestFigure14Adapter:
     def test_key_matches_cli_cache_contract(self):
